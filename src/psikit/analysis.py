@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import Function, Instr, Instruction, PhiInstr, PsiInstr
-from .predicates import GuardEnv, TRUE_EXPR, domain_disjoint
+from .predicates import GuardEnv, TRUE_EXPR
 
 
 def reachable_blocks(func: Function) -> list[str]:
@@ -344,7 +344,7 @@ def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
         for v in others:
             if v == d:
                 continue
-            if refine_disjoint and domain_disjoint(fd, guarded_formula(v), env):
+            if refine_disjoint and env.disjoint(fd, guarded_formula(v)):
                 continue
             graph.add_edge(d, v)
 

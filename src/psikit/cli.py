@@ -167,14 +167,14 @@ def cmd_run(args) -> int:
     mod = _load(args.file)
     passes = [p for p in args.passes.split(",") if p] if args.passes else []
     _check_pipeline(passes, args.in_ssa)
-    if args.stats:
-        _print_stats(mod, args)
-        return 0
     original = mod.clone()
     config = PipelineConfig(passes=passes, machine=_machine_from_args(args),
                             opts=_options_from_args(args),
                             in_ssa=args.in_ssa, dump_after=args.dump_after)
     try:
+        if args.stats:
+            _print_stats(mod, args)
+            return 0
         mod = run_pipeline(mod, config)
     except (NotConvertible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from . import analysis
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr, TRUE)
 from .machine import MachineModel
-from .predicates import GuardEnv, TRUE_EXPR, domain_subset, guard_env_or_conservative
+from .predicates import GuardEnv, TRUE_EXPR, guard_env_or_conservative
 from .ssa import definition_formula, psi_inline_all
 
 
@@ -79,7 +79,7 @@ def _plan_arm(func: Function, arm_labels: list[str], machine: MachineModel,
     forced: list[Instruction] = []
 
     def always_defined_outside(var: str) -> bool:
-        return domain_subset(TRUE_EXPR, definition_formula(var, func, env), env)
+        return env.subset(TRUE_EXPR, definition_formula(var, func, env))
 
     for ins in instrs:
         if isinstance(ins, PsiInstr):

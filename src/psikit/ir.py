@@ -919,7 +919,7 @@ def _match_instr(x, y, match_var, match_label) -> bool:
     if type(x) is not type(y):
         return False
     if isinstance(x, PhiInstr):
-        if x.args and y.args and len(x.args) != len(y.args):
+        if len(x.args) != len(y.args):
             return False
         if not match_var(x.dest, y.dest):
             return False

@@ -21,7 +21,6 @@ class MachineModel:
     name: str
     predicable_ops: frozenset[str]
     speculatable_ops: frozenset[str]
-    has_select: bool = True
 
     def predicable(self, opcode: str) -> bool:
         return opcode in self.predicable_ops
@@ -53,5 +52,4 @@ def machine_from_flags(name: str, predicable: str | None = None,
     if speculatable:
         spec = frozenset(s.strip() for s in speculatable.split(",") if s.strip())
     return MachineModel(name, frozenset(pred) & REAL_OPS,
-                        frozenset(spec) - NEVER_SPECULATABLE,
-                        has_select=base.has_select)
+                        frozenset(spec) - NEVER_SPECULATABLE)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import analysis
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr)
-from .predicates import GuardEnv, domain_disjoint, guard_env_or_conservative
+from .predicates import GuardEnv, guard_env_or_conservative
 from .ssa import definition_formula
 
 
@@ -255,8 +255,8 @@ def _normalize_one(func: Function, psi: PsiInstr, dom: analysis.DomTree,
                                                        strict=True))))
             if inverted:
                 if (reorder_disjoint and swaps_left > 0
-                        and domain_disjoint(env.pred_formula(q),
-                                            env.pred_formula(q2), env)):
+                        and env.disjoint(env.pred_formula(q),
+                                         env.pred_formula(q2))):
                     psi.args[i], psi.args[i + 1] = psi.args[i + 1], psi.args[i]
                     swaps_left -= 1
                     i = max(i - 1, 0)

@@ -1,25 +1,24 @@
 """Predicate-domain algebra over guard registers.
 
 Each guard register is mapped to a boolean formula over fresh condition
-symbols (one per compare or otherwise-opaque definition).  Domain queries
-(subset, disjointness, union) are decided by exhaustive enumeration of
-symbol assignments, which is exact up to the symbol budget.  Above the
-budget the environment degrades to a conservative mode where only
-syntactic facts are decidable; every "unknown" answer is reported as
-False and all callers treat False conservatively.
+symbols (one per compare or otherwise-opaque definition).  A subset or
+disjointness query builds the truth tables of its two formulas, as Python
+ints, over just the symbols those formulas mention, which decides it
+exactly however many symbols the whole function has.  A query mentioning
+more than QUERY_SYMBOL_CAP symbols is answered syntactically instead and
+clears `GuardEnv.exact`; every "unknown" answer there is reported as False
+and all callers treat False conservatively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ir import CMP_OPS, Function, Instr, Pred, PhiInstr, PsiInstr
 
-SYMBOL_BUDGET = 16
-
-
-class SymbolBudgetExceeded(Exception):
-    """Raised when a function needs more than SYMBOL_BUDGET fresh symbols."""
+# At 20 symbols a truth table is 2^20 bits, 128 KiB.
+QUERY_SYMBOL_CAP = 20
 
 
 class PredExpr:
@@ -93,16 +92,15 @@ FALSE_EXPR = Const(False)
 class GuardEnv:
     """Formulas for every guard register of one function.
 
-    `exact` is False when the symbol budget was exceeded and the environment
-    was rebuilt in conservative mode: queries then decide only syntactic
-    equality, constant-true and constant-false cases.
+    Queries are decided exactly over the symbols the two formulas mention.
+    `exact` turns False once a query mentioned more than QUERY_SYMBOL_CAP
+    symbols and was answered syntactically instead.
     """
 
-    def __init__(self, formulas: dict[str, PredExpr], symbol_count: int,
-                 exact: bool = True):
+    def __init__(self, formulas: dict[str, PredExpr], symbol_count: int):
         self.formulas = formulas
         self.symbol_count = symbol_count
-        self.exact = exact
+        self.exact = True
 
     def formula(self, guard: str) -> PredExpr:
         return self.formulas[guard]
@@ -116,33 +114,76 @@ class GuardEnv:
 
     # -- decision procedures ---------------------------------------------
 
-    def _assignments(self):
-        return range(1 << self.symbol_count)
+    def _tables(self, a: PredExpr, b: PredExpr) -> tuple[int, int] | None:
+        """Truth tables of a and b over their joint support, or None (and
+        `exact` cleared) when that support is larger than the cap."""
+        support = _support(a) | _support(b)
+        n = len(support)
+        if n > QUERY_SYMBOL_CAP:
+            self.exact = False
+            return None
+        columns = {s: _column(k, n) for k, s in enumerate(support)}
+        full = (1 << (1 << n)) - 1
+        return _table(a, columns, full), _table(b, columns, full)
 
     def subset(self, a: PredExpr, b: PredExpr) -> bool:
         """True iff a implies b under every symbol assignment."""
-        if not self.exact:
+        tables = self._tables(a, b)
+        if tables is None:
             return a == b or b == TRUE_EXPR or a == FALSE_EXPR
-        return all(not a.eval(m) or b.eval(m) for m in self._assignments())
+        ta, tb = tables
+        return ta & ~tb == 0
 
     def disjoint(self, a: PredExpr, b: PredExpr) -> bool:
         """True iff no assignment satisfies both a and b."""
-        if not self.exact:
+        tables = self._tables(a, b)
+        if tables is None:
             if a == FALSE_EXPR or b == FALSE_EXPR:
                 return True
             return a == Not(b) or b == Not(a)
-        return all(not (a.eval(m) and b.eval(m)) for m in self._assignments())
+        ta, tb = tables
+        return ta & tb == 0
 
     def equal(self, a: PredExpr, b: PredExpr) -> bool:
         return self.subset(a, b) and self.subset(b, a)
 
 
-def domain_subset(a: PredExpr, b: PredExpr, env: GuardEnv) -> bool:
-    return env.subset(a, b)
+def _support(expr: PredExpr) -> set[int]:
+    """Indices of the symbols `expr` mentions."""
+    if isinstance(expr, Sym):
+        return {expr.index}
+    if isinstance(expr, Not):
+        return _support(expr.arg)
+    if isinstance(expr, (And, Or)):
+        return _support(expr.left) | _support(expr.right)
+    return set()
 
 
-def domain_disjoint(a: PredExpr, b: PredExpr, env: GuardEnv) -> bool:
-    return env.disjoint(a, b)
+@lru_cache(maxsize=None)
+def _column(k: int, n: int) -> int:
+    """Truth table of the k-th of n symbols: bit m is set iff bit k of m is.
+
+    n never exceeds QUERY_SYMBOL_CAP, which bounds the cache."""
+    width = 1 << (k + 1)
+    column = ((1 << (1 << k)) - 1) << (1 << k)
+    while width < 1 << n:
+        column |= column << width
+        width <<= 1
+    return column
+
+
+def _table(expr: PredExpr, columns: dict[int, int], full: int) -> int:
+    """Truth table of `expr`, given the tables of its symbols; `full` is the
+    table of true."""
+    if isinstance(expr, Sym):
+        return columns[expr.index]
+    if isinstance(expr, Const):
+        return full if expr.value else 0
+    if isinstance(expr, Not):
+        return full ^ _table(expr.arg, columns, full)
+    left = _table(expr.left, columns, full)
+    right = _table(expr.right, columns, full)
+    return left & right if isinstance(expr, And) else left | right
 
 
 def domain_union(preds: list[PredExpr]) -> PredExpr:
@@ -153,13 +194,14 @@ def domain_union(preds: list[PredExpr]) -> PredExpr:
     return out
 
 
-def build_guard_env(func: Function) -> GuardEnv:
+def guard_env_or_conservative(func: Function) -> GuardEnv:
     """Assign a formula to every guard register of `func`.
 
     Compares get fresh symbols; boolean connectives and moves map to the
     corresponding formula operations; const 0/1 map to constants; any other
     guard definition (phi, psi, load, param) gets a fresh symbol, which is
-    conservative.  Raises SymbolBudgetExceeded past SYMBOL_BUDGET symbols.
+    conservative.  There is no limit on the number of symbols: only a query
+    over more than QUERY_SYMBOL_CAP of them falls back to syntactic answers.
     """
     from .ir import infer_kinds
 
@@ -169,9 +211,6 @@ def build_guard_env(func: Function) -> GuardEnv:
 
     def fresh() -> PredExpr:
         nonlocal counter
-        if counter >= SYMBOL_BUDGET:
-            raise SymbolBudgetExceeded(
-                f"@{func.name} needs more than {SYMBOL_BUDGET} condition symbols")
         counter += 1
         return Sym(counter - 1)
 
@@ -208,27 +247,5 @@ def build_guard_env(func: Function) -> GuardEnv:
                 formulas[dest] = (And if op == "and" else Or)(left, right)
         else:
             formulas[dest] = fresh()
-    return GuardEnv(formulas, counter, exact=True)
+    return GuardEnv(formulas, counter)
 
-
-def conservative_guard_env(func: Function) -> GuardEnv:
-    """Degraded environment: opaque per-register formulas, syntactic queries."""
-    from .ir import infer_kinds
-
-    kinds = infer_kinds(func)
-    formulas: dict[str, PredExpr] = {}
-    i = 0
-    for name, kind in list(func.params) + [
-            (ins.dest, kinds.get(ins.dest))
-            for _, ins in func.instructions() if ins.dest is not None]:
-        if kind == "guard" and name not in formulas:
-            formulas[name] = Sym(i)
-            i += 1
-    return GuardEnv(formulas, symbol_count=0, exact=False)
-
-
-def guard_env_or_conservative(func: Function) -> GuardEnv:
-    try:
-        return build_guard_env(func)
-    except SymbolBudgetExceeded:
-        return conservative_guard_env(func)

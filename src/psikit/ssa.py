@@ -9,14 +9,11 @@ ground truth for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr, TRUE)
 from .machine import MachineModel
-from .predicates import (And, GuardEnv, TRUE_EXPR, domain_disjoint,
-                         domain_subset, domain_union)
+from .predicates import And, GuardEnv, TRUE_EXPR, domain_union
 
 
 class NotPsiDefined(Exception):
@@ -32,24 +29,6 @@ class ConditionViolated(Exception):
         super().__init__(f"condition {which} violated"
                          + (f": {detail}" if detail else ""))
         self.which = which
-
-
-@dataclass
-class SsaForm:
-    """A function together with what is known about its form."""
-
-    function: Function
-    is_ssa: bool = True
-    psi_present: bool = False
-
-    @classmethod
-    def lift(cls, function: Function) -> "SsaForm":
-        from .ir import Module, validate
-
-        errors = [d for d in validate(Module([function]), "ssa")
-                  if d.severity == "error"]
-        return cls(function, is_ssa=not errors,
-                   psi_present=bool(all_psis(function)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +62,7 @@ def construct_ssa(func: Function) -> Function:
             if ins.dest is not None:
                 def_blocks.setdefault(ins.dest, set()).add(block.label)
 
-    live_in = _plain_live_in(func)
+    live_in = analysis.liveness(func).live_in
 
     # Pruned placement: a phi for v at frontier block B only if v is live-in.
     phi_vars: dict[str, list[str]] = {b.label: [] for b in func.blocks}
@@ -173,38 +152,6 @@ def _rename_uses(ins: Instruction, top):
     ins.operands = [top(o) if isinstance(o, str) else o for o in ins.operands]
 
 
-def _plain_live_in(func: Function) -> dict[str, set[str]]:
-    labels = [b.label for b in func.blocks]
-    blocks = func.block_map()
-    gen: dict[str, set[str]] = {}
-    kill: dict[str, set[str]] = {}
-    for label in labels:
-        g, k = set(), set()
-        for ins in blocks[label].instructions():
-            for u in ins.uses():
-                if u not in k:
-                    g.add(u)
-            if ins.guard is not None:
-                if ins.guard.reg not in k:
-                    g.add(ins.guard.reg)
-            if ins.dest is not None:
-                k.add(ins.dest)
-        gen[label], kill[label] = g, k
-    live = {l: set() for l in labels}
-    changed = True
-    while changed:
-        changed = False
-        for label in reversed(labels):
-            out: set[str] = set()
-            for s in func.successors(label):
-                out |= live[s]
-            new = gen[label] | (out - kill[label])
-            if new != live[label]:
-                live[label] = new
-                changed = True
-    return live
-
-
 # ---------------------------------------------------------------------------
 # Helpers shared by the psi transformations
 
@@ -278,8 +225,7 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                 a = ins.operands[0]
                 bound = env.pred_formula(ins.guard)
                 src_domain = definition_formula(a, func, env)
-                if domain_subset(env.pred_formula(q), And(bound, src_domain),
-                                 env):
+                if env.subset(env.pred_formula(q), And(bound, src_domain)):
                     psi.args[i] = (q, a)
                     changed = True
         # Drop predicated movs that became dead.
@@ -382,7 +328,7 @@ def _inline_preserves_value(psi: PsiInstr, i: int, inner: PsiInstr,
         return False
     inner_union = domain_union([env.pred_formula(p) for p, _ in inner.args])
     tail = domain_union([env.pred_formula(p) for p, _ in psi.args[i:]])
-    return domain_subset(inner_union, tail, env)
+    return env.subset(inner_union, tail)
 
 
 def psi_reduce(func: Function, psi: PsiInstr, env: GuardEnv) -> int:
@@ -393,7 +339,7 @@ def psi_reduce(func: Function, psi: PsiInstr, env: GuardEnv) -> int:
     while i < len(psi.args) - 1:
         pi = env.pred_formula(psi.args[i][0])
         rest = domain_union([env.pred_formula(p) for p, _ in psi.args[i + 1:]])
-        if domain_subset(pi, rest, env):
+        if env.subset(pi, rest):
             del psi.args[i]
             removed += 1
         else:
@@ -409,7 +355,7 @@ def psi_project(func: Function, psi: PsiInstr, onto, env: GuardEnv) -> str:
     """New psi keeping only the arguments not provably disjoint with `onto`;
     the original is untouched.  Returns the new result variable."""
     kept = [(p, v) for p, v in psi.args
-            if not domain_disjoint(env.pred_formula(p), onto, env)]
+            if not env.disjoint(env.pred_formula(p), onto)]
     if not kept:
         raise EmptyProjection("projection removes every argument")
     alloc = NameAllocator(func)
@@ -430,12 +376,12 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
     """
     nf = env.pred_formula(new_pred)
     tail = domain_union([env.pred_formula(p) for p, _ in psi.args[arg_index:]])
-    if not domain_subset(nf, tail, env):
+    if not env.subset(nf, tail):
         raise ConditionViolated(2, f"%{psi.dest} argument {arg_index}")
 
     var = psi.args[arg_index][1]
     def_ins = func.defs().get(var)
-    covered = domain_subset(nf, definition_formula(var, func, env), env)
+    covered = env.subset(nf, definition_formula(var, func, env))
     if not covered:
         if not (isinstance(def_ins, Instr) and def_ins.guard is not None
                 and machine.speculatable(def_ins.opcode)):
@@ -444,7 +390,7 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
         # Speculation executes the definition more often; its operands must
         # already be defined there, or evaluation would trap.
         for op in def_ins.uses():
-            if not domain_subset(nf, definition_formula(op, func, env), env):
+            if not env.subset(nf, definition_formula(op, func, env)):
                 raise ConditionViolated(1, f"operand %{op} of %{var} is not "
                                            f"defined under {new_pred}")
         def_ins.guard = None

@@ -10,8 +10,7 @@ import time
 from psikit import analysis, interp, ir
 from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import psi_normalize, run_out_of_ssa
-from psikit.predicates import (GuardEnv, domain_disjoint, domain_subset,
-                               guard_env_or_conservative)
+from psikit.predicates import GuardEnv, guard_env_or_conservative
 from psikit.ssa import (all_psis, construct_ssa, copy_fold, psi_promote_pass,
                         rewrite_psis_to_selects)
 from psikit.ifconvert import if_convert_pass
@@ -211,9 +210,9 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(300):
         a = _random_formula(rng, 8)
         b = _random_formula(rng, 8)
-        if domain_subset(a, b, env) != oracle_subset(a, b, 8):
+        if env.subset(a, b) != oracle_subset(a, b, range(8)):
             pairs_ok = False
-        if domain_disjoint(a, b, env) != oracle_disjoint(a, b, 8):
+        if env.disjoint(a, b) != oracle_disjoint(a, b, range(8)):
             pairs_ok = False
 
     live_ok = True

@@ -77,6 +77,13 @@ def test_stats_table_shapes():
         assert row in proc.stdout
 
 
+def test_stats_on_unconvertible_input_is_a_diagnostic():
+    proc = run_cli("run", str(DATA / "shared_arg.pir"), "--stats")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_stats_csv_is_machine_readable():
     proc = run_cli("run", DIAMOND, "--stats", "--stats-format=csv")
     assert proc.returncode == 0

@@ -76,14 +76,6 @@ def test_print_format_of_psi_arguments():
     assert "psi(%p ? %a, !%p ? %b)" in ir.print_function(func)
 
 
-def test_ssa_form_lift():
-    from psikit.ssa import SsaForm
-    form = SsaForm.lift(load_func("diamond_predicated.pir"))
-    assert form.is_ssa and form.psi_present
-    non_ssa = SsaForm.lift(load_func("order_swap_nonssa.pir"))
-    assert not non_ssa.is_ssa and not non_ssa.psi_present
-
-
 def test_roundtrip_fixpoint_on_generated_corpus():
     for seed in range(1000):
         func = gen_random_program(seed, "tiny" if seed % 2 else "small")
@@ -217,3 +209,19 @@ def test_alpha_equivalence_rejects_structural_change():
     psi = c.blocks[0].body[-1]
     psi.args.reverse()
     assert not ir.alpha_equivalent(a, c)
+
+
+def test_alpha_equivalence_compares_phi_arity():
+    a = parse_one("""
+        func @f(%a) {
+        b0:
+          goto b1
+        b1:
+          %x = phi(b0: %a)
+          ret %x
+        }
+    """)
+    b = a.clone()
+    b.blocks[1].phis[0].args.clear()
+    assert not ir.alpha_equivalent(a, b)
+    assert not ir.alpha_equivalent(b, a)

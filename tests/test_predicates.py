@@ -1,14 +1,12 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikit import ir
-from psikit.predicates import (And, Const, FALSE_EXPR, GuardEnv, Not, Or, Sym,
-                               SymbolBudgetExceeded, TRUE_EXPR,
-                               build_guard_env, conservative_guard_env,
-                               domain_disjoint, domain_subset, domain_union)
+from psikit.predicates import (And, Const, FALSE_EXPR, GuardEnv, Not, Or,
+                               QUERY_SYMBOL_CAP, Sym, TRUE_EXPR,
+                               domain_union, guard_env_or_conservative)
 
 
 def env_with(n: int) -> GuardEnv:
@@ -17,23 +15,28 @@ def env_with(n: int) -> GuardEnv:
 
 # -- truth-table oracle ------------------------------------------------------
 
-def truth_table(expr, n):
-    return tuple(expr.eval(m) for m in range(1 << n))
+def assignments(indices):
+    """Every assignment to the symbols `indices`, as an `eval` argument."""
+    for m in range(1 << len(indices)):
+        yield sum(1 << s for k, s in enumerate(indices) if m >> k & 1)
 
 
-def oracle_subset(a, b, n):
-    ta, tb = truth_table(a, n), truth_table(b, n)
-    return all(not x or y for x, y in zip(ta, tb))
+def oracle_subset(a, b, indices):
+    return all(not a.eval(m) or b.eval(m) for m in assignments(indices))
 
 
-def oracle_disjoint(a, b, n):
-    ta, tb = truth_table(a, n), truth_table(b, n)
-    return not any(x and y for x, y in zip(ta, tb))
+def oracle_disjoint(a, b, indices):
+    return not any(a.eval(m) and b.eval(m) for m in assignments(indices))
 
 
-def formulas(max_syms: int):
+# Dense low indices and sparse ones above 16: a query's support, not the
+# largest index, sets the size of its truth tables.
+MIXED_SYMBOLS = (0, 1, 2, 3, 17, 23, 40, 100)
+
+
+def formulas(indices):
     leaves = st.one_of(
-        st.integers(0, max_syms - 1).map(Sym),
+        st.sampled_from(indices).map(Sym),
         st.sampled_from([TRUE_EXPR, FALSE_EXPR]),
     )
     return st.recursive(
@@ -48,45 +51,46 @@ def formulas(max_syms: int):
 
 
 @settings(max_examples=300, deadline=None)
-@given(formulas(8), formulas(8))
+@given(formulas(MIXED_SYMBOLS), formulas(MIXED_SYMBOLS))
 def test_subset_and_disjoint_match_truth_table_oracle(a, b):
     env = env_with(8)
-    assert domain_subset(a, b, env) == oracle_subset(a, b, 8)
-    assert domain_disjoint(a, b, env) == oracle_disjoint(a, b, 8)
+    assert env.subset(a, b) == oracle_subset(a, b, MIXED_SYMBOLS)
+    assert env.disjoint(a, b) == oracle_disjoint(a, b, MIXED_SYMBOLS)
+    assert env.exact
 
 
 @settings(max_examples=150, deadline=None)
-@given(formulas(6), formulas(6), formulas(6))
+@given(formulas(range(6)), formulas(range(6)), formulas(range(6)))
 def test_subset_is_reflexive_and_transitive(a, b, c):
     env = env_with(6)
-    assert domain_subset(a, a, env)
-    if domain_subset(a, b, env) and domain_subset(b, c, env):
-        assert domain_subset(a, c, env)
+    assert env.subset(a, a)
+    if env.subset(a, b) and env.subset(b, c):
+        assert env.subset(a, c)
 
 
 @settings(max_examples=150, deadline=None)
-@given(formulas(6), formulas(6))
+@given(formulas(range(6)), formulas(range(6)))
 def test_disjoint_of_satisfiable_excludes_subset(a, b):
     env = env_with(6)
     satisfiable = any(a.eval(m) for m in range(1 << 6))
-    if satisfiable and domain_disjoint(a, b, env):
-        assert not domain_subset(a, b, env)
+    if satisfiable and env.disjoint(a, b):
+        assert not env.subset(a, b)
 
 
 # -- examples ----------------------------------------------------------------
 
 def test_subset_basics():
     env = env_with(2)
-    assert domain_subset(Sym(0), TRUE_EXPR, env)
-    assert domain_subset(And(Sym(0), Sym(1)), Sym(0), env)
-    assert not domain_subset(Sym(0), Sym(1), env)
+    assert env.subset(Sym(0), TRUE_EXPR)
+    assert env.subset(And(Sym(0), Sym(1)), Sym(0))
+    assert not env.subset(Sym(0), Sym(1))
 
 
 def test_disjoint_basics():
     env = env_with(2)
-    assert domain_disjoint(Sym(0), Not(Sym(0)), env)
-    assert not domain_disjoint(Sym(0), Sym(1), env)
-    assert domain_disjoint(FALSE_EXPR, Sym(1), env)
+    assert env.disjoint(Sym(0), Not(Sym(0)))
+    assert not env.disjoint(Sym(0), Sym(1))
+    assert env.disjoint(FALSE_EXPR, Sym(1))
 
 
 def test_union_fold():
@@ -94,7 +98,7 @@ def test_union_fold():
     assert domain_union([]) == FALSE_EXPR
     assert domain_union([Sym(0)]) == Sym(0)
     u = domain_union([Sym(0), Not(Sym(0))])
-    assert domain_subset(TRUE_EXPR, u, env)
+    assert env.subset(TRUE_EXPR, u)
 
 
 # -- building the environment ------------------------------------------------
@@ -111,7 +115,7 @@ b0:
   ret %a
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     assert env.formulas["p"] == Sym(0)
     assert env.formulas["np"] == Not(Sym(0))
     assert env.formulas["r"] == Or(Sym(0), Sym(1))
@@ -129,29 +133,43 @@ b0:
   ret %a
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     assert env.formulas["t"] == Const(True)
     assert env.formulas["z"] == Const(False)
     assert isinstance(env.formulas["l"], Sym)
     assert isinstance(env.formulas["g"], Sym)
 
 
-def test_symbol_budget_exceeded():
+def test_env_beyond_sixteen_symbols_stays_exact():
     lines = ["func @f(%a) {", "b0:"]
     for i in range(17):
         lines.append(f"  %p{i} = cmp_lt %a, {i}")
     lines += ["  ret %a", "}"]
     func = ir.parse_module("\n".join(lines)).functions[0]
-    with pytest.raises(SymbolBudgetExceeded):
-        build_guard_env(func)
-    env = conservative_guard_env(func)
+    env = guard_env_or_conservative(func)
+    assert env.symbol_count == 17
+    p0, p16 = env.formulas["p0"], env.formulas["p16"]
+    assert env.subset(And(p0, p16), p16)
+    assert not env.subset(p0, p16)
+    assert env.disjoint(And(p0, Not(p16)), p16)
+    assert not env.disjoint(p0, p16)
+    assert env.exact
+
+
+def test_query_over_cap_is_syntactic_and_clears_exact():
+    env = env_with(QUERY_SYMBOL_CAP + 1)
+    at_cap = domain_union([Sym(i) for i in range(QUERY_SYMBOL_CAP)])
+    assert env.subset(And(at_cap, Sym(0)), at_cap)
+    assert env.exact
+    over = Or(at_cap, Sym(QUERY_SYMBOL_CAP))
+    # Both hold exactly, but neither is decidable syntactically.
+    assert not env.subset(And(over, Sym(0)), over)
+    assert not env.disjoint(And(over, Sym(0)), Not(Sym(0)))
     assert not env.exact
-    # Conservative mode still decides the syntactic cases.
-    p0 = env.formulas["p0"]
-    assert env.subset(p0, p0)
-    assert env.subset(p0, TRUE_EXPR)
-    assert env.disjoint(p0, Not(p0))
-    assert not env.subset(p0, env.formulas["p1"])
+    # The syntactic cases are still decided.
+    assert env.subset(over, over)
+    assert env.subset(over, TRUE_EXPR)
+    assert env.disjoint(over, Not(over))
 
 
 def test_exhaustive_enumeration_matches_at_larger_widths():
@@ -159,4 +177,4 @@ def test_exhaustive_enumeration_matches_at_larger_widths():
     big_a = Sym(7)
     big_b = Or(Sym(7), Sym(0))
     for a, b in itertools.permutations([big_a, big_b, TRUE_EXPR], 2):
-        assert domain_subset(a, b, env) == oracle_subset(a, b, 8)
+        assert env.subset(a, b) == oracle_subset(a, b, range(8))

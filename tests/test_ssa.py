@@ -2,7 +2,7 @@ import pytest
 
 from psikit import analysis, interp, ir
 from psikit.machine import FULL, PARTIAL
-from psikit.predicates import build_guard_env, guard_env_or_conservative
+from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import (ConditionViolated, EmptyProjection, NotPsiDefined,
                         all_psis, construct_ssa, copy_fold, is_normalized,
                         psi_inline, psi_inline_all, psi_project, psi_promote,
@@ -156,7 +156,7 @@ b0:
   ret %x
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     before = func.clone()
     assert psi_reduce(func, all_psis(func)[0], env) == 1
     assert psi_text(func, "x") == [("1", "b")]
@@ -167,7 +167,7 @@ b0:
 
 def test_reduce_keeps_uncovered_arguments():
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     assert psi_reduce(func, all_psis(func)[0], env) == 0
 
 
@@ -182,14 +182,14 @@ b0:
   ret %x
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     assert psi_reduce(func, all_psis(func)[0], env) == 1
     assert psi_text(func, "x") == [("%p", "b"), ("!%p", "c")]
 
 
 def test_project_onto_predicate():
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     psi = all_psis(func)[0]
     new = psi_project(func, psi, env.pred_formula(ir.Pred("p")), env)
     assert psi_text(func, new) == [("%p", "a")]
@@ -199,7 +199,7 @@ def test_project_onto_predicate():
 def test_project_onto_true_copies_everything():
     from psikit.predicates import TRUE_EXPR
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     new = psi_project(func, all_psis(func)[0], TRUE_EXPR, env)
     assert psi_text(func, new) == psi_text(func, "x")
 
@@ -214,7 +214,7 @@ b0:
   ret %x
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     new = psi_project(func, all_psis(func)[0], env.pred_formula(ir.Pred("p")),
                       env)
     assert len(psi_text(func, new)) == 2
@@ -223,14 +223,14 @@ b0:
 def test_project_empty_is_an_error():
     from psikit.predicates import FALSE_EXPR
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     with pytest.raises(EmptyProjection):
         psi_project(func, all_psis(func)[0], FALSE_EXPR, env)
 
 
 def test_promote_first_argument_with_speculation():
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     before = func.clone()
     psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
     assert psi_text(func, "x") == [("1", "a"), ("!%p", "b")]
@@ -249,7 +249,7 @@ def test_promote_phi_defined_argument_needs_no_speculation():
 
 def test_promote_rejects_widening_beyond_tail_union():
     func = load_func("diamond_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     with pytest.raises(ConditionViolated) as exc:
         psi_promote(func, all_psis(func)[0], 1, ir.TRUE, env, FULL)
     assert exc.value.which == 2
@@ -265,7 +265,7 @@ b0:
   ret %x
 }
 """).functions[0]
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     with pytest.raises(ConditionViolated) as exc:
         psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
     assert exc.value.which == 1
@@ -273,7 +273,7 @@ b0:
 
 def test_promote_pass_applies_first_argument_policy():
     func = load_func("speculate_add_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     assert psi_promote_pass(func, env, PARTIAL) == 1
     assert psi_text(func, "x") == [("1", "a"), ("!%p", "b")]
 
@@ -282,7 +282,7 @@ def test_promote_pass_applies_first_argument_policy():
 
 def test_is_normalized_on_folding_example():
     func = load_func("fold_pred_copy_folded.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     dom = analysis.dominator_tree(func)
     x, y = all_psis(func)
     assert is_normalized(func, x, dom, env)
@@ -291,7 +291,7 @@ def test_is_normalized_on_folding_example():
 
 def test_is_normalized_detects_predicate_mismatch():
     func = load_func("speculate_add_predicated.pir")
-    env = build_guard_env(func)
+    env = guard_env_or_conservative(func)
     dom = analysis.dominator_tree(func)
     assert not is_normalized(func, all_psis(func)[0], dom, env)
 
@@ -302,7 +302,7 @@ def test_fresh_if_converted_psis_are_normalized():
         work = construct_ssa(func)
         from psikit.ifconvert import if_convert_pass
         if_convert_pass(work, FULL)
-        env = build_guard_env(work)
+        env = guard_env_or_conservative(work)
         dom = analysis.dominator_tree(work)
         for psi in all_psis(work):
             assert is_normalized(work, psi, dom, env), name
