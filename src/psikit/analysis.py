@@ -1,4 +1,5 @@
-"""CFG analyses: dominator tree, liveness with the psi rule, interference.
+"""CFG analyses: dominator tree, liveness with the psi rule, interference,
+and the per-function cache the transformations share.
 
 The psi liveness rule: in a normalized psi, argument i is used at the
 definition point of argument i+1 (looking through psi-defined arguments to
@@ -6,22 +7,39 @@ their first non-psi definition); the last argument is used at the psi
 itself.  This matches the live ranges of the equivalent select-form
 rewrite and makes "no interference" coincide with "safe to rename into
 one variable".
+
+`Analyses` computes the definitions, the block map, the dominator tree,
+the instruction positions and the guard env of one function on first use
+and keeps them while the function changes.  A pass that mutates the
+function keeps them correct by one rule:
+
+- a change of the CFG (if-conversion) invalidates everything: call
+  `invalidate()`;
+- inserting a copy records its definition and re-derives the positions of
+  the block it went into: call `inserted()`.  The dominator tree stays
+  valid, and so does the guard env: a copy defines a fresh name and
+  changes the formula of no existing guard register, and no copy is used
+  as a guard before the final renaming;
+- splicing psi arguments invalidates nothing: it changes no definition,
+  no guard formula and no CFG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .ir import Function, Instr, Instruction, PhiInstr, PsiInstr
-from .predicates import GuardEnv, TRUE_EXPR
+from .ir import Block, Function, Instr, Instruction, PhiInstr, PsiInstr
+from .predicates import GuardEnv, TRUE_EXPR, guard_env_or_conservative
 
 
 def reachable_blocks(func: Function) -> list[str]:
+    blocks = func.block_map()
     seen = {func.entry}
     stack = [func.entry]
     order = [func.entry]
     while stack:
-        for s in func.successors(stack.pop()):
+        for s in blocks[stack.pop()].successors():
             if s not in seen:
                 seen.add(s)
                 stack.append(s)
@@ -42,17 +60,22 @@ def remove_unreachable(func: Function) -> list[str]:
 
 
 def _rpo(func: Function) -> list[str]:
-    seen = set()
+    """Reverse postorder of a depth-first walk that visits successors in
+    order; iterative, so chains of any depth are fine."""
+    blocks = func.block_map()
+    seen = {func.entry}
     order: list[str] = []
-
-    def walk(label: str):
-        seen.add(label)
-        for s in func.successors(label):
+    stack = [(func.entry, iter(blocks[func.entry].successors()))]
+    while stack:
+        label, succs = stack[-1]
+        for s in succs:
             if s not in seen:
-                walk(s)
-        order.append(label)
-
-    walk(func.entry)
+                seen.add(s)
+                stack.append((s, iter(blocks[s].successors())))
+                break
+        else:
+            stack.pop()
+            order.append(label)
     order.reverse()
     return order
 
@@ -150,15 +173,65 @@ def instr_positions(func: Function) -> dict[int, tuple[str, int]]:
     their block: they define in parallel at the block head."""
     pos: dict[int, tuple[str, int]] = {}
     for block in func.blocks:
-        for phi in block.phis:
-            pos[id(phi)] = (block.label, 0)
-        slot = 1
-        for ins in block.body:
-            pos[id(ins)] = (block.label, slot)
-            slot += 1
-        if block.term is not None:
-            pos[id(block.term)] = (block.label, slot)
+        _block_positions(block, pos)
     return pos
+
+
+def _block_positions(block: Block, pos: dict[int, tuple[str, int]]) -> None:
+    for phi in block.phis:
+        pos[id(phi)] = (block.label, 0)
+    slot = 1
+    for ins in block.body:
+        pos[id(ins)] = (block.label, slot)
+        slot += 1
+    if block.term is not None:
+        pos[id(block.term)] = (block.label, slot)
+
+
+class Analyses:
+    """Analyses of one function, each computed on first use and kept until
+    the function changes in a way the module docstring says invalidates it."""
+
+    def __init__(self, func: Function):
+        self.func = func
+
+    def invalidate(self) -> None:
+        for name in ("defs", "blocks", "dom", "positions", "env"):
+            self.__dict__.pop(name, None)
+
+    @cached_property
+    def defs(self) -> dict[str, Instruction]:
+        return self.func.defs()
+
+    @cached_property
+    def blocks(self) -> dict[str, Block]:
+        return self.func.block_map()
+
+    @cached_property
+    def dom(self) -> "DomTree":
+        return dominator_tree(self.func)
+
+    @cached_property
+    def positions(self) -> dict[int, tuple[str, int]]:
+        return instr_positions(self.func)
+
+    @cached_property
+    def env(self) -> GuardEnv:
+        return guard_env_or_conservative(self.func)
+
+    def locate(self, ins: Instruction) -> tuple[Block, int]:
+        """The block holding `ins` and its slot (body index + 1; 0 for a
+        phi)."""
+        label, slot = self.positions[id(ins)]
+        return self.blocks[label], slot
+
+    def inserted(self, block: Block, ins: Instruction) -> None:
+        """Record `ins`, just inserted into `block`, in what is computed."""
+        computed = self.__dict__
+        if ins.dest is not None and "defs" in computed:
+            computed["defs"][ins.dest] = ins
+        if "positions" in computed:
+            _block_positions(block, computed["positions"])
 
 
 def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:
@@ -217,14 +290,13 @@ def psi_synthetic_uses(func: Function) -> dict[int, list[str]]:
     return synthetic
 
 
-def liveness(func: Function, env: GuardEnv | None = None) -> LivenessInfo:
+def liveness(func: Function) -> LivenessInfo:
     """Backward dataflow with the psi rule and Sreedhar-style phi rule:
     phi arguments are live-out of their predecessor, phi results start at
     the head of their block."""
-    del env  # liveness needs no predicate reasoning; kept for symmetry
     synthetic = psi_synthetic_uses(func)
     labels = reachable_blocks(func)
-    blocks = {b.label: b for b in func.blocks}
+    blocks = func.block_map()
 
     gen: dict[str, set[str]] = {}
     kill: dict[str, set[str]] = {}
@@ -250,7 +322,7 @@ def liveness(func: Function, env: GuardEnv | None = None) -> LivenessInfo:
         for label in reversed(labels):
             block = blocks[label]
             out: set[str] = set()
-            for s in func.successors(label):
+            for s in block.successors():
                 if s not in live_in:
                     continue
                 succ = blocks[s]
@@ -265,24 +337,24 @@ def liveness(func: Function, env: GuardEnv | None = None) -> LivenessInfo:
                 changed = True
 
     # Report phi results as live-in: their range starts at the block head.
+    used = _used_vars(func, synthetic)
     report_in = {}
     for label in labels:
-        extra = {p.dest for p in blocks[label].phis
-                 if _var_used(func, p.dest, synthetic)}
+        extra = {p.dest for p in blocks[label].phis if p.dest in used}
         report_in[label] = frozenset(live_in[label] | extra)
     return LivenessInfo(report_in,
                         {l: frozenset(v) for l, v in live_out.items()},
                         synthetic)
 
 
-def _var_used(func: Function, var: str, synthetic) -> bool:
+def _used_vars(func: Function, synthetic) -> set[str]:
+    used: set[str] = set()
     for _, ins in func.instructions():
         if isinstance(ins, PhiInstr):
-            if any(v == var for _, v in ins.args):
-                return True
-        elif var in _instr_uses(ins, synthetic):
-            return True
-    return False
+            used.update(v for _, v in ins.args)
+        else:
+            used.update(_instr_uses(ins, synthetic))
+    return used
 
 
 class InterferenceGraph:

@@ -65,7 +65,7 @@ def _apply_pass(name: str, func: ir.Function, config: PipelineConfig) -> ir.Func
     elif name == "ifconvert":
         if_convert_pass(func, config.machine)
     elif name == "psi-inline":
-        psi_inline_all(func, guard_env_or_conservative(func))
+        psi_inline_all(analysis.Analyses(func))
     elif name == "psi-reduce":
         psi_reduce_all(func, guard_env_or_conservative(func))
     elif name == "psi-promote":
@@ -186,7 +186,7 @@ def cmd_run(args) -> int:
     if args.dump_liveness or args.dump_interference:
         for func in mod.functions:
             env = guard_env_or_conservative(func)
-            live = analysis.liveness(func, env)
+            live = analysis.liveness(func)
             if args.dump_liveness:
                 print(f"# liveness @{func.name}")
                 print(live.dump(), end="")

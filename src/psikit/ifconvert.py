@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import analysis
-from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
-                 PsiInstr, TRUE)
+from .analysis import Analyses
+from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
+                 Pred, PsiInstr, TRUE)
 from .machine import MachineModel
-from .predicates import GuardEnv, TRUE_EXPR, guard_env_or_conservative
+# If-conversion builds its guard envs through the analysis cache; the name
+# stays bound here because perfbench's tests look for it in this module.
+from .predicates import TRUE_EXPR, guard_env_or_conservative  # noqa: F401
 from .ssa import definition_formula, psi_inline_all
 
 
@@ -46,7 +48,7 @@ class Region:
         return self.else_blocks[-1] if self.else_blocks else self.head
 
 
-def _follow_arm(func: Function, start: str, head: str,
+def _follow_arm(blocks: dict[str, Block], start: str, head: str,
                 preds: dict[str, list[str]]):
     """Walk a single-entry goto chain; stop at the first multi-predecessor
     block (the merge candidate).  None if the path is not a legal arm."""
@@ -58,7 +60,7 @@ def _follow_arm(func: Function, start: str, head: str,
             return None
         if len(preds[label]) > 1:
             return chain, label
-        block = func.block(label)
+        block = blocks[label]
         if block.phis or block.term is None or block.term.opcode != "goto":
             return None
         seen.add(label)
@@ -66,20 +68,21 @@ def _follow_arm(func: Function, start: str, head: str,
         label = block.term.operands[0]
 
 
-def _plan_arm(func: Function, arm_labels: list[str], machine: MachineModel,
-              env: GuardEnv) -> dict[int, str] | None:
+def _plan_arm(cache: Analyses, arm_labels: list[str],
+              machine: MachineModel) -> dict[int, str] | None:
     """Decide per arm instruction whether it is speculated ('spec') or
     predicated ('pred'); None when the arm cannot be converted."""
+    defs, env = cache.defs, cache.env
     instrs: list[Instruction] = []
     for label in arm_labels:
-        instrs.extend(func.block(label).body)
+        instrs.extend(cache.blocks[label].body)
     in_arm_def = {ins.dest: ins for ins in instrs if ins.dest is not None}
 
     plan: dict[int, str] = {}
     forced: list[Instruction] = []
 
     def always_defined_outside(var: str) -> bool:
-        return env.subset(TRUE_EXPR, definition_formula(var, func, env))
+        return env.subset(TRUE_EXPR, definition_formula(var, defs, env))
 
     for ins in instrs:
         if isinstance(ins, PsiInstr):
@@ -154,29 +157,10 @@ def _plan_arm(func: Function, arm_labels: list[str], machine: MachineModel,
     return plan
 
 
-def find_regions(func: Function, dom: analysis.DomTree,
-                 machine: MachineModel, env: GuardEnv) -> list[Region]:
-    """The conversion plan: convertible diamond/triangle regions, innermost
-    first.  Entries after the first assume the earlier regions have been
-    converted already (an outer diamond only becomes a region once its
-    inner one has collapsed into the arm)."""
-    del dom, env  # recomputed per virtual conversion step
-    work = func.clone()
-    plan: list[Region] = []
-    while True:
-        env_w = guard_env_or_conservative(work)
-        regions = _find_regions_once(work, analysis.dominator_tree(work),
-                                     machine, env_w)
-        if not regions:
-            return plan
-        plan.append(regions[0])
-        if_convert(work, regions[0], machine, env_w)
-        psi_inline_all(work, guard_env_or_conservative(work))
-
-
-def _find_regions_once(func: Function, dom: analysis.DomTree,
-                       machine: MachineModel, env: GuardEnv) -> list[Region]:
+def _find_regions_once(cache: Analyses,
+                       machine: MachineModel) -> list[Region]:
     """Directly convertible regions of the current CFG, innermost first."""
+    func, blocks, dom = cache.func, cache.blocks, cache.dom
     preds = func.predecessors()
     out: list[Region] = []
     for block in func.blocks:
@@ -186,8 +170,8 @@ def _find_regions_once(func: Function, dom: analysis.DomTree,
         t_target, e_target = term.operands[1], term.operands[2]
         if t_target == e_target:
             continue
-        t = _follow_arm(func, t_target, block.label, preds)
-        e = _follow_arm(func, e_target, block.label, preds)
+        t = _follow_arm(blocks, t_target, block.label, preds)
+        e = _follow_arm(blocks, e_target, block.label, preds)
         if t is None or e is None:
             continue
         t_chain, t_merge = t
@@ -201,9 +185,9 @@ def _find_regions_once(func: Function, dom: analysis.DomTree,
             continue
         region = Region(block.label, t_chain, e_chain, merge,
                         cond=term.operands[0])
-        if _plan_arm(func, region.then_blocks, machine, env) is None:
+        if _plan_arm(cache, region.then_blocks, machine) is None:
             continue
-        if _plan_arm(func, region.else_blocks, machine, env) is None:
+        if _plan_arm(cache, region.else_blocks, machine) is None:
             continue
         out.append(region)
     order = {b.label: i for i, b in enumerate(func.blocks)}
@@ -211,18 +195,19 @@ def _find_regions_once(func: Function, dom: analysis.DomTree,
     return out
 
 
-def if_convert(func: Function, region: Region, machine: MachineModel,
-               env: GuardEnv) -> Function:
-    """Linearize one region in place; returns the function."""
-    head = func.block(region.head)
-    merge = func.block(region.merge)
-    alloc = NameAllocator(func)
-    pos = analysis.instr_positions(func)
-    dom = analysis.dominator_tree(func)
+def if_convert(cache: Analyses, region: Region, machine: MachineModel,
+               alloc: NameAllocator) -> Function:
+    """Linearize one region in place and invalidate `cache`; returns the
+    function.  Fresh names come from `alloc`."""
+    func, blocks, defs = cache.func, cache.blocks, cache.defs
+    head = blocks[region.head]
+    merge = blocks[region.merge]
+    pos = cache.positions
+    dom = cache.dom
 
     plans = {}
     for labels in (region.then_blocks, region.else_blocks):
-        plan = _plan_arm(func, labels, machine, env)
+        plan = _plan_arm(cache, labels, machine)
         if plan is None:
             raise NotConvertible(f"region at {region.head} has an arm that "
                                  "can be neither predicated nor speculated")
@@ -255,7 +240,7 @@ def if_convert(func: Function, region: Region, machine: MachineModel,
 
     def emit_arm(labels: list[str], path: Pred):
         for label in labels:
-            for ins in func.block(label).body:
+            for ins in blocks[label].body:
                 if plans[id(ins)] == "spec":
                     new_body.append(ins)
                     if ins.dest is not None:
@@ -272,8 +257,6 @@ def if_convert(func: Function, region: Region, machine: MachineModel,
     else_path = Pred(region.cond, False)
     emit_arm(region.then_blocks, then_path)
     emit_arm(region.else_blocks, else_path)
-
-    defs = func.defs()
 
     def outside_pos(var: str):
         ins = defs.get(var)
@@ -337,19 +320,20 @@ def if_convert(func: Function, region: Region, machine: MachineModel,
         for phi in block.phis:
             phi.args = [(region.head if lbl == region.merge else lbl, v)
                         for lbl, v in phi.args]
+    cache.invalidate()
     return func
 
 
 def if_convert_pass(func: Function, machine: MachineModel) -> int:
     """Convert regions to a fixpoint, innermost out, inlining chained psis
     after each conversion.  Returns the number of regions converted."""
+    cache = Analyses(func)
+    alloc = NameAllocator(func)
     converted = 0
     while True:
-        env = guard_env_or_conservative(func)
-        dom = analysis.dominator_tree(func)
-        regions = _find_regions_once(func, dom, machine, env)
+        regions = _find_regions_once(cache, machine)
         if not regions:
             return converted
-        if_convert(func, regions[0], machine, env)
-        psi_inline_all(func, guard_env_or_conservative(func))
+        if_convert(cache, regions[0], machine, alloc)
+        psi_inline_all(cache)
         converted += 1

@@ -50,11 +50,17 @@ def eval_function(func: Function, args: list[int],
                   mem: list[int] | None = None,
                   budget: int = DEFAULT_BUDGET) -> ExecResult:
     """Run `func` on the given arguments and memory image."""
+    return execute(func, infer_kinds(func), args, mem, budget)
+
+
+def execute(func: Function, kinds: dict[str, str], args: list[int],
+             mem: list[int] | None, budget: int) -> ExecResult:
+    """Run `func`, whose variable kinds (`ir.infer_kinds`) are `kinds`.
+    `differential_check` infers the kinds once and runs every vector here."""
     if len(args) != len(func.params):
         raise ValueError(f"@{func.name} expects {len(func.params)} args, "
                          f"got {len(args)}")
     memory = list(mem) if mem is not None else [0] * DEFAULT_MEM_SIZE
-    kinds = infer_kinds(func)
     env: dict[str, int | bool] = {}
     for (name, kind), value in zip(func.params, args):
         env[name] = bool(value) if kind == "guard" else wrap64(value)
@@ -96,6 +102,8 @@ def eval_function(func: Function, args: list[int],
                 staged = []
                 for phi in block.phis:
                     steps += 1
+                    if steps > budget:
+                        raise _Trap(BUDGET_EXHAUSTED)
                     staged.append((phi.dest, read(phi.arg_for(prev))))
                 for dest, value in staged:
                     env[dest] = value
@@ -221,19 +229,20 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
     if len(f1.params) != len(f2.params):
         raise ValueError("functions have different signatures")
     rng = random.Random(seed)
-    kinds1 = dict(f1.params)
+    param_kinds = dict(f1.params)
+    kinds1, kinds2 = infer_kinds(f1), infer_kinds(f2)
     mismatches: list[Mismatch] = []
     compared = skipped = 0
     for _ in range(trials):
-        args = [rng.choice([0, 1]) if kinds1[name] == "guard"
+        args = [rng.choice([0, 1]) if param_kinds[name] == "guard"
                 else rng.randint(-4, 12)
                 for name, _ in f1.params]
         mem = [rng.randint(-8, 8) for _ in range(mem_size)]
-        r1 = eval_function(f1, args, mem, budget)
+        r1 = execute(f1, kinds1, args, mem, budget)
         if r1.trap in (UNDEFINED_READ, PSI_NONE_TRUE):
             skipped += 1
             continue
-        r2 = eval_function(f2, args, mem, budget)
+        r2 = execute(f2, kinds2, args, mem, budget)
         compared += 1
         if r1.trap != r2.trap or r1.value != r2.value or r1.memory != r2.memory:
             mismatches.append(Mismatch(args, mem, r1, r2))

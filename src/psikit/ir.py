@@ -162,6 +162,9 @@ class Block:
         if self.term is not None:
             yield self.term
 
+    def successors(self) -> list[str]:
+        return self.term.labels() if self.term is not None else []
+
 
 @dataclass
 class Function:
@@ -182,10 +185,6 @@ class Function:
 
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
-
-    def successors(self, label: str) -> list[str]:
-        term = self.block(label).term
-        return term.labels() if term is not None else []
 
     def predecessors(self) -> dict[str, list[str]]:
         preds: dict[str, list[str]] = {b.label: [] for b in self.blocks}
@@ -261,44 +260,56 @@ def infer_kinds(func: Function) -> dict[str, str]:
     """Map every variable to 'value' or 'guard'.
 
     Guard-ness is seeded by `:guard` declarations and compare results, then
-    propagated through mov/and/or/not/phi/psi until stable.
+    propagated through mov/and/or/not/select/phi/psi until stable.  Only
+    those instructions can derive it, so only they are swept again.
     """
     kinds = {name: kind for name, kind in func.params}
+    candidates: list[Instruction] = []
     for _, ins in func.instructions():
-        if ins.dest is not None and ins.dest not in kinds:
-            kinds[ins.dest] = "value"
+        dest = ins.dest
+        if dest is None:
+            continue
+        if isinstance(ins, Instr) and ins.opcode in CMP_OPS:
+            kinds[dest] = "guard"
+            continue
+        kinds.setdefault(dest, "value")
+        if not isinstance(ins, Instr) or ins.opcode in BOOL_OPS \
+                or ins.opcode == "select" \
+                or (ins.opcode == "mov" and isinstance(ins.operands[0], str)):
+            candidates.append(ins)
     for name in func.guard_decls:
         kinds[name] = "guard"
-    for _, ins in func.instructions():
-        if isinstance(ins, Instr) and ins.opcode in CMP_OPS:
-            kinds[ins.dest] = "guard"
+
+    def is_guard(v) -> bool:
+        return kinds.get(v) == "guard"
 
     changed = True
     while changed:
         changed = False
-        for _, ins in func.instructions():
-            if ins.dest is None or kinds.get(ins.dest) == "guard":
+        pending = []
+        for ins in candidates:
+            if kinds[ins.dest] == "guard":
                 continue
-            derived = False
             if isinstance(ins, Instr):
                 if ins.opcode in BOOL_OPS:
                     vars_ = [o for o in ins.operands if isinstance(o, str)]
-                    derived = bool(vars_) and all(
-                        kinds.get(v) == "guard" for v in vars_)
-                elif ins.opcode == "mov" and isinstance(ins.operands[0], str):
-                    derived = kinds.get(ins.operands[0]) == "guard"
-                elif ins.opcode == "select":
+                    derived = bool(vars_) and all(map(is_guard, vars_))
+                elif ins.opcode == "mov":
+                    derived = is_guard(ins.operands[0])
+                else:  # select
                     tv, ev = ins.operands[1], ins.operands[2]
                     derived = (isinstance(tv, str) and isinstance(ev, str)
-                               and kinds.get(tv) == "guard"
-                               and kinds.get(ev) == "guard")
+                               and is_guard(tv) and is_guard(ev))
             elif isinstance(ins, PhiInstr):
-                derived = all(kinds.get(v) == "guard" for _, v in ins.args)
-            elif isinstance(ins, PsiInstr):
-                derived = all(kinds.get(v) == "guard" for v in ins.values())
+                derived = all(is_guard(v) for _, v in ins.args)
+            else:
+                derived = all(map(is_guard, ins.values()))
             if derived:
                 kinds[ins.dest] = "guard"
                 changed = True
+            else:
+                pending.append(ins)
+        candidates = pending
     return kinds
 
 
@@ -771,13 +782,8 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
                                         f"use of undefined variable %{v}"))
 
     # Unreachable blocks are legal but analyses drop them.
-    seen = {func.entry}
-    stack = [func.entry]
-    while stack:
-        for s in func.successors(stack.pop()):
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
+    from .analysis import reachable_blocks  # deferred: analysis imports ir
+    seen = set(reachable_blocks(func))
     for b in func.blocks:
         if b.label not in seen:
             diags.append(Diagnostic("warning", f"@{func.name}/{b.label}",

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analysis
+from .analysis import Analyses
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr)
-from .predicates import GuardEnv, guard_env_or_conservative
+from .predicates import guard_env_or_conservative
 from .ssa import definition_formula
 
 
@@ -62,15 +63,19 @@ class OutOfSsaOptions:
 
 
 class CongruenceClasses:
-    """Union-find over variable names, representative = smallest name."""
+    """Union-find over variable names, representative = smallest name.
+    Each representative keeps the list of its class's members."""
 
     def __init__(self, names=()):
         self.parent: dict[str, str] = {}
+        self._members: dict[str, list[str]] = {}
         for n in names:
-            self.parent[n] = n
+            self.add(n)
 
     def add(self, name: str):
-        self.parent.setdefault(name, name)
+        if name not in self.parent:
+            self.parent[name] = name
+            self._members[name] = [name]
 
     def find(self, name: str) -> str:
         self.add(name)
@@ -84,17 +89,15 @@ class CongruenceClasses:
     def union(self, a: str, b: str):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+            low, high = min(ra, rb), max(ra, rb)
+            self.parent[high] = low
+            self._members[low].extend(self._members.pop(high))
 
     def members(self, name: str) -> list[str]:
-        root = self.find(name)
-        return sorted(n for n in self.parent if self.find(n) == root)
+        return sorted(self._members[self.find(name)])
 
     def classes(self) -> list[list[str]]:
-        groups: dict[str, list[str]] = {}
-        for n in self.parent:
-            groups.setdefault(self.find(n), []).append(n)
-        return [sorted(v) for _, v in sorted(groups.items())]
+        return [sorted(v) for _, v in sorted(self._members.items())]
 
     def representative(self, name: str) -> str:
         return self.find(name)
@@ -108,22 +111,19 @@ def count_movs(func: Function) -> int:
 # ---------------------------------------------------------------------------
 # Copy placement
 
-def _locate(func: Function, ins: Instruction):
-    for block in func.blocks:
-        if ins in block.phis:
-            return block, 0
-        try:
-            return block, block.body.index(ins) + 1
-        except ValueError:
-            continue
-    raise ValueError("instruction not found")
+def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
+                 pred: Pred | None = None) -> None:
+    """Insert `pred? dest = mov src` at block.body[at] and record it."""
+    guard = None if pred is None or pred.is_true() else pred
+    mov = Instr("mov", dest, [src], guard)
+    block.body.insert(at, mov)
+    cache.inserted(block, mov)
 
 
-def _arg_death_instr(func: Function, psi: PsiInstr, idx: int):
+def _arg_death_instr(defs, psi: PsiInstr, idx: int):
     """The instruction where psi argument idx dies: the (chain-resolved)
     definition of the next argument, or the psi itself for the last one."""
     if idx + 1 < len(psi.args):
-        defs = func.defs()
         head = analysis.resolve_psi_chain(psi.args[idx + 1][1], defs)
         ins = defs.get(head)
         if ins is not None:
@@ -131,7 +131,7 @@ def _arg_death_instr(func: Function, psi: PsiInstr, idx: int):
     return psi
 
 
-def _place_arg_copy(func: Function, psi: PsiInstr, idx: int, src: str,
+def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
                     pred: Pred, alloc: NameAllocator,
                     anchor=None) -> str:
     """Insert `pred? new = mov src` to stand in for psi argument idx.
@@ -145,109 +145,100 @@ def _place_arg_copy(func: Function, psi: PsiInstr, idx: int, src: str,
     register is not available at the chosen spot the copy falls back to
     just above the psi, where psi operands are always available.
     """
-    defs = func.defs()
+    defs = cache.defs
     if anchor is None:
         anchor = defs.get(src)
-    death = _arg_death_instr(func, psi, idx)
+    death = _arg_death_instr(defs, psi, idx)
     if anchor is None:
-        block, at = func.blocks[0], 0
+        block, at = cache.func.blocks[0], 0
     else:
-        block, at = _locate(func, anchor)
+        block, at = cache.locate(anchor)
     if pred.reg is not None:
         pins = defs.get(pred.reg)
         if pins is not None and not isinstance(pins, PhiInstr):
-            try:
-                j = block.body.index(pins)
-                if j >= at:
-                    at = j + 1
-            except ValueError:
-                pass
-    death_block, death_at = _locate(func, death)
-    dom = analysis.dominator_tree(func)
-    pos = analysis.instr_positions(func)
-    anchor_pos = (block.label, 0) if anchor is None else pos[id(anchor)]
-    death_pos = pos.get(id(death), anchor_pos)
+            pins_block, pins_at = cache.locate(pins)
+            if pins_block is block and pins_at > at:
+                at = pins_at
+    death_block, death_at = cache.locate(death)
+    anchor_pos = ((block.label, 0) if anchor is None
+                  else cache.positions[id(anchor)])
+    death_pos = (death_block.label, death_at)
     # Only meaningful when the argument actually dies below its anchor; an
     # order-violated psi can resolve the next argument above it, and the
     # order repair that follows will re-anchor the range anyway.
     if (death_block.label != block.label
-            and dom.dominates_pos(anchor_pos, death_pos)):
+            and cache.dom.dominates_pos(anchor_pos, death_pos)):
         if isinstance(death, PhiInstr):
             # Cannot slot a copy above a phi; the end of the anchor block
             # still precedes every path into the phi's block.
             at = len(block.body)
         else:
             block, at = death_block, death_at - 1
-    if pred.reg is not None and not _defined_at(func, pred.reg, block, at):
-        block, at = _locate(func, psi)
+    if pred.reg is not None and not _defined_at(cache, pred.reg, block, at):
+        block, at = cache.locate(psi)
         at -= 1
     new = alloc.fresh(src)
-    guard = None if pred.is_true() else pred
-    block.body.insert(at, Instr("mov", new, [src], guard))
+    _insert_copy(cache, block, at, new, src, pred)
     return new
 
 
-def _defined_at(func: Function, var: str, block, idx: int) -> bool:
+def _defined_at(cache: Analyses, var: str, block, idx: int) -> bool:
     """Does var's definition dominate the program point just before
     block.body[idx]?"""
-    ins = func.defs().get(var)
+    ins = cache.defs.get(var)
     if ins is None:
         return True  # parameter
-    dom = analysis.dominator_tree(func)
-    pos = analysis.instr_positions(func)
-    dpos = pos.get(id(ins))
+    dpos = cache.positions.get(id(ins))
     if dpos is None:
         return False
-    return dom.dominates_pos(dpos, (block.label, idx), strict=False)
+    return cache.dom.dominates_pos(dpos, (block.label, idx), strict=False)
 
 
 # ---------------------------------------------------------------------------
 # Phase 1: psi-normalize
 
-def psi_normalize(func: Function, dom: analysis.DomTree, env: GuardEnv,
-                  reorder_disjoint: bool = True) -> int:
+def psi_normalize(cache: Analyses, reorder_disjoint: bool = True) -> int:
     """Restore the normalized form of every psi; returns copies inserted.
 
     Psis are visited top-down over the dominator tree so that psi-defined
     arguments are already normalized when their chains are resolved.
     """
     copies = 0
-    alloc = NameAllocator(func)
-    blocks = func.block_map()
-    for label in dom.preorder():
-        for ins in list(blocks[label].body):
+    alloc = NameAllocator(cache.func)
+    for label in cache.dom.preorder():
+        for ins in list(cache.blocks[label].body):
             if isinstance(ins, PsiInstr):
-                copies += _normalize_one(func, ins, dom, env,
-                                         reorder_disjoint, alloc)
+                copies += _normalize_one(cache, ins, reorder_disjoint, alloc)
     return copies
 
 
-def _def_point(func: Function, var: str, resolved: bool):
-    defs = func.defs()
+def _def_point(cache: Analyses, var: str, resolved: bool):
+    defs = cache.defs
     target = analysis.resolve_psi_chain(var, defs) if resolved else var
     ins = defs.get(target)
     if ins is None:
         return None  # parameter: defined before everything
-    return analysis.instr_positions(func)[id(ins)]
+    return cache.positions[id(ins)]
 
 
-def _normalize_one(func: Function, psi: PsiInstr, dom: analysis.DomTree,
-                   env: GuardEnv, reorder_disjoint: bool,
+def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
                    alloc: NameAllocator) -> int:
+    env, dom = cache.env, cache.dom
     copies = 0
     swaps_left = 4 * len(psi.args) * len(psi.args) + 8
     i = 0
     while i < len(psi.args):
         q, v = psi.args[i]
-        if not env.equal(env.pred_formula(q), definition_formula(v, func, env)):
-            new = _place_arg_copy(func, psi, i, v, q, alloc)
+        if not env.equal(env.pred_formula(q),
+                         definition_formula(v, cache.defs, env)):
+            new = _place_arg_copy(cache, psi, i, v, q, alloc)
             psi.args[i] = (q, new)
             copies += 1
             v = new
         if i + 1 < len(psi.args):
             q2, v2 = psi.args[i + 1]
-            p_cur = _def_point(func, v, resolved=False)
-            p_next = _def_point(func, v2, resolved=True)
+            p_cur = _def_point(cache, v, resolved=False)
+            p_next = _def_point(cache, v2, resolved=True)
             inverted = (p_cur is not None
                         and (p_next is None
                              or (p_next != p_cur
@@ -261,21 +252,19 @@ def _normalize_one(func: Function, psi: PsiInstr, dom: analysis.DomTree,
                     swaps_left -= 1
                     i = max(i - 1, 0)
                     continue
-                new = _copy_for_order(func, psi, i + 1, v, v2, q2, alloc)
+                new = _copy_for_order(cache, psi, i + 1, v, v2, q2, alloc)
                 psi.args[i + 1] = (q2, new)
                 copies += 1
         i += 1
     return copies
 
 
-def _copy_for_order(func: Function, psi: PsiInstr, arg_index: int, cur: str,
+def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
                     nxt: str, pred: Pred, alloc: NameAllocator) -> str:
     """Copy `nxt` anchored at the lower of the two definitions (or just
     above the psi when they are incomparable) so the copy follows `cur`'s
     definition."""
-    defs = func.defs()
-    dom = analysis.dominator_tree(func)
-    pos = analysis.instr_positions(func)
+    defs, dom, pos = cache.defs, cache.dom, cache.positions
     cur_ins, nxt_ins = defs.get(cur), defs.get(nxt)
     cur_pos = None if cur_ins is None else pos[id(cur_ins)]
     nxt_pos = None if nxt_ins is None else pos[id(nxt_ins)]
@@ -287,35 +276,32 @@ def _copy_for_order(func: Function, psi: PsiInstr, arg_index: int, cur: str,
             cur_pos is None or dom.dominates_pos(cur_pos, nxt_pos)):
         anchor = nxt_ins
     if anchor is not None:
-        return _place_arg_copy(func, psi, arg_index, nxt, pred, alloc,
+        return _place_arg_copy(cache, psi, arg_index, nxt, pred, alloc,
                                anchor=anchor)
     # Incomparable definitions: both dominate the psi itself, so a copy
     # immediately above it follows both.
-    block, at = _locate(func, psi)
+    block, at = cache.locate(psi)
     new = alloc.fresh(nxt)
-    guard = None if pred.is_true() else pred
-    block.body.insert(at - 1, Instr("mov", new, [nxt], guard))
+    _insert_copy(cache, block, at - 1, new, nxt, pred)
     return new
 
 
 # ---------------------------------------------------------------------------
 # Phase 2: psi-congruence
 
-def psi_congruence(func: Function, dom: analysis.DomTree,
-                   live: analysis.LivenessInfo,
+def psi_congruence(cache: Analyses, live: analysis.LivenessInfo,
                    graph: analysis.InterferenceGraph,
                    classes: CongruenceClasses,
                    opts: OutOfSsaOptions) -> int:
     """Merge psi-referenced variables into congruence classes, repairing
     interferences with predicated copies; returns copies inserted."""
     copies = 0
-    alloc = NameAllocator(func)
-    blocks = func.block_map()
-    for label in dom.preorder():
-        for ins in list(blocks[label].body):
+    alloc = NameAllocator(cache.func)
+    for label in cache.dom.preorder():
+        for ins in list(cache.blocks[label].body):
             if not isinstance(ins, PsiInstr):
                 continue
-            copies += _psi_congruence_one(func, ins, graph, classes, opts,
+            copies += _psi_congruence_one(cache, ins, graph, classes, opts,
                                           alloc)
     return copies
 
@@ -338,8 +324,8 @@ def _interference_witnesses(graph, classes, a, b):
     return out
 
 
-def _psi_congruence_one(func, psi: PsiInstr, graph, classes, opts,
-                        alloc) -> int:
+def _psi_congruence_one(cache: Analyses, psi: PsiInstr, graph, classes,
+                        opts, alloc) -> int:
     n = len(psi.args)
     marked_args: set[int] = set()
     mark_result = False
@@ -380,7 +366,7 @@ def _psi_congruence_one(func, psi: PsiInstr, graph, classes, opts,
     for i in sorted(marked_args):
         q, v = psi.args[i]
         if (q, v) not in made:
-            made[q, v] = _place_arg_copy(func, psi, i, v, q, alloc)
+            made[q, v] = _place_arg_copy(cache, psi, i, v, q, alloc)
             renames.append((v, made[q, v]))
             copies += 1
         psi.args[i] = (q, made[q, v])
@@ -388,8 +374,9 @@ def _psi_congruence_one(func, psi: PsiInstr, graph, classes, opts,
         old = psi.dest
         new = alloc.fresh(old)
         psi.dest = new
-        block, idx = _locate(func, psi)
-        block.body.insert(idx, Instr("mov", old, [new]))
+        cache.defs[new] = psi
+        block, idx = cache.locate(psi)
+        _insert_copy(cache, block, idx, old, new)
         renames.append((old, new))
         copies += 1
 
@@ -412,27 +399,25 @@ def _psi_congruence_one(func, psi: PsiInstr, graph, classes, opts,
 # ---------------------------------------------------------------------------
 # Phase 3: phi-congruence
 
-def phi_congruence(func: Function, dom: analysis.DomTree,
-                   classes: CongruenceClasses, env: GuardEnv,
+def phi_congruence(cache: Analyses, classes: CongruenceClasses,
                    opts: OutOfSsaOptions) -> int:
     """Extend congruence classes over phis, Sreedhar-style.  Liveness is
     recomputed here with the psi rule still in force; classes are the ones
     grown by psi-congruence, not a fresh partition."""
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(cache.func)
     graph = analysis.interference_graph(
-        func, live, env, refine_disjoint=opts.disjoint_interference)
+        cache.func, live, cache.env, refine_disjoint=opts.disjoint_interference)
     copies = 0
-    alloc = NameAllocator(func)
-    blocks = func.block_map()
-    for label in dom.preorder():
-        for phi in list(blocks[label].phis):
-            copies += _phi_congruence_one(func, phi, label, live, graph,
+    alloc = NameAllocator(cache.func)
+    for label in cache.dom.preorder():
+        for phi in list(cache.blocks[label].phis):
+            copies += _phi_congruence_one(cache, phi, label, live, graph,
                                           classes, opts, alloc)
     return copies
 
 
-def _phi_congruence_one(func, phi: PhiInstr, label: str, live, graph,
-                        classes, opts, alloc) -> int:
+def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str, live,
+                        graph, classes, opts, alloc) -> int:
     # Resources: ('res', None) plus ('arg', index) entries.
     resources: list[tuple[str, int | None, str]] = [("res", None, phi.dest)]
     for idx, (plbl, v) in enumerate(phi.args):
@@ -473,16 +458,16 @@ def _phi_congruence_one(func, phi: PhiInstr, label: str, live, graph,
         if kind == "res":
             new = alloc.fresh(var)
             phi.dest = new
-            block = func.block(label)
-            block.body.insert(0, Instr("mov", var, [new]))
+            cache.defs[new] = phi
+            _insert_copy(cache, cache.blocks[label], 0, var, new)
             for nb in set(live.live_in[label]) | {var}:
                 graph.add_edge(new, nb)
             resources[r] = (kind, idx, new)
         else:
             plbl, v = phi.args[idx]
             new = alloc.fresh(v)
-            pred_block = func.block(plbl)
-            pred_block.body.append(Instr("mov", new, [v]))
+            pred_block = cache.blocks[plbl]
+            _insert_copy(cache, pred_block, len(pred_block.body), new, v)
             phi.args[idx] = (plbl, new)
             for nb in set(live.live_out[plbl]) | {v}:
                 graph.add_edge(new, nb)
@@ -508,7 +493,7 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
     that are copies of one common source carry the same value and are
     exempt, their renamed copies degenerate to no-ops."""
     env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     graph = analysis.interference_graph(func, live, env,
                                         refine_disjoint=refine_disjoint)
     defs = func.defs()
@@ -593,23 +578,17 @@ def run_out_of_ssa(func: Function,
     opts = opts or OutOfSsaOptions()
     stats = PassStats()
     analysis.remove_unreachable(func)
+    # The phases only insert copies, so one cache serves all three.
+    cache = Analyses(func)
+    stats.copies_normalize = psi_normalize(cache, opts.reorder_disjoint)
 
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
-    stats.copies_normalize = psi_normalize(func, dom, env,
-                                           opts.reorder_disjoint)
-
-    env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     graph = analysis.interference_graph(
-        func, live, env, refine_disjoint=opts.disjoint_interference)
+        func, live, cache.env, refine_disjoint=opts.disjoint_interference)
     classes = CongruenceClasses(func.var_names())
-    stats.copies_psi_congruence = psi_congruence(func, dom, live, graph,
+    stats.copies_psi_congruence = psi_congruence(cache, live, graph,
                                                  classes, opts)
-
-    env = guard_env_or_conservative(func)
-    stats.copies_phi_congruence = phi_congruence(func, dom, classes, env,
-                                                 opts)
+    stats.copies_phi_congruence = phi_congruence(cache, classes, opts)
 
     rename_and_strip(func, classes, refine_disjoint=opts.disjoint_interference)
     stats.total_copies = count_movs(func)

@@ -108,7 +108,8 @@ def construct_ssa(func: Function) -> Function:
                              "it is defined")
         return stack[-1]
 
-    def rename(label: str):
+    def rename(label: str) -> list[str]:
+        """Rename one block; returns the roots it pushed."""
         block = blocks[label]
         pushed: list[str] = []
         for phi in block.phis:
@@ -121,17 +122,24 @@ def construct_ssa(func: Function) -> Function:
                 root = ins.dest
                 ins.dest = push(root)
                 pushed.append(root)
-        for succ in func.successors(label):
+        for succ in block.successors():
             for phi in blocks[succ].phis:
                 for i, (plbl, var) in enumerate(phi.args):
                     if plbl == label:
                         phi.args[i] = (plbl, top(var))
-        for child in dom.children[label]:
-            rename(child)
-        for root in pushed:
-            stacks[root].pop()
+        return pushed
 
-    rename(func.entry)
+    # Dominator-tree preorder; a block's names are popped once the walk
+    # has left its subtree.  Iterative, so chains of any depth are fine.
+    work: list[tuple[str, list[str] | None]] = [(func.entry, None)]
+    while work:
+        label, pushed = work.pop()
+        if pushed is not None:
+            for root in pushed:
+                stacks[root].pop()
+            continue
+        work.append((label, rename(label)))
+        work.extend((child, None) for child in reversed(dom.children[label]))
     return func
 
 
@@ -155,11 +163,12 @@ def _rename_uses(ins: Instruction, top):
 # ---------------------------------------------------------------------------
 # Helpers shared by the psi transformations
 
-def definition_formula(var: str, func: Function, env: GuardEnv):
+def definition_formula(var: str, defs: dict[str, Instruction],
+                       env: GuardEnv):
     """Domain under which `var` carries a defined value: the guard of its
-    definition, the union of argument predicates for a psi, true for
-    parameters and phis."""
-    ins = func.defs().get(var)
+    definition (looked up in `defs`, the function's definitions), the union
+    of argument predicates for a psi, true for parameters and phis."""
+    ins = defs.get(var)
     if ins is None or isinstance(ins, PhiInstr):
         return TRUE_EXPR
     if isinstance(ins, PsiInstr):
@@ -224,7 +233,7 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                     continue
                 a = ins.operands[0]
                 bound = env.pred_formula(ins.guard)
-                src_domain = definition_formula(a, func, env)
+                src_domain = definition_formula(a, defs, env)
                 if env.subset(env.pred_formula(q), And(bound, src_domain)):
                     psi.args[i] = (q, a)
                     changed = True
@@ -284,36 +293,39 @@ def dedupe_psi_args(psi: PsiInstr) -> None:
 
 def psi_inline(func: Function, psi: PsiInstr, arg_index: int) -> None:
     """Replace a psi-defined argument by the arguments of its psi."""
-    _, value = psi.args[arg_index][0], psi.args[arg_index][1]
-    inner = func.defs().get(psi.args[arg_index][1])
+    value = psi.args[arg_index][1]
+    inner = func.defs().get(value)
     if not isinstance(inner, PsiInstr):
         raise NotPsiDefined(f"%{value} is not defined by a psi")
+    _splice(psi, arg_index, inner)
+
+
+def _splice(psi: PsiInstr, arg_index: int, inner: PsiInstr) -> None:
     psi.args[arg_index:arg_index + 1] = list(inner.args)
     dedupe_psi_args(psi)
 
 
-def psi_inline_all(func: Function, env: GuardEnv | None = None,
-                   targets: list[PsiInstr] | None = None) -> int:
+def psi_inline_all(cache: analysis.Analyses) -> int:
     """Inline psi-defined arguments, repeatedly, where the splice preserves
     evaluation: the inner predicates must be covered by the argument's own
     predicate united with the predicates to its right, otherwise an inner
     argument could shadow arguments to the left on paths where the outer
     predicate is false.  A constant-true argument predicate is always safe;
-    other cases need `env` to prove the containment.  Returns splices."""
+    other cases are proved with the guard env.  Splices change no
+    definition, so the cache stays valid.  Returns splices."""
     count = 0
-    work = list(targets) if targets is not None else all_psis(func)
-    for psi in work:
+    defs, env = cache.defs, cache.env
+    for psi in all_psis(cache.func):
         changed = True
         while changed:
             changed = False
-            defs = func.defs()
             for i, (p, v) in enumerate(psi.args):
                 inner = defs.get(v)
                 if not isinstance(inner, PsiInstr) or inner is psi:
                     continue
                 if not _inline_preserves_value(psi, i, inner, env):
                     continue
-                psi_inline(func, psi, i)
+                _splice(psi, i, inner)
                 count += 1
                 changed = True
                 break
@@ -321,11 +333,9 @@ def psi_inline_all(func: Function, env: GuardEnv | None = None,
 
 
 def _inline_preserves_value(psi: PsiInstr, i: int, inner: PsiInstr,
-                            env: GuardEnv | None) -> bool:
+                            env: GuardEnv) -> bool:
     if psi.args[i][0].is_true():
         return True
-    if env is None:
-        return False
     inner_union = domain_union([env.pred_formula(p) for p, _ in inner.args])
     tail = domain_union([env.pred_formula(p) for p, _ in psi.args[i:]])
     return env.subset(inner_union, tail)
@@ -380,8 +390,9 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
         raise ConditionViolated(2, f"%{psi.dest} argument {arg_index}")
 
     var = psi.args[arg_index][1]
-    def_ins = func.defs().get(var)
-    covered = env.subset(nf, definition_formula(var, func, env))
+    defs = func.defs()
+    def_ins = defs.get(var)
+    covered = env.subset(nf, definition_formula(var, defs, env))
     if not covered:
         if not (isinstance(def_ins, Instr) and def_ins.guard is not None
                 and machine.speculatable(def_ins.opcode)):
@@ -390,7 +401,7 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
         # Speculation executes the definition more often; its operands must
         # already be defined there, or evaluation would trap.
         for op in def_ins.uses():
-            if not env.subset(nf, definition_formula(op, func, env)):
+            if not env.subset(nf, definition_formula(op, defs, env)):
                 raise ConditionViolated(1, f"operand %{op} of %{var} is not "
                                            f"defined under {new_pred}")
         def_ins.guard = None
@@ -426,7 +437,7 @@ def is_normalized(func: Function, psi: PsiInstr, dom: analysis.DomTree,
     pos = analysis.instr_positions(func)
 
     for p, v in psi.args:
-        if not env.equal(env.pred_formula(p), definition_formula(v, func, env)):
+        if not env.equal(env.pred_formula(p), definition_formula(v, defs, env)):
             return False
 
     def def_pos(var):

@@ -53,17 +53,14 @@ def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):
     opts = opts or OutOfSsaOptions()
     work = func.clone()
     analysis.remove_unreachable(work)
-    env = guard_env_or_conservative(work)
-    dom = analysis.dominator_tree(work)
-    n1 = psi_normalize(work, dom, env, opts.reorder_disjoint)
-    env = guard_env_or_conservative(work)
-    live = analysis.liveness(work, env)
+    cache = analysis.Analyses(work)
+    n1 = psi_normalize(cache, opts.reorder_disjoint)
+    live = analysis.liveness(work)
     graph = analysis.interference_graph(
-        work, live, env, refine_disjoint=opts.disjoint_interference)
+        work, live, cache.env, refine_disjoint=opts.disjoint_interference)
     classes = CongruenceClasses(work.var_names())
-    n2 = psi_congruence(work, dom, live, graph, classes, opts)
-    env = guard_env_or_conservative(work)
-    n3 = phi_congruence(work, dom, classes, env, opts)
+    n2 = psi_congruence(cache, live, graph, classes, opts)
+    n3 = phi_congruence(cache, classes, opts)
     return work, classes, (n1, n2, n3)
 
 
@@ -104,7 +101,7 @@ def value_interference_edges(func: ir.Function) -> set[frozenset]:
     """Interference edges between value-kind variables, as a set of pairs."""
     kinds = ir.infer_kinds(func)
     env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     graph = analysis.interference_graph(func, live, env)
     values = {v for v in func.var_names() if kinds.get(v) == "value"}
     return {frozenset((a, b)) for a in values

@@ -103,8 +103,7 @@ def test_dominance_frontiers_on_diamond():
 
 def live_ranges(func: ir.Function):
     """Instruction-granularity live sets, replayed from block liveness."""
-    env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     before = {}
     after = {}
     for block in func.blocks:
@@ -154,7 +153,7 @@ b0:
 def test_interference_matches_live_overlap_example():
     func = load_func("live_overlap.pir")
     env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     graph = analysis.interference_graph(func, live, env)
     assert graph.interferes("b", "c")
     assert graph.interferes("b", "x")
@@ -177,7 +176,7 @@ b0:
 }
 """).functions[0]
     env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     plain = analysis.interference_graph(func, live, env, refine_disjoint=False)
     refined = analysis.interference_graph(func, live, env, refine_disjoint=True)
     assert plain.interferes("a", "b")
@@ -187,9 +186,8 @@ b0:
 def test_liveness_is_a_fixpoint():
     for seed in range(20):
         func = gen_random_program(seed, "small")
-        env = guard_env_or_conservative(func)
-        first = analysis.liveness(func, env)
-        second = analysis.liveness(func, env)
+        first = analysis.liveness(func)
+        second = analysis.liveness(func)
         assert first.live_in == second.live_in
         assert first.live_out == second.live_out
 
@@ -209,9 +207,9 @@ def test_psi_rule_matches_select_form_liveness():
         env_a = guard_env_or_conservative(func)
         env_b = guard_env_or_conservative(sel)
         ga = analysis.interference_graph(
-            func, analysis.liveness(func, env_a), env_a)
+            func, analysis.liveness(func), env_a)
         gb = analysis.interference_graph(
-            sel, analysis.liveness(sel, env_b), env_b)
+            sel, analysis.liveness(sel), env_b)
         edges_a = {frozenset((a, b)) for a in common
                    for b in ga.neighbors(a) & common}
         edges_b = {frozenset((a, b)) for a in common
@@ -222,7 +220,7 @@ def test_psi_rule_matches_select_form_liveness():
 def test_dump_output_is_sorted_and_deterministic():
     func = load_func("live_overlap.pir")
     env = guard_env_or_conservative(func)
-    live = analysis.liveness(func, env)
+    live = analysis.liveness(func)
     graph = analysis.interference_graph(func, live, env)
     assert live.dump() == live.dump()
     lines = graph.dump().strip().splitlines()

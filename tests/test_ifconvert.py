@@ -1,20 +1,19 @@
 import pytest
 
-from psikit import analysis, interp, ir
-from psikit.ifconvert import (NotConvertible, find_regions, if_convert,
+from psikit import interp, ir
+from psikit.analysis import Analyses
+from psikit.ifconvert import (NotConvertible, _find_regions_once, if_convert,
                               if_convert_pass)
 from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.out_of_ssa import run_out_of_ssa
-from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import construct_ssa
 
 from helpers import assert_no_errors, load_func
 
 
-def regions_of(func):
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
-    return find_regions(func, dom, FULL, env)
+def regions_of(func, machine=FULL):
+    """Regions directly convertible in the function as it stands."""
+    return _find_regions_once(Analyses(func), machine)
 
 
 def test_diamond_is_a_region():
@@ -65,8 +64,12 @@ b6:
   ret %x
 }
 """).functions[0])
-    regions = regions_of(func)
-    assert [r.head for r in regions] == ["b1", "b0"]
+    # Only the inner diamond is a region at first; the outer one becomes
+    # one once the inner has collapsed into its arm.
+    assert [r.head for r in regions_of(func)] == ["b1"]
+    work = func.clone()
+    assert if_convert_pass(work, FULL) == 2
+    assert len(work.blocks) == 1
 
 
 def test_store_needs_a_predicated_store():
@@ -82,10 +85,8 @@ b2:
 }
 """).functions[0])
     no_pred_store = machine_from_flags("partial", predicable="mov,select")
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
-    assert find_regions(func, dom, no_pred_store, env) == []
-    assert len(find_regions(func, dom, PARTIAL, env)) == 1
+    assert regions_of(func, no_pred_store) == []
+    assert len(regions_of(func, PARTIAL)) == 1
     work = func.clone()
     if_convert_pass(work, PARTIAL)
     store = next(i for _, i in work.instructions() if i.opcode == "store")
@@ -106,13 +107,12 @@ b2:
   ret %i
 }
 """).functions[0])
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
-    region = find_regions(func, dom, PARTIAL, env)[0]
+    cache = Analyses(func)
+    region = _find_regions_once(cache, PARTIAL)[0]
     with pytest.raises(NotConvertible):
-        if_convert(func, region, machine_from_flags("partial",
-                                                    predicable="mov,select"),
-                   env)
+        if_convert(cache, region, machine_from_flags("partial",
+                                                     predicable="mov,select"),
+                   ir.NameAllocator(func))
 
 
 def test_full_predication_matches_reference():

@@ -97,6 +97,24 @@ b0:
     assert eval_function(func, [], budget=100).trap == interp.BUDGET_EXHAUSTED
 
 
+def test_step_budget_is_checked_inside_a_phi_section():
+    # The budget runs out at the first phi.  The second phi reads an
+    # undefined variable, so a check made only after the phi section would
+    # report an undefined read instead.
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  goto b1
+b1:
+  %x = phi(b0: %a)
+  %y = phi(b0: %u)
+  ret %x
+}
+""").functions[0]
+    assert eval_function(func, [1], budget=1).trap == interp.BUDGET_EXHAUSTED
+    assert eval_function(func, [1], budget=3).trap == UNDEFINED_READ
+
+
 def test_wrapping_arithmetic():
     func = ir.parse_module("""
 func @f(%a) {
@@ -180,3 +198,17 @@ def test_generated_corpus_is_valid_and_runs_clean():
             assert result.trap != interp.BUDGET_EXHAUSTED
             traps += 1
     assert traps <= 10  # generator guarantees initialization and bounds
+
+
+def test_differential_check_infers_kinds_once_per_function(monkeypatch):
+    calls = []
+
+    def counting(func):
+        calls.append(func)
+        return ir.infer_kinds(func)
+
+    monkeypatch.setattr(interp, "infer_kinds", counting)
+    func = gen_random_program(7, "small")
+    report = differential_check(func, func.clone(), trials=32, seed=0)
+    assert report.compared > 0
+    assert len(calls) <= 2

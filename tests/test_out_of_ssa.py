@@ -10,9 +10,7 @@ from helpers import ALL_OFF, assert_no_errors, load_func, to_cssa
 
 def normalize_only(func, reorder=True):
     work = func.clone()
-    env = guard_env_or_conservative(work)
-    dom = analysis.dominator_tree(work)
-    copies = psi_normalize(work, dom, env, reorder)
+    copies = psi_normalize(analysis.Analyses(work), reorder)
     return work, copies
 
 

@@ -56,6 +56,23 @@ def test_construct_is_interpreter_equivalent():
         assert not report.mismatches, f"seed {seed}: {report.mismatches[0]}"
 
 
+def test_deep_block_chain_builds_without_recursion():
+    # 1200 blocks in a straight line: deeper than Python's default
+    # recursion limit of 1000, so a recursive CFG or dominator-tree walk
+    # raises RecursionError.
+    depth = 1200
+    lines = ["func @f(%a) {", "b0:", "  %x = add %a, 1", "  goto b1"]
+    for k in range(1, depth):
+        lines += [f"b{k}:", "  %x = add %x, 1",
+                  f"  goto b{k + 1}" if k + 1 < depth else "  ret %x"]
+    func = ir.parse_module("\n".join(lines + ["}"]) + "\n").functions[0]
+    tree = analysis.dominator_tree(func)
+    assert tree.depth[f"b{depth - 1}"] == depth - 1
+    ssa = construct_ssa(func)
+    assert_no_errors(ir.Module([ssa]), "ssa")
+    assert interp.eval_function(ssa, [0]).value == depth
+
+
 # -- copy folding -------------------------------------------------------------
 
 def test_fold_plain_mov():
@@ -141,7 +158,7 @@ def test_inline_pass_preserves_semantics_on_chains():
         from psikit.ifconvert import if_convert_pass
         if_convert_pass(work, FULL)
         before = work.clone()
-        psi_inline_all(work, guard_env_or_conservative(work))
+        psi_inline_all(analysis.Analyses(work))
         report = interp.differential_check(before, work, trials=16, seed=seed)
         assert not report.mismatches, f"seed {seed}"
 
