@@ -1,11 +1,14 @@
+import hashlib
 import itertools
+import random
 
 from psikit import interp, ir
+from psikit.machine import FULL, PARTIAL
 from psikit.interp import (DEFAULT_MEM_SIZE, OUT_OF_BOUNDS, PSI_NONE_TRUE,
                            UNDEFINED_READ, differential_check, eval_function,
                            gen_random_program)
 
-from helpers import assert_no_errors, load_func
+from helpers import assert_no_errors, load_func, pipeline
 
 
 def test_guarded_instruction_keeps_previous_value():
@@ -212,3 +215,158 @@ def test_differential_check_infers_kinds_once_per_function(monkeypatch):
     report = differential_check(func, func.clone(), trials=32, seed=0)
     assert report.compared > 0
     assert len(calls) <= 2
+
+
+# -- pinned results and evaluation order ----------------------------------------
+
+PINNED_PASSES = ["ssa", "fold", "ifconvert", "psi-promote", "out-of-ssa"]
+PINNED_BUDGETS = (interp.DEFAULT_BUDGET, *range(1, 41))
+PINNED_RESULTS = ("d12feeb544dfdd9798b828851fc0d531"
+                  "81d3e4585e52fba106b80d55ebbbf850")
+
+
+def test_interpreter_results_are_pinned():
+    # (trap, value, memory) of generated programs, as generated and after
+    # the FULL and PARTIAL pipelines, on 8 vectors at the default budget and
+    # at budgets 1-40, hashed against the digest recorded before the
+    # interpreter was rewritten.
+    digest = hashlib.sha256()
+    for seed in range(100):
+        func = gen_random_program(seed, "tiny" if seed % 2 == 0 else "small")
+        variants = [func] + [pipeline(func, PINNED_PASSES, machine)[0]
+                             for machine in (FULL, PARTIAL)]
+        rng = random.Random(seed)
+        vectors = [([rng.randint(-4, 12) for _ in func.params],
+                    [rng.randint(-8, 8) for _ in range(DEFAULT_MEM_SIZE)])
+                   for _ in range(8)]
+        for variant in variants:
+            for args, mem in vectors:
+                for budget in PINNED_BUDGETS:
+                    r = eval_function(variant, args, mem, budget)
+                    digest.update(repr((r.trap, r.value, r.memory)).encode())
+    assert digest.hexdigest() == PINNED_RESULTS
+
+
+def test_guard_is_read_before_the_operands():
+    undefined_guard = ir.parse_module("""
+func @f(%a) {
+b0:
+  %q? %y = add %a, 1
+  ret %a
+}
+""").functions[0]
+    assert eval_function(undefined_guard, [3]).trap == UNDEFINED_READ
+    # A false guard skips the instruction, so its undefined operand is
+    # never read.
+    undefined_operand = ir.parse_module("""
+func @f(%a, %p:guard) {
+b0:
+  %p? %x = add %u, 1
+  ret %a
+}
+""").functions[0]
+    assert eval_function(undefined_operand, [3, 0]).value == 3
+    assert eval_function(undefined_operand, [3, 1]).trap == UNDEFINED_READ
+
+
+def test_store_reads_the_value_before_checking_the_address():
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  store %a, %u
+  ret %a
+}
+""").functions[0]
+    assert eval_function(func, [DEFAULT_MEM_SIZE]).trap == UNDEFINED_READ
+    assert eval_function(func, [0]).trap == UNDEFINED_READ
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  store %a, 5
+  ret %a
+}
+""").functions[0]
+    assert eval_function(func, [DEFAULT_MEM_SIZE]).trap == OUT_OF_BOUNDS
+    assert eval_function(func, [-1]).trap == OUT_OF_BOUNDS
+    assert eval_function(func, [0]).memory[0] == 5
+
+
+def test_psi_reads_only_its_matching_argument():
+    func = ir.parse_module("""
+func @f(%a, %p:guard, %q:guard) {
+b0:
+  %x = psi(%p ? %a, %q ? %u)
+  ret %x
+}
+""").functions[0]
+    # The rightmost true argument is undefined: the psi traps rather than
+    # falling back to a defined argument on its left.
+    assert eval_function(func, [5, 1, 1]).trap == UNDEFINED_READ
+    assert eval_function(func, [5, 0, 1]).trap == UNDEFINED_READ
+    assert eval_function(func, [5, 1, 0]).value == 5
+    assert eval_function(func, [5, 0, 0]).trap == PSI_NONE_TRUE
+
+
+def test_value_operations_read_guards_as_integers():
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %p = cmp_lt %a, 10
+  %x = add %p, 5
+  %y = and %p, %a
+  %z = or %y, %x
+  store 0, %p
+  %n = not %p
+  store 1, %n
+  %m = not %y
+  store 2, %m
+  ret %z
+}
+""").functions[0]
+    result = eval_function(func, [3])
+    assert result.value == 7 and type(result.value) is int
+    assert result.memory[:3] == [1, 0, -2]
+    assert all(type(v) is int for v in result.memory)
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %p = cmp_lt %a, 10
+  ret %p
+}
+""").functions[0]
+    result = eval_function(func, [1])
+    assert result.value == 1 and type(result.value) is int
+
+
+def test_guard_operations_read_operands_as_registers():
+    # A guard-kind and/or/not reads every operand as a register, so an
+    # immediate there is an undefined read (the validator rejects it).
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %p = cmp_lt %a, 10
+  %y = and %p, 1
+  ret %a
+}
+""").functions[0]
+    assert ir.infer_kinds(func)["y"] == "guard"
+    assert eval_function(func, [3]).trap == UNDEFINED_READ
+
+
+def test_budget_exhausted_mid_block_keeps_earlier_stores():
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  store 0, 7
+  store 1, %a
+  %x = add %a, 1
+  store 2, %x
+  ret %x
+}
+""").functions[0]
+    for budget, memory in ((1, [7, 0, 0]), (2, [7, 9, 0]), (3, [7, 9, 0]),
+                           (4, [7, 9, 10])):
+        result = eval_function(func, [9], budget=budget)
+        assert result.trap == interp.BUDGET_EXHAUSTED
+        assert result.memory[:3] == memory
+    assert eval_function(func, [9], budget=5).value == 10
