@@ -163,10 +163,29 @@ def _machine_from_args(args) -> MachineModel:
     return machine_from_flags(args.machine, args.predicable, args.speculatable)
 
 
+def _call_from_args(mod: ir.Module, args) -> tuple[str, list[int]]:
+    """The function named by --func and the integers given by --args."""
+    name = args.func.lstrip("@")
+    try:
+        func = mod.function(name)
+    except KeyError:
+        raise CliError(f"{args.file}: no function @{name}") from None
+    try:
+        values = [int(x) for x in args.args.split(",")] if args.args else []
+    except ValueError:
+        raise CliError(f"--args must be comma-separated integers, "
+                       f"got {args.args!r}") from None
+    if len(values) != len(func.params):
+        raise CliError(f"@{name} expects {len(func.params)} args, "
+                       f"got {len(values)}")
+    return name, values
+
+
 def cmd_run(args) -> int:
     mod = _load(args.file)
     passes = [p for p in args.passes.split(",") if p] if args.passes else []
     _check_pipeline(passes, args.in_ssa)
+    call = _call_from_args(mod, args) if args.func else None
     original = mod.clone()
     config = PipelineConfig(passes=passes, machine=_machine_from_args(args),
                             opts=_options_from_args(args),
@@ -203,9 +222,8 @@ def cmd_run(args) -> int:
                 print(f"mismatch @{before.name}: {mm}", file=sys.stderr)
             if report.mismatches:
                 return 2
-    if args.func:
-        name = args.func.lstrip("@")
-        call_args = [int(x) for x in args.args.split(",")] if args.args else []
+    if call is not None:
+        name, call_args = call
         result = interp.eval_function(mod.function(name), call_args)
         if result.trap:
             print(f"trap: {result.trap}")

@@ -5,16 +5,41 @@ whose guard is false is a no-op, so the target keeps whatever value it had
 (in SSA form: stays undefined).  A psi evaluates to the value of the
 rightmost argument whose predicate is true and traps if none is.  Reading
 an undefined variable traps.  Memory is a bounds-checked integer array.
+Reads happen in evaluation order: a guard before the operands, a store's
+value before its address, a psi's predicates right to left and then only
+the matching argument.  A value operation reads a guard register as 0 or 1;
+a guard operation reads every operand as a register, so an immediate there
+is an undefined read.
+
+A function is decoded once per check (`decode`) and then run on each input
+vector (`run`).  Decoding resolves everything that does not depend on the
+input: each block becomes a tuple of per-instruction closures with the
+opcode, operand kinds, guard polarity and the destination's kind (from
+`ir.infer_kinds`) bound in, a phi table keyed by predecessor and a
+terminator.  A block is decoded the first time a run enters it, so a check
+pays only for the blocks its vectors reach.  Immediates are wrapped to 64
+bits into a constant table that seeds each run's environment, so every
+operand is a dictionary read.  Nothing is cached across checks: passes
+mutate functions in place.
+
+Each phi, body instruction and terminator is one step, and a run that
+takes more than `budget` steps traps.  A block whose steps all fit in the
+remaining budget is charged at once; the block in which the budget runs out
+is run step by step up to the budget, then traps, so results (trap kind,
+value and the memory image at a trap) are those of a step-by-step count.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .ir import Block, Function, Instr, Pred, PsiInstr, infer_kinds
+from .ir import BOOL_OPS, Block, Function, Instr, PsiInstr, infer_kinds
 
 MASK = (1 << 64) - 1
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_MEM_SIZE = 8
 
@@ -30,8 +55,8 @@ def wrap64(x: int) -> int:
 
 
 class _Trap(Exception):
-    def __init__(self, kind: str, detail: str = ""):
-        super().__init__(f"{kind}: {detail}" if detail else kind)
+    def __init__(self, kind: str):
+        super().__init__(kind)
         self.kind = kind
 
 
@@ -46,147 +71,259 @@ class ExecResult:
         return self.trap is None
 
 
+# A decoded instruction: runs on (env, memory).  An undefined read surfaces
+# as the KeyError of its dictionary read, which `run` turns into a trap.
+Step = Callable[[dict, list], None]
+
+# Terminator kinds of a decoded block.
+_RET, _GOTO, _BR = "ret", "goto", "br"
+
+# The key an operand read as a register decodes to when it is an immediate:
+# never bound, so reading it traps like an undefined variable.
+_UNBOUND = object()
+
+
+class _Block(NamedTuple):
+    phis: tuple          # (dest, {predecessor label: source}) per phi
+    body: tuple[Step, ...]
+    size: int            # steps: phis, body instructions and terminator
+    term: str            # _RET, _GOTO or _BR
+    arg: object          # ret value or br condition key (None: ret void)
+    then: str | None     # goto target, br target when the condition holds
+    other: str | None    # br target otherwise
+
+
+@dataclass(frozen=True)
+class DecodedFunction:
+    name: str
+    params: tuple[tuple[str, bool], ...]   # (name, is guard)
+    constants: dict                        # immediate -> wrapped value
+    entry: str
+    blocks: _Blocks
+
+
+class _Blocks(dict):
+    """Decoded blocks by label.  A block is decoded the first time a run
+    enters it, so a check pays only for the blocks its vectors reach."""
+
+    def __init__(self, func: Function, kinds: dict[str, str]):
+        super().__init__()
+        self.source = func.block_map()
+        self.kinds = kinds
+
+    def __missing__(self, label: str) -> _Block:
+        block = self[label] = _decode_block(self.source[label], self.kinds)
+        return block
+
+
+def decode(func: Function) -> DecodedFunction:
+    """Translate `func` for `run`.  Blocks are decoded as runs reach them,
+    so `func` must not change while the result is in use."""
+    constants = {}
+    for block in func.blocks:
+        for ins in (*block.body, block.term):
+            if isinstance(ins, Instr):
+                for operand in ins.operands:
+                    if not isinstance(operand, str):
+                        constants[operand] = wrap64(operand)
+    params = tuple((name, kind == "guard") for name, kind in func.params)
+    return DecodedFunction(func.name, params, constants, func.entry,
+                           _Blocks(func, infer_kinds(func)))
+
+
+def _reg(operand):
+    """Key of an operand read as a register (see _UNBOUND)."""
+    return operand if isinstance(operand, str) else _UNBOUND
+
+
+def _decode_block(block: Block, kinds) -> _Block:
+    # reversed: the first argument for a label wins, as in PhiInstr.arg_for.
+    phis = tuple((phi.dest, dict(reversed(phi.args))) for phi in block.phis)
+    body = tuple([_decode_psi(ins) if isinstance(ins, PsiInstr)
+                  else _decode_plain(ins, kinds) for ins in block.body])
+    op, ops = block.term.opcode, block.term.operands
+    if op == "ret":
+        term = (_RET, ops[0] if ops else None, None, None)
+    elif op == "goto":
+        term = (_GOTO, None, ops[0], None)
+    else:
+        term = (_BR, _reg(ops[0]), ops[1], ops[2])
+    return _Block(phis, body, len(phis) + len(body) + 1, *term)
+
+
+def _decode_psi(ins: PsiInstr) -> Step:
+    dest = ins.dest
+    args = tuple((p.reg, p.positive, var) for p, var in reversed(ins.args))
+
+    def step(env, memory):
+        for guard, positive, var in args:
+            if guard is None or bool(env[guard]) == positive:
+                env[dest] = env[var]
+                return
+        raise _Trap(PSI_NONE_TRUE)
+    return step
+
+
+# Integer operations by opcode: a compare gives a bool, the others an int
+# wrapped to 64 bits.  Each reads a guard register's bool as 0 or 1.
+_COMPARE = {"cmp_eq": operator.eq, "cmp_lt": operator.lt,
+            "cmp_le": operator.le}
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "and": operator.and_, "or": operator.or_,
+          "neg": operator.neg, "not": operator.invert}
+
+
+def _decode_plain(ins: Instr, kinds) -> Step:
+    # An operand read as an integer is its own key: a variable, or an
+    # immediate in the constant table.
+    op, dest, ops = ins.opcode, ins.dest, ins.operands
+    if op in BOOL_OPS and kinds.get(dest) == "guard":
+        a, b = _reg(ops[0]), _reg(ops[-1])
+        if op == "not":
+            def step(env, memory):
+                env[dest] = not env[a]
+        else:
+            fn = _ARITH[op]   # & and | of two bools give a bool
+
+            def step(env, memory):
+                env[dest] = fn(bool(env[a]), bool(env[b]))
+    elif op == "const":
+        result = (bool(ops[0]) if kinds.get(dest) == "guard"
+                  else wrap64(ops[0]))
+
+        def step(env, memory):
+            env[dest] = result
+    elif op == "mov":
+        a = ops[0]
+
+        def step(env, memory):
+            env[dest] = env[a]
+    elif op == "select":
+        c, a, b = _reg(ops[0]), ops[1], ops[2]
+
+        def step(env, memory):
+            env[dest] = env[a] if env[c] else env[b]
+    elif op == "load":
+        a = ops[0]
+
+        def step(env, memory):
+            address = env[a]
+            if not 0 <= address < len(memory):
+                raise _Trap(OUT_OF_BOUNDS)
+            env[dest] = memory[address]
+    elif op == "store":
+        a, b = ops
+
+        def step(env, memory):
+            stored = +env[b]   # unary plus reads a guard register as 0 or 1
+            address = env[a]
+            if not 0 <= address < len(memory):
+                raise _Trap(OUT_OF_BOUNDS)
+            memory[address] = stored
+    elif op in _COMPARE:
+        fn, (a, b) = _COMPARE[op], ops
+
+        def step(env, memory):
+            env[dest] = fn(env[a], env[b])
+    elif len(ops) == 1:   # neg, not
+        fn, a = _ARITH[op], ops[0]
+
+        def step(env, memory):
+            x = fn(env[a])
+            env[dest] = x if _INT_MIN <= x <= _INT_MAX else wrap64(x)
+    else:
+        # Unary plus turns the bool that & or | of two bools gives into an
+        # int; wrap64 runs only when a result leaves the 64-bit range.
+        fn, (a, b) = _ARITH[op], ops
+
+        def step(env, memory):
+            x = +fn(env[a], env[b])
+            env[dest] = x if _INT_MIN <= x <= _INT_MAX else wrap64(x)
+    guard = ins.guard
+    if guard is None or guard.is_true():
+        return step
+    unguarded, g = step, guard.reg
+    if guard.positive:
+        def step(env, memory):
+            if env[g]:
+                unguarded(env, memory)
+    else:
+        def step(env, memory):
+            if not env[g]:
+                unguarded(env, memory)
+    return step
+
+
 def eval_function(func: Function, args: list[int],
                   mem: list[int] | None = None,
                   budget: int = DEFAULT_BUDGET) -> ExecResult:
     """Run `func` on the given arguments and memory image."""
-    return execute(func, infer_kinds(func), args, mem, budget)
+    return run(decode(func), args, mem, budget)
 
 
-def execute(func: Function, kinds: dict[str, str], args: list[int],
-             mem: list[int] | None, budget: int) -> ExecResult:
-    """Run `func`, whose variable kinds (`ir.infer_kinds`) are `kinds`.
-    `differential_check` infers the kinds once and runs every vector here."""
-    if len(args) != len(func.params):
-        raise ValueError(f"@{func.name} expects {len(func.params)} args, "
+def run(code: DecodedFunction, args: list[int], mem: list[int] | None,
+        budget: int) -> ExecResult:
+    """Run a decoded function on one input vector."""
+    if len(args) != len(code.params):
+        raise ValueError(f"@{code.name} expects {len(code.params)} args, "
                          f"got {len(args)}")
     memory = list(mem) if mem is not None else [0] * DEFAULT_MEM_SIZE
-    env: dict[str, int | bool] = {}
-    for (name, kind), value in zip(func.params, args):
-        env[name] = bool(value) if kind == "guard" else wrap64(value)
-
-    blocks = func.block_map()
-
-    def read(var: str):
-        try:
-            return env[var]
-        except KeyError:
-            raise _Trap(UNDEFINED_READ, f"%{var}") from None
-
-    def read_int(operand) -> int:
-        if isinstance(operand, int):
-            return wrap64(operand)
-        v = read(operand)
-        return int(v) if isinstance(v, bool) else v
-
-    def pred_holds(p: Pred | None) -> bool:
-        if p is None or p.is_true():
-            return True
-        v = read(p.reg)
-        return bool(v) == p.positive
-
-    def addr(operand) -> int:
-        a = read_int(operand)
-        if not 0 <= a < len(memory):
-            raise _Trap(OUT_OF_BOUNDS, str(a))
-        return a
-
+    env = dict(code.constants)
+    for (name, guard), value in zip(code.params, args):
+        env[name] = bool(value) if guard else wrap64(value)
+    blocks = code.blocks
     steps = 0
-    label = func.entry
-    prev: str | None = None
+    label, prev = code.entry, None
     try:
         while True:
             block = blocks[label]
-            # Phis read their inputs in parallel before any writes land.
-            if block.phis:
-                staged = []
-                for phi in block.phis:
-                    steps += 1
-                    if steps > budget:
-                        raise _Trap(BUDGET_EXHAUSTED)
-                    staged.append((phi.dest, read(phi.arg_for(prev))))
-                for dest, value in staged:
-                    env[dest] = value
-            for ins in block.body:
-                steps += 1
-                if steps > budget:
-                    raise _Trap(BUDGET_EXHAUSTED)
-                if isinstance(ins, PsiInstr):
-                    env[ins.dest] = _eval_psi(ins, pred_holds, read)
-                    continue
-                if not pred_holds(ins.guard):
-                    continue
-                _eval_plain(ins, env, kinds, read, read_int, addr, memory)
-            term = block.term
-            steps += 1
+            phis, body, size, term, arg, then, other = block
+            steps += size
             if steps > budget:
-                raise _Trap(BUDGET_EXHAUSTED)
-            if term.opcode == "ret":
-                value = read_int(term.operands[0]) if term.operands else None
-                return ExecResult(value=value, memory=memory)
-            prev = label
-            if term.opcode == "goto":
-                label = term.operands[0]
-            else:  # br
-                cond = read(term.operands[0])
-                label = term.operands[1] if cond else term.operands[2]
+                _run_out(block, env, memory, prev, size - steps + budget)
+            if phis:
+                env.update(_read_phis(phis, env, prev, len(phis)))
+            try:
+                for step in body:
+                    step(env, memory)
+                if term is _RET:
+                    return ExecResult(
+                        value=None if arg is None else +env[arg],
+                        memory=memory)
+                taken = term is _GOTO or env[arg]
+            except KeyError:
+                raise _Trap(UNDEFINED_READ) from None
+            prev, label = label, then if taken else other
     except _Trap as trap:
         return ExecResult(trap=trap.kind, memory=memory)
 
 
-def _eval_psi(ins: PsiInstr, pred_holds, read):
-    for p, v in reversed(ins.args):
-        if pred_holds(p):
-            return read(v)
-    raise _Trap(PSI_NONE_TRUE, f"%{ins.dest}")
+def _read_phis(phis, env, prev, count) -> list:
+    """(dest, value) of the first `count` phis on the edge from `prev`; the
+    phis read all their inputs before any of them is written."""
+    values = []
+    for dest, sources in phis[:count]:
+        var = sources[prev]   # KeyError, as PhiInstr.arg_for, on a bad edge
+        if var not in env:
+            raise _Trap(UNDEFINED_READ)
+        values.append((dest, env[var]))
+    return values
 
 
-def _eval_plain(ins: Instr, env, kinds, read, read_int, addr, memory):
-    op = ins.opcode
-    dest = ins.dest
-    if op == "const":
-        value = ins.operands[0]
-        env[dest] = bool(value) if kinds.get(dest) == "guard" else wrap64(value)
-    elif op == "mov":
-        src = ins.operands[0]
-        env[dest] = read(src) if isinstance(src, str) else wrap64(src)
-    elif op in ("add", "sub", "mul"):
-        a, b = read_int(ins.operands[0]), read_int(ins.operands[1])
-        value = a + b if op == "add" else a - b if op == "sub" else a * b
-        env[dest] = wrap64(value)
-    elif op == "neg":
-        env[dest] = wrap64(-read_int(ins.operands[0]))
-    elif op == "cmp_eq":
-        env[dest] = read_int(ins.operands[0]) == read_int(ins.operands[1])
-    elif op == "cmp_lt":
-        env[dest] = read_int(ins.operands[0]) < read_int(ins.operands[1])
-    elif op == "cmp_le":
-        env[dest] = read_int(ins.operands[0]) <= read_int(ins.operands[1])
-    elif op in ("and", "or", "not"):
-        if kinds.get(dest) == "guard":
-            a = bool(read(ins.operands[0]))
-            if op == "not":
-                env[dest] = not a
-            else:
-                b = bool(read(ins.operands[1]))
-                env[dest] = (a and b) if op == "and" else (a or b)
-        else:
-            a = read_int(ins.operands[0])
-            if op == "not":
-                env[dest] = wrap64(~a)
-            else:
-                b = read_int(ins.operands[1])
-                env[dest] = wrap64(a & b if op == "and" else a | b)
-    elif op == "select":
-        cond = bool(read(ins.operands[0]))
-        chosen = ins.operands[1] if cond else ins.operands[2]
-        env[dest] = read(chosen) if isinstance(chosen, str) else wrap64(chosen)
-    elif op == "load":
-        env[dest] = memory[addr(ins.operands[0])]
-    elif op == "store":
-        memory[addr(ins.operands[0])] = read_int(ins.operands[1])
-    else:  # pragma: no cover - parser rejects unknown opcodes
-        raise AssertionError(f"unhandled opcode {op}")
+def _run_out(block: _Block, env, memory, prev, allowed: int):
+    """Run the `allowed` steps of `block` that fit in the budget, which is
+    fewer than its size, then trap."""
+    nphis = len(block.phis)
+    if allowed <= nphis:
+        _read_phis(block.phis, env, prev, allowed)
+    else:
+        env.update(_read_phis(block.phis, env, prev, nphis))
+        try:
+            for step in block.body[:allowed - nphis]:
+                step(env, memory)
+        except KeyError:
+            raise _Trap(UNDEFINED_READ) from None
+    raise _Trap(BUDGET_EXHAUSTED)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +367,7 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
         raise ValueError("functions have different signatures")
     rng = random.Random(seed)
     param_kinds = dict(f1.params)
-    kinds1, kinds2 = infer_kinds(f1), infer_kinds(f2)
+    code1, code2 = decode(f1), decode(f2)
     mismatches: list[Mismatch] = []
     compared = skipped = 0
     for _ in range(trials):
@@ -238,11 +375,11 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
                 else rng.randint(-4, 12)
                 for name, _ in f1.params]
         mem = [rng.randint(-8, 8) for _ in range(mem_size)]
-        r1 = execute(f1, kinds1, args, mem, budget)
+        r1 = run(code1, args, mem, budget)
         if r1.trap in (UNDEFINED_READ, PSI_NONE_TRUE):
             skipped += 1
             continue
-        r2 = execute(f2, kinds2, args, mem, budget)
+        r2 = run(code2, args, mem, budget)
         compared += 1
         if r1.trap != r2.trap or r1.value != r2.value or r1.memory != r2.memory:
             mismatches.append(Mismatch(args, mem, r1, r2))

@@ -6,8 +6,9 @@ disjointness query builds the truth tables of its two formulas, as Python
 ints, over just the symbols those formulas mention, which decides it
 exactly however many symbols the whole function has.  A query mentioning
 more than QUERY_SYMBOL_CAP symbols is answered syntactically instead and
-clears `GuardEnv.exact`; every "unknown" answer there is reported as False
-and all callers treat False conservatively.
+clears `GuardEnv.exact` (`GuardEnv.capped_queries` counts such queries);
+every "unknown" answer there is reported as False and all callers treat
+False conservatively.
 """
 
 from __future__ import annotations
@@ -94,13 +95,15 @@ class GuardEnv:
 
     Queries are decided exactly over the symbols the two formulas mention.
     `exact` turns False once a query mentioned more than QUERY_SYMBOL_CAP
-    symbols and was answered syntactically instead.
+    symbols and was answered syntactically instead; `capped_queries` counts
+    those queries.
     """
 
     def __init__(self, formulas: dict[str, PredExpr], symbol_count: int):
         self.formulas = formulas
         self.symbol_count = symbol_count
         self.exact = True
+        self.capped_queries = 0
 
     def formula(self, guard: str) -> PredExpr:
         return self.formulas[guard]
@@ -116,11 +119,13 @@ class GuardEnv:
 
     def _tables(self, a: PredExpr, b: PredExpr) -> tuple[int, int] | None:
         """Truth tables of a and b over their joint support, or None (and
-        `exact` cleared) when that support is larger than the cap."""
+        `exact` cleared, the query counted) when that support is larger
+        than the cap."""
         support = _support(a) | _support(b)
         n = len(support)
         if n > QUERY_SYMBOL_CAP:
             self.exact = False
+            self.capped_queries += 1
             return None
         columns = {s: _column(k, n) for k, s in enumerate(support)}
         full = (1 << (1 << n)) - 1

@@ -52,6 +52,27 @@ def test_evaluate_function():
     assert proc.stdout.strip().endswith("result: 6")
 
 
+def test_evaluating_an_unknown_function_is_a_diagnostic():
+    proc = run_cli("run", DIAMOND, "--func", "nosuch")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "@nosuch" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_evaluating_with_the_wrong_arity_is_a_diagnostic():
+    proc = run_cli("run", DIAMOND, "--func", "f", "--args", "1,2,3,4,5,6,7")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: @f expects 2 args, got 7\n"
+    assert proc.stdout == ""
+
+
+def test_evaluating_with_non_integer_args_is_a_diagnostic():
+    proc = run_cli("run", DIAMOND, "--func", "f", "--args", "x")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --args must be comma-separated")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_identical_invocations_are_byte_identical():
     args = ("run", DIAMOND, "--passes=ssa,ifconvert,psi-promote,out-of-ssa",
             "--dump-after=ifconvert", "--dump-liveness", "--dump-interference")

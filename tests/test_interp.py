@@ -3,10 +3,10 @@ import itertools
 import random
 
 from psikit import interp, ir
-from psikit.machine import FULL, PARTIAL
 from psikit.interp import (DEFAULT_MEM_SIZE, OUT_OF_BOUNDS, PSI_NONE_TRUE,
-                           UNDEFINED_READ, differential_check, eval_function,
-                           gen_random_program)
+                           UNDEFINED_READ, decode, differential_check,
+                           eval_function, gen_random_program)
+from psikit.machine import FULL, PARTIAL
 
 from helpers import assert_no_errors, load_func, pipeline
 
@@ -217,6 +217,22 @@ def test_differential_check_infers_kinds_once_per_function(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_differential_check_decodes_each_function_once(monkeypatch):
+    decoded = []
+
+    def counting(func):
+        decoded.append(func)
+        return decode(func)
+
+    monkeypatch.setattr(interp, "decode", counting)
+    func = gen_random_program(7, "small")
+    other = func.clone()
+    report = differential_check(func, other, trials=32, seed=0)
+    assert report.compared > 0
+    assert len(decoded) == 2
+    assert decoded[0] is func and decoded[1] is other
+
+
 # -- pinned results and evaluation order ----------------------------------------
 
 PINNED_PASSES = ["ssa", "fold", "ifconvert", "psi-promote", "out-of-ssa"]
@@ -228,8 +244,8 @@ PINNED_RESULTS = ("d12feeb544dfdd9798b828851fc0d531"
 def test_interpreter_results_are_pinned():
     # (trap, value, memory) of generated programs, as generated and after
     # the FULL and PARTIAL pipelines, on 8 vectors at the default budget and
-    # at budgets 1-40, hashed against the digest recorded before the
-    # interpreter was rewritten.
+    # at budgets 1-40.  The digest is fixed: if it changes, the
+    # interpreter's semantics changed.
     digest = hashlib.sha256()
     for seed in range(100):
         func = gen_random_program(seed, "tiny" if seed % 2 == 0 else "small")

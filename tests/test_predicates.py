@@ -160,12 +160,13 @@ def test_query_over_cap_is_syntactic_and_clears_exact():
     env = env_with(QUERY_SYMBOL_CAP + 1)
     at_cap = domain_union([Sym(i) for i in range(QUERY_SYMBOL_CAP)])
     assert env.subset(And(at_cap, Sym(0)), at_cap)
-    assert env.exact
+    assert env.exact and env.capped_queries == 0
     over = Or(at_cap, Sym(QUERY_SYMBOL_CAP))
     # Both hold exactly, but neither is decidable syntactically.
     assert not env.subset(And(over, Sym(0)), over)
+    assert not env.exact and env.capped_queries == 1
     assert not env.disjoint(And(over, Sym(0)), Not(Sym(0)))
-    assert not env.exact
+    assert env.capped_queries == 2
     # The syntactic cases are still decided.
     assert env.subset(over, over)
     assert env.subset(over, TRUE_EXPR)
