@@ -11,17 +11,26 @@ one variable".
 `Analyses` computes the definitions, the block map, the dominator tree,
 the instruction positions and the guard env of one function on first use
 and keeps them while the function changes.  A pass that mutates the
-function keeps them correct by one rule:
+function keeps them correct by one rule, so none is computed twice:
 
-- a change of the CFG (if-conversion) invalidates everything: call
-  `invalidate()`;
+- if-converting a region records the folding of its arms and merge into
+  the head: call `linearized()`.  The new `not`/`and` temporaries and the
+  psis that replace the merge phis become definitions; the folded labels
+  leave the block map, the dominator tree and its reverse postorder, and
+  the merge's dominator children become the head's, one level shallower;
+  the removed instructions (phis, the head's branch, the arms' gotos)
+  leave the positions and the head's are re-derived.  The guard env gains
+  `Not(f)` and `And(f, g)` for the temporaries; a psi keeps its phi's
+  formula, a fresh symbol either way, and moving or re-guarding an
+  instruction changes no formula.  Queries are exact truth tables, so
+  the numbering of symbols cannot change an answer;
 - inserting a copy records its definition and re-derives the positions of
   the block it went into: call `inserted()`.  The dominator tree stays
   valid, and so does the guard env: a copy defines a fresh name and
   changes the formula of no existing guard register, and no copy is used
   as a guard before the final renaming;
-- splicing psi arguments invalidates nothing: it changes no definition,
-  no guard formula and no CFG.
+- splicing psi arguments changes nothing computed: no definition, no
+  guard formula and no CFG.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ir import Block, Function, Instr, Instruction, PhiInstr, PsiInstr
-from .predicates import GuardEnv, TRUE_EXPR, guard_env_or_conservative
+from .ir import Block, Function, Instr, Instruction, PhiInstr, Pred, PsiInstr
+from .predicates import And, GuardEnv, Not, guard_env_or_conservative
 
 
 def reachable_blocks(func: Function) -> list[str]:
@@ -112,6 +121,26 @@ class DomTree:
             return a[1] < b[1] if strict else a[1] <= b[1]
         return self.strictly_dominates_block(a[0], b[0])
 
+    def fold(self, head: str, merge: str, removed: list[str]) -> None:
+        """Drop the labels `removed` (a region's arms and its merge, which
+        `head` immediately dominates); the merge's children become the
+        head's, and the head had no others: every path out of the head
+        runs through the merge.  Dominance between the remaining blocks is
+        unchanged and their reverse postorder keeps its order."""
+        gone = set(removed)
+        moved = self.children[merge]
+        for label in removed:
+            del self.idom[label], self.depth[label], self.children[label]
+        self.rpo = [l for l in self.rpo if l not in gone]
+        self.children[head] = moved
+        for child in moved:
+            self.idom[child] = head
+        stack = list(moved)
+        while stack:
+            label = stack.pop()
+            self.depth[label] -= 1
+            stack.extend(self.children[label])
+
     def preorder(self) -> list[str]:
         out = []
         stack = [self.rpo[0]]
@@ -189,15 +218,11 @@ def _block_positions(block: Block, pos: dict[int, tuple[str, int]]) -> None:
 
 
 class Analyses:
-    """Analyses of one function, each computed on first use and kept until
-    the function changes in a way the module docstring says invalidates it."""
+    """Analyses of one function, each computed on first use and updated in
+    place by the passes that change the function (module docstring)."""
 
     def __init__(self, func: Function):
         self.func = func
-
-    def invalidate(self) -> None:
-        for name in ("defs", "blocks", "dom", "positions", "env"):
-            self.__dict__.pop(name, None)
 
     @cached_property
     def defs(self) -> dict[str, Instruction]:
@@ -232,6 +257,37 @@ class Analyses:
             computed["defs"][ins.dest] = ins
         if "positions" in computed:
             _block_positions(block, computed["positions"])
+
+    def linearized(self, head: Block, merge: str, removed: list[str],
+                   dropped: list[Instruction],
+                   added: list[Instruction]) -> None:
+        """Record an if-conversion: the blocks `removed` (the arms and the
+        merge `merge`) now live in `head`, the instructions `dropped` are
+        gone, and `added` (in order) are new definitions."""
+        computed = self.__dict__
+        if "defs" in computed:
+            defs = computed["defs"]
+            for ins in added:
+                defs[ins.dest] = ins
+        if "blocks" in computed:
+            for label in removed:
+                del computed["blocks"][label]
+        if "positions" in computed:
+            pos = computed["positions"]
+            for ins in dropped:
+                del pos[id(ins)]
+            _block_positions(head, pos)
+        if "dom" in computed:
+            computed["dom"].fold(head.label, merge, removed)
+        if "env" in computed:
+            formulas = computed["env"].formulas
+            for ins in added:
+                if not isinstance(ins, Instr) or ins.opcode not in ("not", "and"):
+                    continue
+                args = [formulas.get(o) for o in ins.operands]
+                if None not in args:
+                    formulas[ins.dest] = (Not(*args) if ins.opcode == "not"
+                                          else And(*args))
 
 
 def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:
@@ -390,33 +446,35 @@ class InterferenceGraph:
         return "\n".join(lines) + "\n"
 
 
-def _def_guard_formula(ins: Instruction, env: GuardEnv):
-    if isinstance(ins, Instr) and ins.guard is not None:
-        return env.pred_formula(ins.guard)
-    return TRUE_EXPR
-
-
 def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
                        refine_disjoint: bool = False) -> InterferenceGraph:
     """Edges between variables whose live ranges overlap, built at
     definition points.  With refine_disjoint, a def under guard g adds no
-    edge to a variable defined under a provably disjoint guard."""
+    edge to a variable defined under a provably disjoint guard; each pair
+    of definition guards is decided once."""
     graph = InterferenceGraph()
     defs = func.defs()
     blocks = {b.label: b for b in func.blocks}
+    disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
 
-    def guarded_formula(var):
+    def guard(var) -> Pred | None:
+        """Guard of var's definition; None for unguarded definitions,
+        parameters, phis and psis."""
         ins = defs.get(var)
-        if ins is None:
-            return TRUE_EXPR  # parameter
-        return _def_guard_formula(ins, env)
+        return ins.guard if isinstance(ins, Instr) else None
+
+    def guards_disjoint(key) -> bool:
+        if key not in disjoint:
+            disjoint[key] = env.disjoint(env.pred_formula(key[0]),
+                                         env.pred_formula(key[1]))
+        return disjoint[key]
 
     def add(d, others):
-        fd = guarded_formula(d) if refine_disjoint else None
+        gd = guard(d) if refine_disjoint else None
         for v in others:
             if v == d:
                 continue
-            if refine_disjoint and env.disjoint(fd, guarded_formula(v)):
+            if refine_disjoint and guards_disjoint((gd, guard(v))):
                 continue
             graph.add_edge(d, v)
 

@@ -14,6 +14,7 @@ machine cannot speculate them the region is not convertible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analysis import Analyses
@@ -158,11 +159,15 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
 
 
 def _find_regions_once(cache: Analyses,
-                       machine: MachineModel) -> list[Region]:
-    """Directly convertible regions of the current CFG, innermost first."""
+                       machine: MachineModel) -> Iterator[Region]:
+    """Directly convertible regions of the current CFG, innermost first.
+
+    The structural candidates are sorted first; an arm is planned only
+    when the generator reaches its region, so a caller that takes the
+    first region plans no other."""
     func, blocks, dom = cache.func, cache.blocks, cache.dom
     preds = func.predecessors()
-    out: list[Region] = []
+    candidates: list[Region] = []
     for block in func.blocks:
         term = block.term
         if term is None or term.opcode != "br" or block.label not in dom.depth:
@@ -183,22 +188,22 @@ def _find_regions_once(cache: Analyses,
             continue
         if len(preds[merge]) != 2:
             continue
-        region = Region(block.label, t_chain, e_chain, merge,
-                        cond=term.operands[0])
+        candidates.append(Region(block.label, t_chain, e_chain, merge,
+                                 cond=term.operands[0]))
+    order = {b.label: i for i, b in enumerate(func.blocks)}
+    candidates.sort(key=lambda r: (-dom.depth.get(r.head, 0), order[r.head]))
+    for region in candidates:
         if _plan_arm(cache, region.then_blocks, machine) is None:
             continue
         if _plan_arm(cache, region.else_blocks, machine) is None:
             continue
-        out.append(region)
-    order = {b.label: i for i, b in enumerate(func.blocks)}
-    out.sort(key=lambda r: (-dom.depth.get(r.head, 0), order[r.head]))
-    return out
+        yield region
 
 
 def if_convert(cache: Analyses, region: Region, machine: MachineModel,
                alloc: NameAllocator) -> Function:
-    """Linearize one region in place and invalidate `cache`; returns the
-    function.  Fresh names come from `alloc`."""
+    """Linearize one region in place and record the change in `cache`;
+    returns the function.  Fresh names come from `alloc`."""
     func, blocks, defs = cache.func, cache.blocks, cache.defs
     head = blocks[region.head]
     merge = blocks[region.merge]
@@ -214,6 +219,7 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
         plans.update(plan)
 
     new_body: list[Instruction] = []
+    temps: list[Instr] = []  # the not/and instructions made here
     neg_cache: dict[tuple[str, bool], str] = {}
     conj_cache: dict[tuple, str] = {}
 
@@ -223,7 +229,8 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
         key = (p.reg, False)
         if key not in neg_cache:
             t = alloc.fresh(p.reg)
-            new_body.append(Instr("not", t, [p.reg]))
+            temps.append(Instr("not", t, [p.reg]))
+            new_body.append(temps[-1])
             neg_cache[key] = t
         return neg_cache[key]
 
@@ -231,7 +238,9 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
         key = (path.reg, path.positive, g.reg, g.positive)
         if key not in conj_cache:
             t = alloc.fresh("g")
-            new_body.append(Instr("and", t, [as_reg(path), as_reg(g)]))
+            args = [as_reg(path), as_reg(g)]
+            temps.append(Instr("and", t, args))
+            new_body.append(temps[-1])
             conj_cache[key] = t
         return Pred(conj_cache[key], True)
 
@@ -312,15 +321,19 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
     head.body.extend(new_body)
     head.body.extend(new_psis)
     head.body.extend(merge.body)
+    dropped = [*merge.phis, head.term,
+               *(blocks[label].term for label in region.arm_labels())]
     head.term = merge.term
 
-    removed = set(region.arm_labels()) | {region.merge}
-    func.blocks = [b for b in func.blocks if b.label not in removed]
-    for block in func.blocks:
-        for phi in block.phis:
+    removed = region.arm_labels() + [region.merge]
+    gone = set(removed)
+    func.blocks = [b for b in func.blocks if b.label not in gone]
+    # Only the merge's successors, now the head's, can name the merge.
+    for label in head.successors():
+        for phi in blocks[label].phis:
             phi.args = [(region.head if lbl == region.merge else lbl, v)
                         for lbl, v in phi.args]
-    cache.invalidate()
+    cache.linearized(head, region.merge, removed, dropped, temps + new_psis)
     return func
 
 
@@ -331,9 +344,9 @@ def if_convert_pass(func: Function, machine: MachineModel) -> int:
     alloc = NameAllocator(func)
     converted = 0
     while True:
-        regions = _find_regions_once(cache, machine)
-        if not regions:
+        region = next(_find_regions_once(cache, machine), None)
+        if region is None:
             return converted
-        if_convert(cache, regions[0], machine, alloc)
+        if_convert(cache, region, machine, alloc)
         psi_inline_all(cache)
         converted += 1

@@ -572,24 +572,28 @@ def _rename_instr(ins: Instruction, rep):
 # ---------------------------------------------------------------------------
 # Driver
 
-def run_out_of_ssa(func: Function,
-                   opts: OutOfSsaOptions | None = None) -> PassStats:
-    """Run the three phases plus renaming, in place; returns the stats."""
+def to_cssa(func: Function, opts: OutOfSsaOptions | None = None
+            ) -> tuple[CongruenceClasses, tuple[int, int, int]]:
+    """Run the three phases in place, without the final renaming; returns
+    the congruence classes and the copies each phase inserted."""
     opts = opts or OutOfSsaOptions()
-    stats = PassStats()
     analysis.remove_unreachable(func)
     # The phases only insert copies, so one cache serves all three.
     cache = Analyses(func)
-    stats.copies_normalize = psi_normalize(cache, opts.reorder_disjoint)
-
+    n_normalize = psi_normalize(cache, opts.reorder_disjoint)
     live = analysis.liveness(func)
     graph = analysis.interference_graph(
         func, live, cache.env, refine_disjoint=opts.disjoint_interference)
     classes = CongruenceClasses(func.var_names())
-    stats.copies_psi_congruence = psi_congruence(cache, live, graph,
-                                                 classes, opts)
-    stats.copies_phi_congruence = phi_congruence(cache, classes, opts)
+    n_psi = psi_congruence(cache, live, graph, classes, opts)
+    n_phi = phi_congruence(cache, classes, opts)
+    return classes, (n_normalize, n_psi, n_phi)
 
+
+def run_out_of_ssa(func: Function,
+                   opts: OutOfSsaOptions | None = None) -> PassStats:
+    """Run the three phases plus renaming, in place; returns the stats."""
+    opts = opts or OutOfSsaOptions()
+    classes, copies = to_cssa(func, opts)
     rename_and_strip(func, classes, refine_disjoint=opts.disjoint_interference)
-    stats.total_copies = count_movs(func)
-    return stats
+    return PassStats(*copies, total_copies=count_movs(func))

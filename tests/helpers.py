@@ -3,12 +3,10 @@
 import random
 from pathlib import Path
 
-from psikit import analysis, ir
+from psikit import analysis, ir, out_of_ssa
 from psikit.ifconvert import if_convert_pass
 from psikit.machine import FULL, MachineModel
-from psikit.out_of_ssa import (CongruenceClasses, OutOfSsaOptions,
-                               phi_congruence, psi_congruence, psi_normalize,
-                               run_out_of_ssa)
+from psikit.out_of_ssa import OutOfSsaOptions, run_out_of_ssa
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import construct_ssa, copy_fold, psi_promote_pass
 
@@ -48,20 +46,11 @@ def pipeline(func: ir.Function, passes, machine: MachineModel = FULL,
 
 
 def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):
-    """Run the three conversion phases without the final renaming; returns
-    (function, classes, per-phase copy counts)."""
-    opts = opts or OutOfSsaOptions()
+    """Run the three conversion phases on a clone of `func`, without the
+    final renaming; returns (function, classes, per-phase copy counts)."""
     work = func.clone()
-    analysis.remove_unreachable(work)
-    cache = analysis.Analyses(work)
-    n1 = psi_normalize(cache, opts.reorder_disjoint)
-    live = analysis.liveness(work)
-    graph = analysis.interference_graph(
-        work, live, cache.env, refine_disjoint=opts.disjoint_interference)
-    classes = CongruenceClasses(work.var_names())
-    n2 = psi_congruence(cache, live, graph, classes, opts)
-    n3 = phi_congruence(cache, classes, opts)
-    return work, classes, (n1, n2, n3)
+    classes, copies = out_of_ssa.to_cssa(work, opts)
+    return work, classes, copies
 
 
 def assert_no_errors(mod: ir.Module, mode: str = "non_ssa"):

@@ -1,9 +1,11 @@
 import random
 
 from psikit import analysis, ir
+from psikit.ifconvert import if_convert_pass
 from psikit.interp import gen_random_program
+from psikit.machine import FULL
 from psikit.predicates import guard_env_or_conservative
-from psikit.ssa import rewrite_psis_to_selects
+from psikit.ssa import construct_ssa, rewrite_psis_to_selects
 
 from helpers import load_func
 
@@ -181,6 +183,36 @@ b0:
     refined = analysis.interference_graph(func, live, env, refine_disjoint=True)
     assert plain.interferes("a", "b")
     assert not refined.interferes("a", "b")
+
+
+def test_refined_interference_decides_each_guard_pair_once(monkeypatch):
+    """The refined graph is the plain one minus the edges between
+    definitions under disjoint guards, and it asks the env once per pair
+    of definition guards."""
+    for seed in range(6):
+        func = construct_ssa(gen_random_program(seed, "small"))
+        if_convert_pass(func, FULL)
+        env = guard_env_or_conservative(func)
+        live = analysis.liveness(func)
+        defs = func.defs()
+
+        def guard(var):
+            ins = defs.get(var)
+            return ins.guard if isinstance(ins, ir.Instr) else None
+
+        plain = analysis.interference_graph(func, live, env)
+        calls = []
+        disjoint = env.disjoint
+        monkeypatch.setattr(env, "disjoint",
+                            lambda a, b: calls.append((a, b)) or disjoint(a, b))
+        refined = analysis.interference_graph(func, live, env,
+                                              refine_disjoint=True)
+        guards = {guard(v) for v in func.var_names()}
+        assert 0 < len(calls) <= len(guards) ** 2
+        expected = {(a, b) for a in plain.adj for b in plain.adj[a]
+                    if not disjoint(env.pred_formula(guard(a)),
+                                    env.pred_formula(guard(b)))}
+        assert {(a, b) for a in refined.adj for b in refined.adj[a]} == expected
 
 
 def test_liveness_is_a_fixpoint():

@@ -4,16 +4,18 @@ from psikit import interp, ir
 from psikit.analysis import Analyses
 from psikit.ifconvert import (NotConvertible, _find_regions_once, if_convert,
                               if_convert_pass)
+from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.out_of_ssa import run_out_of_ssa
-from psikit.ssa import construct_ssa
+from psikit.predicates import guard_env_or_conservative
+from psikit.ssa import construct_ssa, copy_fold, psi_inline_all
 
 from helpers import assert_no_errors, load_func
 
 
 def regions_of(func, machine=FULL):
     """Regions directly convertible in the function as it stands."""
-    return _find_regions_once(Analyses(func), machine)
+    return list(_find_regions_once(Analyses(func), machine))
 
 
 def test_diamond_is_a_region():
@@ -108,7 +110,7 @@ b2:
 }
 """).functions[0])
     cache = Analyses(func)
-    region = _find_regions_once(cache, PARTIAL)[0]
+    region = next(_find_regions_once(cache, PARTIAL))
     with pytest.raises(NotConvertible):
         if_convert(cache, region, machine_from_flags("partial",
                                                      predicable="mov,select"),
@@ -206,3 +208,82 @@ def test_convert_then_out_of_ssa_round_trips_semantics():
         assert_no_errors(ir.Module([work]), "non_ssa")
         report = interp.differential_check(func, work, trials=32, seed=6)
         assert not report.mismatches, name
+
+
+def _assert_cache_is_fresh(cache):
+    """The carried analyses equal the ones a new cache computes."""
+    func = cache.func
+    fresh = Analyses(func)
+    assert cache.defs.keys() == fresh.defs.keys()
+    assert all(cache.defs[v] is fresh.defs[v] for v in fresh.defs)
+    assert list(cache.blocks) == list(fresh.blocks)
+    assert all(cache.blocks[l] is fresh.blocks[l] for l in fresh.blocks)
+    assert cache.positions == fresh.positions
+    assert cache.dom.idom == fresh.dom.idom
+    assert cache.dom.depth == fresh.dom.depth
+    assert cache.dom.rpo == fresh.dom.rpo
+    assert cache.dom.children == fresh.dom.children
+    env, ref = cache.env, fresh.env
+    assert env.formulas.keys() == ref.formulas.keys()
+    preds = [ir.Pred(reg, positive) for reg in sorted(ref.formulas)
+             for positive in (True, False)]
+    for a in preds:
+        for b in preds:
+            fa, fb = env.pred_formula(a), env.pred_formula(b)
+            ra, rb = ref.pred_formula(a), ref.pred_formula(b)
+            assert env.subset(fa, fb) == ref.subset(ra, rb), (a, b)
+            assert env.disjoint(fa, fb) == ref.disjoint(ra, rb), (a, b)
+
+
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+def test_carried_analyses_match_fresh_ones_after_every_region(machine):
+    """Step if_convert_pass's loop by hand and check the updated cache
+    after each conversion and after each psi inlining."""
+    regions = 0
+    for seed in range(24):
+        func = construct_ssa(gen_random_program(seed, ("tiny", "small")[seed % 2]))
+        copy_fold(func, guard_env_or_conservative(func))
+        cache = Analyses(func)
+        alloc = ir.NameAllocator(func)
+        for region in iter(lambda: next(_find_regions_once(cache, machine),
+                                        None), None):
+            if_convert(cache, region, machine, alloc)
+            _assert_cache_is_fresh(cache)
+            psi_inline_all(cache)
+            _assert_cache_is_fresh(cache)
+            regions += 1
+    assert regions > 40
+
+
+def _diamond_chain(n: int) -> ir.Function:
+    """n sequential diamonds, each merge the head of the next."""
+    lines = ["func @f(%x) {"]
+    for i in range(n):
+        lines += [f"h{i}:", f"  %c = cmp_lt %x, {i}", f"  br %c, t{i}, e{i}",
+                  f"t{i}:", "  %x = add %x, 1", f"  goto h{i + 1}",
+                  f"e{i}:", "  %x = sub %x, 1", f"  goto h{i + 1}"]
+    lines += [f"h{n}:", "  ret %x", "}"]
+    return construct_ssa(ir.parse_module("\n".join(lines)).functions[0])
+
+
+def _counting(monkeypatch, module, name: str, counts: dict):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
+    from psikit import analysis, ifconvert
+    func = _diamond_chain(100)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, analysis, "guard_env_or_conservative", counts)
+    _counting(monkeypatch, analysis, "dominator_tree", counts)
+    _counting(monkeypatch, ifconvert, "_plan_arm", counts)
+    assert if_convert_pass(func, FULL) == 100
+    assert len(func.blocks) == 1
+    assert counts["guard_env_or_conservative"] == 1
+    assert counts["dominator_tree"] <= 1
+    assert counts["_plan_arm"] <= 4 * 100
