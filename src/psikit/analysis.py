@@ -9,9 +9,10 @@ rewrite and makes "no interference" coincide with "safe to rename into
 one variable".
 
 `Analyses` computes the definitions, the block map, the dominator tree,
-the instruction positions and the guard env of one function on first use
-and keeps them while the function changes.  A pass that mutates the
-function keeps them correct by one rule, so none is computed twice:
+the instruction positions, the guard env and the live ranges of one
+function on first use and keeps them while the function changes.  A pass
+that mutates the function keeps them correct by one rule, so none is
+computed twice:
 
 - if-converting a region records the folding of its arms and merge into
   the head: call `linearized()`.  The new `not`/`and` temporaries and the
@@ -28,7 +29,14 @@ function keeps them correct by one rule, so none is computed twice:
   the block it went into: call `inserted()`.  The dominator tree stays
   valid, and so does the guard env: a copy defines a fresh name and
   changes the formula of no existing guard register, and no copy is used
-  as a guard before the final renaming;
+  as a guard before the final renaming.  The live ranges are updated by
+  `live.update()`, which names the new copy, the phi or psi whose argument
+  or result it replaced, and a result now defined elsewhere.  It
+  re-explores only the variables whose uses or definition changed: the
+  copied source and the new name, a renamed result, and each earlier psi
+  argument whose synthetic use point moved, in the changed psi and in
+  every psi whose argument chain runs through a variable defined anew
+  (an index maps each variable to the psis that use it);
 - splicing psi arguments changes nothing computed: no definition, no
   guard formula and no CFG.
 """
@@ -244,6 +252,10 @@ class Analyses:
     def env(self) -> GuardEnv:
         return guard_env_or_conservative(self.func)
 
+    @cached_property
+    def live(self) -> "LiveRanges":
+        return LiveRanges(self)
+
     def locate(self, ins: Instruction) -> tuple[Block, int]:
         """The block holding `ins` and its slot (body index + 1; 0 for a
         phi)."""
@@ -429,14 +441,6 @@ class InterferenceGraph:
     def neighbors(self, a: str) -> set[str]:
         return self.adj.get(a, set())
 
-    def classes_interfere(self, xs, ys) -> bool:
-        xs = list(xs)
-        for y in ys:
-            ny = self.adj.get(y)
-            if ny and any(x in ny for x in xs):
-                return True
-        return False
-
     def dump(self) -> str:
         lines = []
         for a in sorted(self.adj):
@@ -444,6 +448,12 @@ class InterferenceGraph:
                 if a < b:
                     lines.append(f"{a} -- {b}")
         return "\n".join(lines) + "\n"
+
+
+def _guard(ins: Instruction | None) -> Pred | None:
+    """Guard of a definition; None for unguarded definitions, parameters,
+    phis and psis."""
+    return ins.guard if isinstance(ins, Instr) else None
 
 
 def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
@@ -458,10 +468,7 @@ def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
     disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
 
     def guard(var) -> Pred | None:
-        """Guard of var's definition; None for unguarded definitions,
-        parameters, phis and psis."""
-        ins = defs.get(var)
-        return ins.guard if isinstance(ins, Instr) else None
+        return _guard(defs.get(var))
 
     def guards_disjoint(key) -> bool:
         if key not in disjoint:
@@ -496,3 +503,261 @@ def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
             for i, p in enumerate(live_params):
                 add(p, live_params[i + 1:])
     return graph
+
+
+class LiveRanges:
+    """Liveness under the psi rule, kept per variable and exact while copies
+    are inserted, with interference answered on demand.
+
+    A variable's live-in and live-out blocks come from path exploration:
+    backwards from each of its use sites through the predecessors, up to
+    its definition block (Brandner et al., "Computing Liveness Sets for
+    SSA-Form Programs").  The sites include the psi rule's synthetic uses
+    and the phi arguments, which are used at the end of their predecessor.
+    `live_in` and `live_out` hold the same sets as `liveness`, and
+    `interferes(a, b, refine_disjoint)` answers exactly as an edge of
+    `interference_graph(..., refine_disjoint)` would: b is live just after
+    a's definition or a just after b's (Boissinot et al., CGO 2009).  Uses
+    are indexed per variable and block, so a query reads only the uses of
+    one variable in one block.
+
+    The function may change only by the copies that `update` records;
+    definitions and positions are the cache's, which `Analyses.inserted`
+    keeps current.
+    """
+
+    def __init__(self, cache: Analyses):
+        # The cache's own dicts, which it keeps current; no reference to
+        # the cache itself, which holds this object.
+        self.func = func = cache.func
+        self.defs, self.positions = cache.defs, cache.positions
+        self.env = cache.env
+        self.entry = func.entry
+        self.params = {n for n, _ in func.params}
+        reachable = reachable_blocks(func)
+        self.live_in: dict[str, set[str]] = {l: set() for l in reachable}
+        self.live_out: dict[str, set[str]] = {l: set() for l in reachable}
+        self.preds = {l: [p for p in ps if p in self.live_in]
+                      for l, ps in func.predecessors().items()}
+        self._def: dict[str, Instruction] = dict(self.defs)
+        # var -> block -> id -> instruction using var there (synthetic
+        # uses included); var -> predecessor -> ids of phis using var there.
+        self._uses: dict[str, dict[str, dict[int, Instruction]]] = {}
+        self._phi_uses: dict[str, dict[str, set[int]]] = {}
+        self._ins_uses: dict[int, frozenset] = {}
+        self._synth: dict[int, list[tuple[str, Instruction]]] = {}
+        self._synth_at: dict[int, list[str]] = {}
+        self._psi_args: dict[int, set[str]] = {}
+        self._psi_users: dict[str, dict[int, PsiInstr]] = {}
+        self._in_of: dict[str, set[str]] = {}
+        self._out_of: dict[str, set[str]] = {}
+        self._disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
+        psis = [ins for _, ins in func.instructions()
+                if isinstance(ins, PsiInstr)]
+        for psi in psis:
+            self._index_psi(psi)
+            self._attach(psi, {})
+        for _, ins in func.instructions():
+            self._reindex(ins, set())
+        for var in set(self._def) | set(self._uses) | set(self._phi_uses):
+            self._explore(var)
+
+    # -- queries ------------------------------------------------------------
+
+    def interferes(self, a: str, b: str, refine_disjoint: bool = False) -> bool:
+        if a == b:
+            return False
+        if not (self._live_after_def(a, b) or self._live_after_def(b, a)
+                or (a in self.params and b in self.params
+                    and self._live_after(a, self.entry, 0)
+                    and self._live_after(b, self.entry, 0))):
+            return False
+        if refine_disjoint:
+            key = (_guard(self._def.get(a)), _guard(self._def.get(b)))
+            if key not in self._disjoint:
+                env = self.env
+                self._disjoint[key] = env.disjoint(env.pred_formula(key[0]),
+                                                   env.pred_formula(key[1]))
+            return not self._disjoint[key]
+        return True
+
+    def _live_after_def(self, a: str, b: str) -> bool:
+        """Is b live just after a's definition?  Phis define at slot 0."""
+        ins = self._def.get(a)
+        if ins is None:
+            return False
+        label, slot = self.positions[id(ins)]
+        return label in self.live_out and self._live_after(b, label, slot)
+
+    def _live_after(self, var: str, label: str, slot: int) -> bool:
+        """Is var live just after slot `slot` of block `label`?  Its next
+        event there decides: a use keeps it live, its definition ends the
+        range; without either, it is live iff live-out."""
+        pos = self.positions
+        end = None
+        ins = self._def.get(var)
+        if ins is not None:
+            dlabel, dslot = pos[id(ins)]
+            if dlabel == label and dslot > slot:
+                end = dslot
+        uses = self._uses.get(var)
+        if uses is not None and label in uses:
+            for key in uses[label]:
+                uslot = pos[key][1]
+                if uslot > slot and (end is None or uslot <= end):
+                    return True
+        return end is None and var in self.live_out[label]
+
+    # -- updates ------------------------------------------------------------
+
+    def update(self, inserted=(), changed=(), redefined=()) -> None:
+        """Record copies: `inserted` instructions are new, already in the
+        cache; `changed` phis and psis have new arguments or a new result;
+        `redefined` variables now have a different defining instruction.
+        Re-explores only the variables whose uses or definition changed."""
+        defs = self.defs
+        dirty: set[str] = set(redefined)
+        for var in redefined:
+            self._def[var] = defs[var]
+        for ins in inserted:
+            self._def[ins.dest] = ins
+            dirty.add(ins.dest)
+        # Psis whose synthetic uses may move: the changed ones, and those
+        # whose argument chains run through a variable defined anew.
+        touched: dict[int, Instruction] = {id(i): i for i in inserted}
+        psis: dict[int, PsiInstr] = {}
+        for ins in changed:
+            touched[id(ins)] = ins
+            if isinstance(ins, PsiInstr):
+                self._index_psi(ins)
+                psis[id(ins)] = ins
+        stack = list(dirty) + [p.dest for p in psis.values()]
+        seen: set[str] = set()
+        while stack:
+            var = stack.pop()
+            if var in seen:
+                continue
+            seen.add(var)
+            for psi in self._psi_users.get(var, {}).values():
+                psis[id(psi)] = psi
+                if psi.args[0][1] == var:
+                    stack.append(psi.dest)
+        for psi in psis.values():
+            self._attach(psi, touched)
+        for ins in touched.values():
+            self._reindex(ins, dirty)
+        for var in dirty:
+            self._explore(var)
+
+    def _index_psi(self, psi: PsiInstr) -> None:
+        key = id(psi)
+        for var in self._psi_args.pop(key, ()):
+            users = self._psi_users[var]
+            del users[key]
+            if not users:
+                del self._psi_users[var]
+        args = {v for _, v in psi.args}
+        self._psi_args[key] = args
+        for var in args:
+            self._psi_users.setdefault(var, {})[key] = psi
+
+    def _attach(self, psi: PsiInstr, touched: dict[int, Instruction]) -> None:
+        """(Re)attach psi's synthetic uses (see `psi_synthetic_uses`);
+        the instructions whose uses changed go into `touched`.  A use that
+        lands on a phi counts nowhere, as in `liveness`."""
+        defs = self.defs
+        new = []
+        for (_, arg), (_, nxt) in zip(psi.args, psi.args[1:]):
+            target = defs.get(resolve_psi_chain(nxt, defs))
+            if target is not None and not isinstance(target, PhiInstr):
+                new.append((arg, target))
+        old = self._synth.get(id(psi), [])
+        if [(a, id(t)) for a, t in old] == [(a, id(t)) for a, t in new]:
+            return
+        for arg, target in old:
+            self._synth_at[id(target)].remove(arg)
+            touched[id(target)] = target
+        for arg, target in new:
+            self._synth_at.setdefault(id(target), []).append(arg)
+            touched[id(target)] = target
+        self._synth[id(psi)] = new
+
+    def _reindex(self, ins: Instruction, dirty: set[str]) -> None:
+        """Re-derive the uses `ins` contributes; the variables that gained
+        or lost one go into `dirty`."""
+        key = id(ins)
+        old = self._ins_uses.get(key, frozenset())
+        if isinstance(ins, PhiInstr):
+            new = frozenset(ins.args)
+            for pred, var in old - new:
+                sites = self._phi_uses[var]
+                sites[pred].discard(key)
+                if not sites[pred]:
+                    del sites[pred]
+                if not sites:
+                    del self._phi_uses[var]
+            for pred, var in new - old:
+                self._phi_uses.setdefault(var, {}).setdefault(
+                    pred, set()).add(key)
+            dirty.update(var for _, var in old ^ new)
+        else:
+            new = frozenset(_instr_uses(ins, {}) + self._synth_at.get(key, []))
+            label = self.positions[key][0]
+            for var in old - new:
+                by_block = self._uses[var]
+                del by_block[label][key]
+                if not by_block[label]:
+                    del by_block[label]
+                if not by_block:
+                    del self._uses[var]
+            for var in new - old:
+                self._uses.setdefault(var, {}).setdefault(label, {})[key] = ins
+            dirty.update(old ^ new)
+        self._ins_uses[key] = new
+
+    def _explore(self, var: str) -> None:
+        for label in self._in_of.pop(var, ()):
+            self.live_in[label].discard(var)
+        for label in self._out_of.pop(var, ()):
+            self.live_out[label].discard(var)
+        pos = self.positions
+        ins = self._def.get(var)
+        home, slot = pos[id(ins)] if ins is not None else (None, -1)
+        live_in: set[str] = set()
+        live_out: set[str] = set()
+        stack = []
+        for label, uses in self._uses.get(var, {}).items():
+            if label not in self.live_in:
+                continue
+            # In the defining block only a use at or above the definition
+            # is upward-exposed; the defining instruction reads first.
+            if label == home and all(pos[u][1] > slot for u in uses):
+                continue
+            live_in.add(label)
+            stack.append(label)
+        for label in self._phi_uses.get(var, ()):
+            if label in self.live_out:
+                live_out.add(label)
+                if label != home and label not in live_in:
+                    live_in.add(label)
+                    stack.append(label)
+        while stack:
+            for pred in self.preds[stack.pop()]:
+                if pred not in live_out:
+                    live_out.add(pred)
+                    if pred != home and pred not in live_in:
+                        live_in.add(pred)
+                        stack.append(pred)
+        # As in `liveness`, a used phi result is reported live-in: its range
+        # starts at the block head.
+        if (isinstance(ins, PhiInstr) and home in self.live_in
+                and (var in self._uses or var in self._phi_uses)):
+            live_in.add(home)
+        for label in live_in:
+            self.live_in[label].add(var)
+        for label in live_out:
+            self.live_out[label].add(var)
+        if live_in:
+            self._in_of[var] = live_in
+        if live_out:
+            self._out_of[var] = live_out

@@ -69,11 +69,6 @@ class Pred:
     def is_true(self) -> bool:
         return self.reg is None
 
-    def negated(self) -> "Pred":
-        if self.reg is None:
-            raise ValueError("cannot negate the constant-true predicate")
-        return Pred(self.reg, not self.positive)
-
     def __str__(self) -> str:
         if self.reg is None:
             return "1"
@@ -235,19 +230,24 @@ class Module:
 
 
 class NameAllocator:
-    """Deterministic fresh-variable names for one function."""
+    """Deterministic fresh-variable names for one function: `root`, else
+    `root.i` with the smallest unused i.  Names are only ever added, so
+    that i never decreases; the search for a root resumes where its last
+    one stopped."""
 
     def __init__(self, func: Function):
         self.used = set(func.var_names())
+        self._next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
         root = base.split(".")[0] or "t"
         if root not in self.used:
             self.used.add(root)
             return root
-        i = 1
+        i = self._next.get(root, 1)
         while f"{root}.{i}" in self.used:
             i += 1
+        self._next[root] = i + 1
         name = f"{root}.{i}"
         self.used.add(name)
         return name

@@ -13,6 +13,17 @@ Renaming every congruence class to one representative and deleting the
 phi/psi instructions then preserves the program's semantics; that property
 is what the repairs establish and what the differential tests check.
 
+The phases share one `analysis.Analyses`, so a run builds one guard env,
+and one set of live ranges (`Analyses.live`), built after psi-normalize.
+Psi-congruence records each copy in it at once and asks exact
+interference queries.  Phi-congruence decides on the liveness and
+interference of the function as the phase starts, plus the edges it adds
+itself for its copies, and records its copies when it ends; that keeps its
+decisions those of a graph built once per phase (exact queries after each
+of its copies would change 6 of 400 generated outputs per machine).
+`rename_and_strip` checks the pairs inside each class on the same live
+ranges.
+
 All four copy-reducing refinements are flag-gated: reordering disjoint
 arguments instead of copying, dropping interference edges between defs on
 disjoint guards, repairing only the left argument of an interfering pair,
@@ -27,7 +38,7 @@ from . import analysis
 from .analysis import Analyses
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr)
-from .predicates import guard_env_or_conservative
+from .predicates import guard_env_or_conservative  # noqa: F401
 from .ssa import definition_formula
 
 
@@ -112,12 +123,14 @@ def count_movs(func: Function) -> int:
 # Copy placement
 
 def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
-                 pred: Pred | None = None) -> None:
-    """Insert `pred? dest = mov src` at block.body[at] and record it."""
+                 pred: Pred | None = None) -> Instr:
+    """Insert `pred? dest = mov src` at block.body[at] and record it in the
+    cache's definitions and positions; returns the copy."""
     guard = None if pred is None or pred.is_true() else pred
     mov = Instr("mov", dest, [src], guard)
     block.body.insert(at, mov)
     cache.inserted(block, mov)
+    return mov
 
 
 def _arg_death_instr(defs, psi: PsiInstr, idx: int):
@@ -197,14 +210,15 @@ def _defined_at(cache: Analyses, var: str, block, idx: int) -> bool:
 # ---------------------------------------------------------------------------
 # Phase 1: psi-normalize
 
-def psi_normalize(cache: Analyses, reorder_disjoint: bool = True) -> int:
+def psi_normalize(cache: Analyses, reorder_disjoint: bool = True,
+                  alloc: NameAllocator | None = None) -> int:
     """Restore the normalized form of every psi; returns copies inserted.
 
     Psis are visited top-down over the dominator tree so that psi-defined
     arguments are already normalized when their chains are resolved.
     """
     copies = 0
-    alloc = NameAllocator(cache.func)
+    alloc = alloc or NameAllocator(cache.func)
     for label in cache.dom.preorder():
         for ins in list(cache.blocks[label].body):
             if isinstance(ins, PsiInstr):
@@ -289,50 +303,38 @@ def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
 # ---------------------------------------------------------------------------
 # Phase 2: psi-congruence
 
-def psi_congruence(cache: Analyses, live: analysis.LivenessInfo,
-                   graph: analysis.InterferenceGraph,
-                   classes: CongruenceClasses,
-                   opts: OutOfSsaOptions) -> int:
+def psi_congruence(cache: Analyses, classes: CongruenceClasses,
+                   opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
     """Merge psi-referenced variables into congruence classes, repairing
-    interferences with predicated copies; returns copies inserted."""
+    interferences with predicated copies; returns copies inserted.  Each
+    copy is recorded in `cache.live`, so every query is exact."""
     copies = 0
-    alloc = NameAllocator(cache.func)
     for label in cache.dom.preorder():
         for ins in list(cache.blocks[label].body):
             if not isinstance(ins, PsiInstr):
                 continue
-            copies += _psi_congruence_one(cache, ins, graph, classes, opts,
-                                          alloc)
+            copies += _psi_congruence_one(cache, ins, classes, opts, alloc)
     return copies
 
 
-def _class_pair_interferes(graph, classes, a, b) -> bool:
-    if classes.find(a) == classes.find(b):
-        return False
-    return graph.classes_interfere(classes.members(a), classes.members(b))
-
-
-def _interference_witnesses(graph, classes, a, b):
+def _interference_witnesses(cache: Analyses, classes, a, b, refine: bool):
     if classes.find(a) == classes.find(b):
         return []
-    out = []
-    for x in classes.members(a):
-        nx = graph.neighbors(x)
-        for y in classes.members(b):
-            if y in nx:
-                out.append((x, y))
-    return out
+    interferes = cache.live.interferes
+    return [(x, y) for x in classes.members(a) for y in classes.members(b)
+            if interferes(x, y, refine)]
 
 
-def _psi_congruence_one(cache: Analyses, psi: PsiInstr, graph, classes,
-                        opts, alloc) -> int:
+def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
+                        alloc) -> int:
+    refine = opts.disjoint_interference
     n = len(psi.args)
     marked_args: set[int] = set()
     mark_result = False
     for i in range(n):
         for j in range(i + 1, n):
-            hits = _interference_witnesses(graph, classes,
-                                           psi.args[i][1], psi.args[j][1])
+            hits = _interference_witnesses(cache, classes, psi.args[i][1],
+                                           psi.args[j][1], refine)
             if not hits:
                 continue
             marked_args.add(i)
@@ -346,8 +348,8 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, graph, classes,
                 marked_args.add(j)
     arg_values = {v for _, v in psi.args}
     for i in range(n):
-        hits = _interference_witnesses(graph, classes, psi.args[i][1],
-                                       psi.dest)
+        hits = _interference_witnesses(cache, classes, psi.args[i][1],
+                                       psi.dest, refine)
         if not hits:
             continue
         own = any(x == psi.args[i][1] for x, _ in hits)
@@ -360,70 +362,88 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, graph, classes,
             marked_args.add(i)
             mark_result = True
 
+    live = cache.live
     copies = 0
-    renames: list[tuple[str, str]] = []  # (original, new)
     made: dict[tuple[Pred, str], str] = {}
     for i in sorted(marked_args):
         q, v = psi.args[i]
+        inserted = []
         if (q, v) not in made:
             made[q, v] = _place_arg_copy(cache, psi, i, v, q, alloc)
-            renames.append((v, made[q, v]))
+            inserted.append(cache.defs[made[q, v]])
             copies += 1
         psi.args[i] = (q, made[q, v])
+        live.update(inserted=inserted, changed=[psi])
     if mark_result:
         old = psi.dest
         new = alloc.fresh(old)
         psi.dest = new
         cache.defs[new] = psi
         block, idx = cache.locate(psi)
-        _insert_copy(cache, block, idx, old, new)
-        renames.append((old, new))
+        mov = _insert_copy(cache, block, idx, old, new)
+        live.update(inserted=[mov], changed=[psi], redefined=[new])
         copies += 1
 
     for _, v in psi.args:
         classes.union(psi.args[0][1], v)
     classes.union(psi.args[0][1], psi.dest)
-
-    # Conservative graph update: a new variable inherits the interferences
-    # of the variable it copies, except those now inside its own class, and
-    # always interferes with the original.
-    cls = set(classes.members(psi.dest))
-    for old, new in renames:
-        for nb in list(graph.neighbors(old)):
-            if nb not in cls:
-                graph.add_edge(new, nb)
-        graph.add_edge(old, new)
     return copies
 
 
 # ---------------------------------------------------------------------------
 # Phase 3: phi-congruence
 
+@dataclass
+class _PhiCopies:
+    """What phi-congruence changed, for `LiveRanges.update`."""
+    inserted: list[Instruction]
+    changed: list[PhiInstr]
+    redefined: list[str]
+
+
 def phi_congruence(cache: Analyses, classes: CongruenceClasses,
-                   opts: OutOfSsaOptions) -> int:
-    """Extend congruence classes over phis, Sreedhar-style.  Liveness is
-    recomputed here with the psi rule still in force; classes are the ones
-    grown by psi-congruence, not a fresh partition."""
-    live = analysis.liveness(cache.func)
-    graph = analysis.interference_graph(
-        cache.func, live, cache.env, refine_disjoint=opts.disjoint_interference)
+                   opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
+    """Extend congruence classes over phis, Sreedhar-style; classes are the
+    ones grown by psi-congruence, not a fresh partition.
+
+    Every decision of the phase reads the liveness and interference of the
+    function as the phase starts (psi rule still in force), plus the edges
+    the phase adds itself for its copies; `cache.live` records the copies
+    when the phase ends."""
+    live = cache.live
+    added: dict[str, set[str]] = {}
+    done = _PhiCopies([], [], [])
     copies = 0
-    alloc = NameAllocator(cache.func)
     for label in cache.dom.preorder():
         for phi in list(cache.blocks[label].phis):
-            copies += _phi_congruence_one(cache, phi, label, live, graph,
+            copies += _phi_congruence_one(cache, phi, label, added, done,
                                           classes, opts, alloc)
+    live.update(done.inserted, done.changed, done.redefined)
     return copies
 
 
-def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str, live,
-                        graph, classes, opts, alloc) -> int:
+def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
+    for other in others:
+        if other != var:
+            added.setdefault(var, set()).add(other)
+            added.setdefault(other, set()).add(var)
+
+
+def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
+                        added: dict[str, set[str]], done: _PhiCopies,
+                        classes, opts, alloc) -> int:
+    live = cache.live
+    refine = opts.disjoint_interference
+
+    def interferes(x: str, y: str) -> bool:
+        return (y in added.get(x, ()) or live.interferes(x, y, refine))
+
     # Resources: ('res', None) plus ('arg', index) entries.
     resources: list[tuple[str, int | None, str]] = [("res", None, phi.dest)]
     for idx, (plbl, v) in enumerate(phi.args):
         resources.append(("arg", idx, v))
 
-    def zone(kind, idx) -> frozenset:
+    def zone(kind, idx) -> set[str]:
         if kind == "res":
             return live.live_in[label]
         return live.live_out[phi.args[idx][0]]
@@ -438,11 +458,12 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str, live,
                 kb, ib, vb = resources[b]
                 if classes.find(va) == classes.find(vb):
                     continue
-                if not graph.classes_interfere(classes.members(va),
-                                               classes.members(vb)):
+                members_a, members_b = classes.members(va), classes.members(vb)
+                if not any(interferes(x, y)
+                           for y in members_b for x in members_a):
                     continue
-                in_b = any(m in zone(kb, ib) for m in classes.members(va))
-                in_a = any(m in zone(ka, ia) for m in classes.members(vb))
+                in_b = any(m in zone(kb, ib) for m in members_a)
+                in_a = any(m in zone(ka, ia) for m in members_b)
                 if in_b:
                     marked.add(a)
                 if in_a:
@@ -459,21 +480,21 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str, live,
             new = alloc.fresh(var)
             phi.dest = new
             cache.defs[new] = phi
-            _insert_copy(cache, cache.blocks[label], 0, var, new)
-            for nb in set(live.live_in[label]) | {var}:
-                graph.add_edge(new, nb)
-            resources[r] = (kind, idx, new)
+            done.inserted.append(
+                _insert_copy(cache, cache.blocks[label], 0, var, new))
+            done.redefined.append(new)
+            _add_edges(added, new, live.live_in[label] | {var})
         else:
             plbl, v = phi.args[idx]
             new = alloc.fresh(v)
             pred_block = cache.blocks[plbl]
-            _insert_copy(cache, pred_block, len(pred_block.body), new, v)
+            done.inserted.append(_insert_copy(cache, pred_block,
+                                              len(pred_block.body), new, v))
             phi.args[idx] = (plbl, new)
-            for nb in set(live.live_out[plbl]) | {v}:
-                graph.add_edge(new, nb)
-            for nb in live.live_out[plbl]:
-                graph.add_edge(v, nb)
-            resources[r] = (kind, idx, new)
+            _add_edges(added, new, live.live_out[plbl] | {v})
+            _add_edges(added, v, live.live_out[plbl])
+        done.changed.append(phi)
+        resources[r] = (kind, idx, new)
         copies += 1
 
     first = resources[0][2]
@@ -486,17 +507,17 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str, live,
 # Renaming out of SSA
 
 def rename_and_strip(func: Function, classes: CongruenceClasses,
-                     refine_disjoint: bool = True) -> None:
+                     refine_disjoint: bool = True,
+                     cache: Analyses | None = None) -> None:
     """Rename every congruence class to its representative and delete all
     phi and psi instructions.  Verifies first that no two distinct class
     members interfere (under the psi liveness rule); overlapping members
     that are copies of one common source carry the same value and are
-    exempt, their renamed copies degenerate to no-ops."""
-    env = guard_env_or_conservative(func)
-    live = analysis.liveness(func)
-    graph = analysis.interference_graph(func, live, env,
-                                        refine_disjoint=refine_disjoint)
-    defs = func.defs()
+    exempt, their renamed copies degenerate to no-ops.  `cache` is the
+    conversion's analyses, its live ranges current; without one, they are
+    built here."""
+    cache = cache or Analyses(func)
+    live, defs = cache.live, cache.defs
 
     def mov_root(v: str) -> str:
         seen = set()
@@ -522,7 +543,7 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
     for group in classes.classes():
         for i, a in enumerate(group):
             for b in group[i + 1:]:
-                if not graph.interferes(a, b):
+                if not live.interferes(a, b, refine_disjoint):
                     continue
                 if frozenset((a, b)) in exempt or mov_root(a) == mov_root(b):
                     continue
@@ -572,21 +593,23 @@ def _rename_instr(ins: Instruction, rep):
 # ---------------------------------------------------------------------------
 # Driver
 
-def to_cssa(func: Function, opts: OutOfSsaOptions | None = None
+def to_cssa(func: Function, opts: OutOfSsaOptions | None = None,
+            cache: Analyses | None = None
             ) -> tuple[CongruenceClasses, tuple[int, int, int]]:
     """Run the three phases in place, without the final renaming; returns
-    the congruence classes and the copies each phase inserted."""
+    the congruence classes and the copies each phase inserted.  `cache`,
+    if given, must not have computed anything yet."""
     opts = opts or OutOfSsaOptions()
     analysis.remove_unreachable(func)
-    # The phases only insert copies, so one cache serves all three.
-    cache = Analyses(func)
-    n_normalize = psi_normalize(cache, opts.reorder_disjoint)
-    live = analysis.liveness(func)
-    graph = analysis.interference_graph(
-        func, live, cache.env, refine_disjoint=opts.disjoint_interference)
+    # The phases only insert copies, so one cache and one name allocator
+    # serve all three.  Its live ranges are built after psi-normalize, on
+    # first use, and record every later copy.
+    cache = cache or Analyses(func)
+    alloc = NameAllocator(func)
+    n_normalize = psi_normalize(cache, opts.reorder_disjoint, alloc)
     classes = CongruenceClasses(func.var_names())
-    n_psi = psi_congruence(cache, live, graph, classes, opts)
-    n_phi = phi_congruence(cache, classes, opts)
+    n_psi = psi_congruence(cache, classes, opts, alloc)
+    n_phi = phi_congruence(cache, classes, opts, alloc)
     return classes, (n_normalize, n_psi, n_phi)
 
 
@@ -594,6 +617,7 @@ def run_out_of_ssa(func: Function,
                    opts: OutOfSsaOptions | None = None) -> PassStats:
     """Run the three phases plus renaming, in place; returns the stats."""
     opts = opts or OutOfSsaOptions()
-    classes, copies = to_cssa(func, opts)
-    rename_and_strip(func, classes, refine_disjoint=opts.disjoint_interference)
+    cache = Analyses(func)
+    classes, copies = to_cssa(func, opts, cache)
+    rename_and_strip(func, classes, opts.disjoint_interference, cache)
     return PassStats(*copies, total_copies=count_movs(func))

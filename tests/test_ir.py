@@ -225,3 +225,31 @@ def test_alpha_equivalence_compares_phi_arity():
     b.blocks[1].phis[0].args.clear()
     assert not ir.alpha_equivalent(a, b)
     assert not ir.alpha_equivalent(b, a)
+
+
+def test_name_allocator_resumes_where_probing_would_stop():
+    func = parse_one("""
+        func @f(%x) {
+        b0:
+          %x.1 = add %x, 1
+          %x.3 = add %x.1, 1
+          ret %x.3
+        }
+        """)
+    alloc = ir.NameAllocator(func)
+    used = set(func.var_names())
+
+    def probe(base: str) -> str:
+        """Smallest unused index, searched from 1 on every call."""
+        root = base.split(".")[0] or "t"
+        name, i = root, 0
+        while name in used:
+            i += 1
+            name = f"{root}.{i}"
+        used.add(name)
+        return name
+
+    bases = ["x", "x.3", "y", "x", "y.2", "x.1", "", ".5", "x"]
+    got = [alloc.fresh(b) for b in bases]
+    assert got == [probe(b) for b in bases]
+    assert got == ["x.2", "x.4", "y", "x.5", "y.1", "x.6", "t", "t.1", "x.7"]

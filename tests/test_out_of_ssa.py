@@ -1,11 +1,11 @@
-from psikit import analysis, interp, ir
-from psikit.machine import FULL
+from psikit import analysis, interp, ir, out_of_ssa
+from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import (CongruenceClasses, OutOfSsaOptions, count_movs,
                                psi_normalize, rename_and_strip, run_out_of_ssa)
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import all_psis, construct_ssa, is_normalized, psi_promote_pass
 
-from helpers import ALL_OFF, assert_no_errors, load_func, to_cssa
+from helpers import ALL_OFF, assert_no_errors, load_func, pipeline, to_cssa
 
 
 def normalize_only(func, reorder=True):
@@ -318,3 +318,113 @@ def test_copy_accounting_matches_mov_delta():
             after = count_movs(work)
             assert stats.copies_inserted() == after - before, name
             assert stats.total_copies == after, name
+
+
+# -- live ranges carried through the conversion --------------------------------
+
+def assert_matches_fresh(live: analysis.LiveRanges, refine: bool):
+    """The carried live ranges equal a fresh `liveness`, and `interferes`
+    equals a fresh `interference_graph` on every pair of variables."""
+    func = live.func
+    fresh = analysis.liveness(func)
+    assert {l: frozenset(s) for l, s in live.live_in.items()} == fresh.live_in
+    assert {l: frozenset(s) for l, s in live.live_out.items()} == fresh.live_out
+    graph = analysis.interference_graph(
+        func, fresh, guard_env_or_conservative(func), refine_disjoint=refine)
+    names = sorted(func.var_names())
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert live.interferes(a, b, refine) == graph.interferes(a, b), \
+                (func.name, a, b)
+
+
+def stepped_to_cssa(monkeypatch, func: ir.Function, opts: OutOfSsaOptions):
+    """to_cssa on `func`, comparing the carried live ranges with fresh ones
+    after each update (each psi-congruence copy, the end of phi-congruence)
+    and at the end; returns the cache and the number of comparisons."""
+    steps = []
+    update = analysis.LiveRanges.update
+
+    def checked(self, *args, **kwargs):
+        update(self, *args, **kwargs)
+        assert_matches_fresh(self, opts.disjoint_interference)
+        steps.append(1)
+
+    monkeypatch.setattr(analysis.LiveRanges, "update", checked)
+    cache = analysis.Analyses(func)
+    out_of_ssa.to_cssa(func, opts, cache)
+    assert_matches_fresh(cache.live, opts.disjoint_interference)
+    monkeypatch.undo()
+    return cache, len(steps)
+
+
+def test_carried_live_ranges_equal_fresh_ones_after_every_copy(monkeypatch):
+    steps = 0
+    for seed in range(24):
+        func = interp.gen_random_program(seed, "tiny" if seed % 2 == 0
+                                         else "small", name=f"f{seed}")
+        for machine in (FULL, PARTIAL):
+            work, _ = pipeline(func, ["ssa", "fold", "ifconvert",
+                                      "psi-promote"], machine)
+            for opts in (OutOfSsaOptions(), ALL_OFF):
+                steps += stepped_to_cssa(monkeypatch, work.clone(), opts)[1]
+    assert steps > 200
+
+
+def test_phi_result_rename_moves_a_synthetic_use_onto_its_copy(monkeypatch):
+    func = load_func("phi_result_heads_chain.pir")
+    work = func.clone()
+    cache, steps = stepped_to_cssa(monkeypatch, work,
+                                   OutOfSsaOptions(phi_naive=True))
+    assert steps == 1
+    mov = cache.defs["x"]
+    assert mov.opcode == "mov" and mov.operands == ["x.1"]
+    assert analysis.liveness(work).synthetic_uses[id(mov)] == ["w"]
+    assert "w" in cache.live.live_out["b1"]
+    assert "w" in cache.live.live_in["b3"]
+    assert not cache.live.interferes("w", "x")
+    assert cache.live.interferes("w", "y1")
+    final = func.clone()
+    run_out_of_ssa(final, OutOfSsaOptions(phi_naive=True))
+    report = interp.differential_check(func, final, trials=32, seed=6)
+    assert not report.mismatches
+
+
+def test_psi_argument_copy_moves_a_synthetic_use_in_a_later_psi(monkeypatch):
+    func = load_func("psi_chain_copy.pir")
+    stepped_to_cssa(monkeypatch, func.clone(), ALL_OFF)
+    work = func.clone()
+    cache, steps = stepped_to_cssa(monkeypatch, work, OutOfSsaOptions())
+    assert steps == 2  # the copy, then the end of phi-congruence
+    mov = cache.defs["a.1"]
+    assert mov.opcode == "mov" and mov.operands == ["a"]
+    assert analysis.liveness(work).synthetic_uses[id(mov)] == ["u"]
+    assert cache.live.interferes("u", "a", True)
+
+
+def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):
+    counts: dict[str, int] = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for seed in (3, 7, 23):
+        func = interp.gen_random_program(seed, "small")
+        work, _ = pipeline(func, ["ssa", "fold", "ifconvert", "psi-promote"])
+        counts.clear()
+        monkeypatch.undo()
+        count(analysis, "guard_env_or_conservative")
+        count(out_of_ssa, "guard_env_or_conservative")
+        count(analysis, "liveness")
+        count(analysis, "interference_graph")
+        stats = run_out_of_ssa(work)
+        assert stats.copies_psi_congruence and stats.copies_phi_congruence
+        assert counts.get("guard_env_or_conservative", 0) <= 1
+        assert counts.get("liveness", 0) <= 1
+        assert counts.get("interference_graph", 0) == 0
+    monkeypatch.undo()
