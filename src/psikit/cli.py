@@ -12,79 +12,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
-from . import analysis, interp, ir
-from .ifconvert import NotConvertible, if_convert_pass
+from . import analysis, interp, ir, pipeline
 from .machine import MachineModel, machine_from_flags
-from .out_of_ssa import OutOfSsaOptions, PassStats, run_out_of_ssa
+from .out_of_ssa import OutOfSsaOptions, PassStats
 from .predicates import guard_env_or_conservative
-from .ssa import (construct_ssa, copy_fold, psi_inline_all, psi_promote_pass,
-                  psi_reduce_all)
-
-PASS_NAMES = ["ssa", "fold", "ifconvert", "psi-inline", "psi-reduce",
-              "psi-promote", "out-of-ssa"]
-SSA_REQUIRED = {"fold", "ifconvert", "psi-inline", "psi-reduce",
-                "psi-promote", "out-of-ssa"}
 
 
 class CliError(Exception):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    passes: list[str]
-    machine: MachineModel
-    opts: OutOfSsaOptions
-    in_ssa: bool = False
-    dump_after: str | None = None
-    stats: PassStats = field(default_factory=PassStats)
-    printed: list[str] = field(default_factory=list)
-
-
-def _check_pipeline(passes: list[str], in_ssa: bool):
-    for name in passes:
-        if name not in PASS_NAMES:
-            raise CliError(f"unknown pass {name!r} (known: {', '.join(PASS_NAMES)})")
-    have_ssa = in_ssa
-    for name in passes:
-        if name == "ssa":
-            have_ssa = True
-        elif name in SSA_REQUIRED and not have_ssa:
-            raise CliError(
-                f"pass {name!r} requires 'ssa' earlier in the pipeline "
-                "(or --in-ssa for inputs already in SSA form)")
-
-
-def _apply_pass(name: str, func: ir.Function, config: PipelineConfig) -> ir.Function:
-    if name == "ssa":
-        return construct_ssa(func)
-    if name == "fold":
-        copy_fold(func, guard_env_or_conservative(func))
-    elif name == "ifconvert":
-        if_convert_pass(func, config.machine)
-    elif name == "psi-inline":
-        psi_inline_all(analysis.Analyses(func))
-    elif name == "psi-reduce":
-        psi_reduce_all(func, guard_env_or_conservative(func))
-    elif name == "psi-promote":
-        psi_promote_pass(func, guard_env_or_conservative(func),
-                         config.machine)
-    elif name == "out-of-ssa":
-        config.stats.add(run_out_of_ssa(func, config.opts))
-    return func
-
-
-def run_pipeline(mod: ir.Module, config: PipelineConfig) -> ir.Module:
-    for name in config.passes:
-        mod.functions = [_apply_pass(name, f, config) for f in mod.functions]
-        if config.dump_after == name:
-            config.printed.append(f"# after {name}\n" + ir.print_module(mod))
-    return mod
-
-
-def _load(path: str) -> ir.Module:
+def _load(path: str, mode: str) -> ir.Module:
+    """Parse `path` and validate it in `mode` ('ssa' or 'non_ssa')."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -94,7 +34,7 @@ def _load(path: str) -> ir.Module:
         mod = ir.parse_module(text)
     except ir.ParseError as exc:
         raise CliError(f"{path}:{exc}") from None
-    diags = ir.validate(mod, "non_ssa")
+    diags = ir.validate(mod, mode)
     errors = [d for d in diags if d.severity == "error"]
     for d in sorted(str(x) for x in diags):
         print(d, file=sys.stderr)
@@ -128,11 +68,7 @@ def _stats_matrix(mod: ir.Module, args, promote: bool):
         passes = list(passes)
         if promote:
             passes.insert(passes.index("out-of-ssa"), "psi-promote")
-        config = PipelineConfig(passes=passes,
-                                machine=_machine_from_args(args),
-                                opts=_options_from_args(args))
-        run_pipeline(mod.clone(), config)
-        s = config.stats
+        s = _run_module(mod.clone(), passes, args)
         columns.append((title, [s.copies_normalize, s.copies_psi_congruence,
                                 s.copies_phi_congruence, s.total_copies]))
     return columns
@@ -163,6 +99,19 @@ def _machine_from_args(args) -> MachineModel:
     return machine_from_flags(args.machine, args.predicable, args.speculatable)
 
 
+def _run_module(mod: ir.Module, passes: list[str], args,
+                after=None) -> PassStats:
+    """Run `passes` over each function of `mod`, replacing it by the result;
+    returns the copies out-of-SSA inserted, summed over the functions."""
+    machine, opts = _machine_from_args(args), _options_from_args(args)
+    total = PassStats()
+    for i, func in enumerate(mod.functions):
+        mod.functions[i], stats = pipeline.run(func, passes, machine, opts,
+                                               after)
+        total.add(stats)
+    return total
+
+
 def _call_from_args(mod: ir.Module, args) -> tuple[str, list[int]]:
     """The function named by --func and the integers given by --args."""
     name = args.func.lstrip("@")
@@ -182,25 +131,30 @@ def _call_from_args(mod: ir.Module, args) -> tuple[str, list[int]]:
 
 
 def cmd_run(args) -> int:
-    mod = _load(args.file)
+    mod = _load(args.file, "ssa" if args.in_ssa else "non_ssa")
     passes = [p for p in args.passes.split(",") if p] if args.passes else []
-    _check_pipeline(passes, args.in_ssa)
+    pipeline.check(passes, args.in_ssa, args.dump_after)
     call = _call_from_args(mod, args) if args.func else None
     original = mod.clone()
-    config = PipelineConfig(passes=passes, machine=_machine_from_args(args),
-                            opts=_options_from_args(args),
-                            in_ssa=args.in_ssa, dump_after=args.dump_after)
+    # Each function's text at each --dump-after point, by function name.
+    dumps: dict[str, list[str]] = {f.name: [] for f in mod.functions}
+
+    def dump(name: str, func: ir.Function):
+        if name == args.dump_after:
+            dumps[func.name].append(ir.print_function(func))
+
     try:
         if args.stats:
             _print_stats(mod, args)
             return 0
-        mod = run_pipeline(mod, config)
-    except (NotConvertible, ValueError) as exc:
+        _run_module(mod, passes, args, dump)
+    except pipeline.FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for chunk in config.printed:
-        print(chunk, end="")
-    if config.dump_after is None:
+    for k in range(passes.count(args.dump_after)):
+        print(f"# after {args.dump_after}\n"
+              + "\n".join(texts[k] for texts in dumps.values()), end="")
+    if args.dump_after is None:
         print(ir.print_module(mod), end="")
     if args.dump_liveness or args.dump_interference:
         for func in mod.functions:
@@ -234,7 +188,8 @@ def cmd_run(args) -> int:
 
 def cmd_fuzz(args) -> int:
     passes = [p for p in args.passes.split(",") if p]
-    _check_pipeline(passes, in_ssa=False)
+    pipeline.check(passes)
+    machine, opts = _machine_from_args(args), _options_from_args(args)
     mismatch_total = 0
     compared = 0
     for i in range(args.trials):
@@ -243,15 +198,10 @@ def cmd_fuzz(args) -> int:
         if profile == "mix":
             profile = "tiny" if i % 2 == 0 else "small"
         func = interp.gen_random_program(seed, profile, name=f"f{seed}")
-        config = PipelineConfig(passes=passes,
-                                machine=_machine_from_args(args),
-                                opts=_options_from_args(args))
-        work = func.clone()
         try:
-            mod = ir.Module([work])
-            run_pipeline(mod, config)
-            work = mod.functions[0]
-        except (NotConvertible, ValueError) as exc:
+            # The checked list starts with `ssa`, which leaves `func` as is.
+            work, _ = pipeline.run(func, passes, machine, opts)
+        except pipeline.FAILURES as exc:
             print(f"seed {seed}: pipeline error: {exc}", file=sys.stderr)
             mismatch_total += 1
             continue
@@ -316,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--trials", type=int, default=100)
     fuzz.add_argument("--vectors", type=int, default=32,
                       help="input vectors per program")
-    fuzz.add_argument("--passes",
-                      default="ssa,fold,ifconvert,psi-promote,out-of-ssa")
+    fuzz.add_argument("--passes", default=",".join(pipeline.STANDARD))
     fuzz.add_argument("--profile", choices=["tiny", "small", "mix"],
                       default="mix")
     fuzz.set_defaults(handler=cmd_fuzz)
@@ -330,7 +279,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, pipeline.PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

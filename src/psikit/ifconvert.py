@@ -18,8 +18,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analysis import Analyses
-from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
-                 Pred, PsiInstr, TRUE)
+from .ir import (Block, Function, Instr, Instruction, NameAllocator, Pred,
+                 PsiInstr, TRUE)
 from .machine import MachineModel
 # If-conversion builds its guard envs through the analysis cache; the name
 # stays bound here because perfbench's tests look for it in this module.
@@ -97,25 +97,6 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
         elif ins.guard is not None and ins.guard.reg in in_arm_def:
             forced.append(in_arm_def[ins.guard.reg])
 
-    while forced:
-        ins = forced.pop()
-        if plan.get(id(ins)) == "spec":
-            continue
-        if isinstance(ins, PhiInstr):
-            return None
-        if not isinstance(ins, PsiInstr) and not machine.speculatable(ins.opcode):
-            return None
-        plan[id(ins)] = "spec"
-        refs = list(ins.uses())
-        if getattr(ins, "guard", None) is not None:
-            refs.append(ins.guard.reg)
-        for ref in refs:
-            if ref in in_arm_def:
-                if plan.get(id(in_arm_def[ref])) != "spec":
-                    forced.append(in_arm_def[ref])
-            elif not always_defined_outside(ref):
-                return None
-
     for ins in instrs:
         if id(ins) in plan:
             continue
@@ -142,7 +123,8 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
         else:
             return None
 
-    # Late speculation decisions may force more of the chain.
+    # Speculating an instruction forces the arm definitions it reads; this
+    # may turn a predicated plan into a speculated one.
     while forced:
         ins = forced.pop()
         if plan.get(id(ins)) == "spec":
@@ -150,7 +132,7 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
         if not isinstance(ins, PsiInstr) and not machine.speculatable(ins.opcode):
             return None
         plan[id(ins)] = "spec"
-        for ref in list(ins.uses()) + ([ins.guard.reg] if getattr(ins, "guard", None) else []):
+        for ref in ins.uses() + ([ins.guard.reg] if ins.guard else []):
             if ref in in_arm_def:
                 forced.append(in_arm_def[ref])
             elif not always_defined_outside(ref):

@@ -144,6 +144,26 @@ class PsiInstr:
 Instruction = Instr | PhiInstr | PsiInstr
 
 
+def rename_uses(ins: Instruction, rename) -> None:
+    """Replace each variable `ins` reads by `rename(var)`: its operands (a
+    `br` reads only its condition, a `goto` nothing), its guard, the
+    predicates and values of a psi, the arguments of a phi.  Labels and
+    `dest` stay as they are."""
+    if isinstance(ins, PhiInstr):
+        ins.args = [(label, rename(v)) for label, v in ins.args]
+    elif isinstance(ins, PsiInstr):
+        ins.args = [(Pred(rename(p.reg), p.positive) if p.reg else p,
+                     rename(v)) for p, v in ins.args]
+    else:
+        if ins.guard is not None:
+            ins.guard = Pred(rename(ins.guard.reg), ins.guard.positive)
+        if ins.opcode == "br":
+            ins.operands[0] = rename(ins.operands[0])
+        elif ins.opcode != "goto":
+            ins.operands = [rename(o) if isinstance(o, str) else o
+                            for o in ins.operands]
+
+
 @dataclass
 class Block:
     label: str
@@ -821,15 +841,6 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
             return False
         return dom.dominates_pos(dpos, use_pos, strict=strict_before)
 
-    def resolve_through_psi(var, seen=None):
-        seen = seen or set()
-        while var in defs and isinstance(defs[var], PsiInstr):
-            if var in seen:
-                return var
-            seen.add(var)
-            var = defs[var].args[0][1]
-        return var
-
     for block in func.blocks:
         for phi in block.phis:
             for lbl, v in phi.args:
@@ -842,7 +853,7 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
             upos = pos[id(ins)]
             if isinstance(ins, PsiInstr):
                 for p, v in ins.args:
-                    head = resolve_through_psi(v)
+                    head = analysis.resolve_psi_chain(v, defs)
                     if not dominates_use(head, upos):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",

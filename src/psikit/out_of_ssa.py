@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from . import analysis
 from .analysis import Analyses
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
-                 PsiInstr)
+                 PsiInstr, rename_uses)
 from .predicates import guard_env_or_conservative  # noqa: F401
 from .ssa import definition_formula
 
@@ -422,6 +422,22 @@ def phi_congruence(cache: Analyses, classes: CongruenceClasses,
     return copies
 
 
+def _result_copy_slot(block, var: str, own: list[Instruction]) -> int:
+    """Body index for the copy that redefines phi result `var`: below the
+    copies that earlier phases placed at the block head, but above the
+    first one that reads `var` and above this phase's own copies (`own`).
+    A psi argument copied at the head may have its synthetic use on the
+    new copy, which must not precede the argument copy's definition."""
+    at = 0
+    for ins in block.body:
+        if (ins.opcode != "mov" or any(ins is c for c in own)
+                or var in ins.uses()
+                or (ins.guard is not None and ins.guard.reg == var)):
+            break
+        at += 1
+    return at
+
+
 def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
     for other in others:
         if other != var:
@@ -480,8 +496,9 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
             new = alloc.fresh(var)
             phi.dest = new
             cache.defs[new] = phi
-            done.inserted.append(
-                _insert_copy(cache, cache.blocks[label], 0, var, new))
+            block = cache.blocks[label]
+            at = _result_copy_slot(block, var, done.inserted)
+            done.inserted.append(_insert_copy(cache, block, at, var, new))
             done.redefined.append(new)
             _add_edges(added, new, live.live_in[label] | {var})
         else:
@@ -562,32 +579,13 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
         for ins in block.body:
             if isinstance(ins, PsiInstr):
                 continue
-            _rename_instr(ins, rep)
+            rename_uses(ins, rep)
+            if ins.dest is not None:
+                ins.dest = rep(ins.dest)
             new_body.append(ins)
         block.body = new_body
         if block.term is not None:
-            _rename_instr(block.term, rep)
-
-
-def _rename_instr(ins: Instruction, rep):
-    if isinstance(ins, PhiInstr):
-        ins.dest = rep(ins.dest)
-        ins.args = [(l, rep(v)) for l, v in ins.args]
-        return
-    if isinstance(ins, PsiInstr):
-        ins.dest = rep(ins.dest)
-        ins.args = [(Pred(rep(p.reg), p.positive) if p.reg else p, rep(v))
-                    for p, v in ins.args]
-        return
-    if ins.guard is not None:
-        ins.guard = Pred(rep(ins.guard.reg), ins.guard.positive)
-    if ins.dest is not None:
-        ins.dest = rep(ins.dest)
-    if ins.opcode == "br":
-        ins.operands[0] = rep(ins.operands[0])
-    elif ins.opcode != "goto":
-        ins.operands = [rep(o) if isinstance(o, str) else o
-                        for o in ins.operands]
+            rename_uses(block.term, rep)
 
 
 # ---------------------------------------------------------------------------

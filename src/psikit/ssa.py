@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import analysis
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
-                 PsiInstr, TRUE)
+                 PsiInstr, TRUE, rename_uses)
 from .machine import MachineModel
 from .predicates import And, GuardEnv, TRUE_EXPR, domain_union
 
@@ -117,7 +117,7 @@ def construct_ssa(func: Function) -> Function:
             phi.dest = push(root)
             pushed.append(root)
         for ins in list(block.body) + ([block.term] if block.term else []):
-            _rename_uses(ins, top)
+            rename_uses(ins, top)
             if ins.dest is not None:
                 root = ins.dest
                 ins.dest = push(root)
@@ -141,23 +141,6 @@ def construct_ssa(func: Function) -> Function:
         work.append((label, rename(label)))
         work.extend((child, None) for child in reversed(dom.children[label]))
     return func
-
-
-def _rename_uses(ins: Instruction, top):
-    if isinstance(ins, PhiInstr):
-        return  # phi args are renamed from the predecessor side
-    if isinstance(ins, PsiInstr):
-        ins.args = [(Pred(top(p.reg), p.positive) if p.reg else p, top(v))
-                    for p, v in ins.args]
-        return
-    if ins.guard is not None:
-        ins.guard = Pred(top(ins.guard.reg), ins.guard.positive)
-    if ins.opcode == "br":
-        ins.operands[0] = top(ins.operands[0])
-        return
-    if ins.opcode == "goto":
-        return
-    ins.operands = [top(o) if isinstance(o, str) else o for o in ins.operands]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +203,8 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                     seen.add(v)
                     v = subst[v]
                 return v
-            _substitute_uses(func, resolve)
+            for _, ins in func.instructions():
+                rename_uses(ins, resolve)
 
         # Predicated movs: fold into psi arguments when provably contained.
         defs = func.defs()
@@ -256,24 +240,6 @@ def _all_uses(func: Function) -> set[str]:
         if ins.guard is not None:
             used.add(ins.guard.reg)
     return used
-
-
-def _substitute_uses(func: Function, resolve):
-    for _, ins in func.instructions():
-        if isinstance(ins, PhiInstr):
-            ins.args = [(l, resolve(v)) for l, v in ins.args]
-            continue
-        if isinstance(ins, PsiInstr):
-            ins.args = [(Pred(resolve(p.reg), p.positive) if p.reg else p,
-                         resolve(v)) for p, v in ins.args]
-            continue
-        if ins.guard is not None:
-            ins.guard = Pred(resolve(ins.guard.reg), ins.guard.positive)
-        if ins.opcode == "br":
-            ins.operands[0] = resolve(ins.operands[0])
-        elif ins.opcode != "goto":
-            ins.operands = [resolve(o) if isinstance(o, str) else o
-                            for o in ins.operands]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ import random
 from pathlib import Path
 
 from psikit import analysis, ir, out_of_ssa
-from psikit.ifconvert import if_convert_pass
 from psikit.machine import FULL, MachineModel
-from psikit.out_of_ssa import OutOfSsaOptions, run_out_of_ssa
+from psikit.out_of_ssa import OutOfSsaOptions
+from psikit.pipeline import run as run_passes
 from psikit.predicates import guard_env_or_conservative
-from psikit.ssa import construct_ssa, copy_fold, psi_promote_pass
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,22 +26,7 @@ def load_func(name: str) -> ir.Function:
 def pipeline(func: ir.Function, passes, machine: MachineModel = FULL,
              opts: OutOfSsaOptions | None = None):
     """Apply a named pass list to a clone of `func`; returns (func, stats)."""
-    work = func.clone()
-    stats = None
-    for name in passes:
-        if name == "ssa":
-            work = construct_ssa(work)
-        elif name == "fold":
-            copy_fold(work, guard_env_or_conservative(work))
-        elif name == "ifconvert":
-            if_convert_pass(work, machine)
-        elif name == "psi-promote":
-            psi_promote_pass(work, guard_env_or_conservative(work), machine)
-        elif name == "out-of-ssa":
-            stats = run_out_of_ssa(work, opts)
-        else:
-            raise ValueError(name)
-    return work, stats
+    return run_passes(func.clone(), passes, machine, opts)
 
 
 def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):

@@ -11,10 +11,9 @@ import time
 from psikit import analysis, interp, ir
 from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import count_movs, psi_normalize, run_out_of_ssa
+from psikit.pipeline import STANDARD
 from psikit.predicates import GuardEnv, guard_env_or_conservative
-from psikit.ssa import (all_psis, construct_ssa, copy_fold, psi_promote_pass,
-                        rewrite_psis_to_selects)
-from psikit.ifconvert import if_convert_pass
+from psikit.ssa import all_psis, copy_fold, rewrite_psis_to_selects
 
 from helpers import (ALL_OFF, load_func, pipeline, random_psi_function,
                      to_cssa)
@@ -48,18 +47,16 @@ def test_criterion_1_figure_goldens():
                        ir.alpha_equivalent(actual, load_func(expected_name))))
 
     # Branchy diamond to predicated straight-line code.
-    work = construct_ssa(load_func("diamond.pir"))
-    if_convert_pass(work, FULL)
+    work, _ = pipeline(load_func("diamond.pir"), ["ssa", "ifconvert"])
     golden(work, "diamond_predicated.pir", "diamond")
 
     # Two merges in sequence; the wide psi absorbs the narrow one.
-    work = construct_ssa(load_func("two_merges.pir"))
-    if_convert_pass(work, FULL)
+    work, _ = pipeline(load_func("two_merges.pir"), ["ssa", "ifconvert"])
     golden(work, "two_merges_predicated.pir", "two merges")
 
     # Partial predication: speculated adds, predicates on the psi.
-    work = construct_ssa(load_func("speculate_add.pir"))
-    if_convert_pass(work, PARTIAL)
+    work, _ = pipeline(load_func("speculate_add.pir"), ["ssa", "ifconvert"],
+                       PARTIAL)
     golden(work, "speculate_add_predicated.pir", "speculation")
 
     # Conventional-form examples, both stages each.
@@ -124,9 +121,7 @@ def test_criterion_2_promotion_copy_deltas():
                 and stats_plain.copies_phi_congruence == 1
                 and equivalent(func, plain, seed=21))
 
-    promoted = func.clone()
-    psi_promote_pass(promoted, guard_env_or_conservative(promoted), FULL)
-    stats_promo = run_out_of_ssa(promoted)
+    promoted, stats_promo = pipeline(func, ["psi-promote", "out-of-ssa"])
     ok_promo = (stats_promo.copies_inserted() == 0
                 and equivalent(func, promoted, seed=21))
 
@@ -145,13 +140,8 @@ def test_criterion_3_differential_fuzzing():
     for seed in range(1000):
         profile = "tiny" if seed % 2 == 0 else "small"
         func = interp.gen_random_program(seed, profile, name=f"f{seed}")
-        work = func.clone()
         try:
-            work = construct_ssa(work)
-            copy_fold(work, guard_env_or_conservative(work))
-            if_convert_pass(work, FULL)
-            psi_promote_pass(work, guard_env_or_conservative(work), FULL)
-            run_out_of_ssa(work)
+            work, _ = pipeline(func, STANDARD)
         except Exception as exc:  # noqa: BLE001 - any failure fails the gate
             failures.append((seed, repr(exc)))
             continue
@@ -256,11 +246,8 @@ def test_criterion_6_idempotence_and_cssa_property():
     corpus = []
     for seed in range(150):
         func = interp.gen_random_program(seed, "tiny" if seed % 2 else "small")
-        work = construct_ssa(func)
-        copy_fold(work, guard_env_or_conservative(work))
-        if_convert_pass(work, FULL)
-        psi_promote_pass(work, guard_env_or_conservative(work), FULL)
-        corpus.append(work)
+        corpus.append(pipeline(func, ["ssa", "fold", "ifconvert",
+                                      "psi-promote"])[0])
     for name in ("order_swap.pir", "shared_arg.pir", "normalize_three.pir",
                  "live_overlap.pir", "loop_carried.pir",
                  "fold_pred_copy_folded.pir"):
@@ -275,8 +262,7 @@ def test_criterion_6_idempotence_and_cssa_property():
         if second != 0:
             idempotent = False
 
-        final = func.clone()
-        run_out_of_ssa(final)
+        final, _ = pipeline(func, ["out-of-ssa"])
         errors = [d for d in ir.validate(ir.Module([final]), "non_ssa")
                   if d.severity == "error"]
         if errors or all_psis(final):

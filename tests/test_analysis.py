@@ -1,13 +1,11 @@
 import random
 
 from psikit import analysis, ir
-from psikit.ifconvert import if_convert_pass
 from psikit.interp import gen_random_program
-from psikit.machine import FULL
 from psikit.predicates import guard_env_or_conservative
-from psikit.ssa import construct_ssa, rewrite_psis_to_selects
+from psikit.ssa import rewrite_psis_to_selects
 
-from helpers import load_func
+from helpers import load_func, pipeline
 
 
 def build_cfg(edges: dict[str, list[str]], entry: str = "b0") -> ir.Function:
@@ -190,8 +188,8 @@ def test_refined_interference_decides_each_guard_pair_once(monkeypatch):
     definitions under disjoint guards, and it asks the env once per pair
     of definition guards."""
     for seed in range(6):
-        func = construct_ssa(gen_random_program(seed, "small"))
-        if_convert_pass(func, FULL)
+        func, _ = pipeline(gen_random_program(seed, "small"),
+                           ["ssa", "ifconvert"])
         env = guard_env_or_conservative(func)
         live = analysis.liveness(func)
         defs = func.defs()

@@ -1,7 +1,8 @@
 import subprocess
 import sys
 
-from psikit import cli, interp
+from psikit import cli, interp, pipeline
+from psikit.out_of_ssa import ClassInterferenceDetected
 
 from helpers import DATA
 
@@ -132,3 +133,65 @@ def test_mixed_improvement_flags_accepted():
                    "--no-left-only", "--no-ignore-result", "--phi-naive",
                    "--machine=partial", "--verify")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dump_after_a_pass_outside_the_pipeline_is_a_flag_error():
+    proc = run_cli("run", DIAMOND, "--passes=ssa", "--dump-after=ifconvert")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot dump after 'ifconvert'")
+    assert proc.stdout == ""
+
+
+IN_SSA_VIOLATIONS = {
+    "twice_defined": """
+func @f(%a, %p:guard) {
+b0:
+  %w = add %a, 1
+  %p? %w = add %a, 2
+  %x = psi(1 ? %w, %p ? %w)
+  ret %x
+}
+""",
+    "args_below_psi": """
+func @f(%a, %p:guard) {
+b0:
+  %x = psi(1 ? %u, %p ? %v)
+  %u = add %a, 1
+  %p? %v = add %a, 2
+  ret %x
+}
+""",
+}
+
+
+def test_in_ssa_input_that_is_not_ssa_is_a_diagnostic(tmp_path):
+    expected = {"twice_defined": ["multiple definitions of %w"],
+                "args_below_psi": ["psi arg %u definition does not dominate",
+                                   "psi arg %v definition does not dominate"]}
+    for name, text in IN_SSA_VIOLATIONS.items():
+        path = tmp_path / f"{name}.pir"
+        path.write_text(text)
+        proc = run_cli("run", str(path), "--in-ssa", "--passes=out-of-ssa")
+        assert proc.returncode == 1, name
+        assert proc.stdout == "", name
+        for message in expected[name]:
+            assert message in proc.stderr, name
+        # Without --in-ssa the same text is valid non-SSA input.
+        assert run_cli("run", str(path)).returncode == 0, name
+
+
+def test_loop_exit_psi_over_two_phis_leaves_ssa():
+    proc = run_cli("run", str(DATA / "loop_exit_psi_over_phis.pir"),
+                   "--in-ssa", "--passes=out-of-ssa", "--verify")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_class_interference_is_a_diagnostic(monkeypatch, capsys):
+    def refuse(func, opts):
+        raise ClassInterferenceDetected(f"@{func.name}: %a and %b interfere")
+
+    monkeypatch.setattr(pipeline, "run_out_of_ssa", refuse)
+    code = cli.main(["run", DIAMOND, "--passes=ssa,out-of-ssa"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: @f: %a and %b interfere\n"

@@ -6,11 +6,9 @@ from psikit.ifconvert import (NotConvertible, _find_regions_once, if_convert,
                               if_convert_pass)
 from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
-from psikit.out_of_ssa import run_out_of_ssa
-from psikit.predicates import guard_env_or_conservative
-from psikit.ssa import construct_ssa, copy_fold, psi_inline_all
+from psikit.ssa import construct_ssa, psi_inline_all
 
-from helpers import assert_no_errors, load_func
+from helpers import assert_no_errors, load_func, pipeline
 
 
 def regions_of(func, machine=FULL):
@@ -131,8 +129,7 @@ def test_full_predication_matches_reference():
 def test_partial_predication_speculates_and_extends_psi():
     func = load_func("speculate_add.pir")
     expected = load_func("speculate_add_predicated.pir")
-    work = construct_ssa(func)
-    if_convert_pass(work, PARTIAL)
+    work, _ = pipeline(func, ["ssa", "ifconvert"], PARTIAL)
     assert ir.alpha_equivalent(work, expected)
     report = interp.differential_check(func, work, trials=32, seed=2)
     assert not report.mismatches
@@ -161,8 +158,7 @@ b2:
   ret %x
 }
 """).functions[0]
-    work = construct_ssa(func)
-    if_convert_pass(work, FULL)
+    work, _ = pipeline(func, ["ssa", "ifconvert"])
     assert len(work.blocks) == 1
     report = interp.differential_check(func, work, trials=32, seed=4)
     assert not report.mismatches
@@ -191,8 +187,7 @@ b6:
 }
 """).functions[0]
     for machine in (FULL, PARTIAL):
-        work = construct_ssa(func)
-        if_convert_pass(work, machine)
+        work, _ = pipeline(func, ["ssa", "ifconvert"], machine)
         assert len(work.blocks) == 1
         assert_no_errors(ir.Module([work]), "ssa")
         report = interp.differential_check(func, work, trials=32, seed=5)
@@ -202,9 +197,7 @@ b6:
 def test_convert_then_out_of_ssa_round_trips_semantics():
     for name in ("diamond.pir", "two_merges.pir", "speculate_add.pir"):
         func = load_func(name)
-        work = construct_ssa(func)
-        if_convert_pass(work, FULL)
-        run_out_of_ssa(work)
+        work, _ = pipeline(func, ["ssa", "ifconvert", "out-of-ssa"])
         assert_no_errors(ir.Module([work]), "non_ssa")
         report = interp.differential_check(func, work, trials=32, seed=6)
         assert not report.mismatches, name
@@ -241,8 +234,8 @@ def test_carried_analyses_match_fresh_ones_after_every_region(machine):
     after each conversion and after each psi inlining."""
     regions = 0
     for seed in range(24):
-        func = construct_ssa(gen_random_program(seed, ("tiny", "small")[seed % 2]))
-        copy_fold(func, guard_env_or_conservative(func))
+        program = gen_random_program(seed, ("tiny", "small")[seed % 2])
+        func, _ = pipeline(program, ["ssa", "fold"])
         cache = Analyses(func)
         alloc = ir.NameAllocator(func)
         for region in iter(lambda: next(_find_regions_once(cache, machine),

@@ -3,7 +3,7 @@ from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import (CongruenceClasses, OutOfSsaOptions, count_movs,
                                psi_normalize, rename_and_strip, run_out_of_ssa)
 from psikit.predicates import guard_env_or_conservative
-from psikit.ssa import all_psis, construct_ssa, is_normalized, psi_promote_pass
+from psikit.ssa import all_psis, is_normalized
 
 from helpers import ALL_OFF, assert_no_errors, load_func, pipeline, to_cssa
 
@@ -113,8 +113,7 @@ b0:
 # -- phi-congruence -----------------------------------------------------------
 
 def test_clean_phi_merges_without_copies():
-    func = construct_ssa(load_func("diamond.pir"))
-    stats = run_out_of_ssa(func)
+    _, stats = pipeline(load_func("diamond.pir"), ["ssa", "out-of-ssa"])
     assert stats.copies_phi_congruence == 0
     assert stats.total_copies == 0
 
@@ -195,9 +194,7 @@ def test_loop_carried_copy_counts_without_promotion():
 
 def test_loop_carried_copy_counts_with_promotion():
     func = load_func("loop_carried.pir")
-    work = func.clone()
-    psi_promote_pass(work, guard_env_or_conservative(work), FULL)
-    stats = run_out_of_ssa(work)
+    work, stats = pipeline(func, ["psi-promote", "out-of-ssa"])
     assert stats.copies_inserted() == 0
     report = interp.differential_check(func, work, trials=32, seed=5,
                                        budget=5000)
@@ -291,9 +288,7 @@ def crafted_corpus():
         if already_ssa:
             work = func.clone()
         else:
-            work = construct_ssa(func)
-            from psikit.ifconvert import if_convert_pass
-            if_convert_pass(work, FULL)
+            work, _ = pipeline(func, ["ssa", "ifconvert"])
         yield name, work
 
 
@@ -400,6 +395,24 @@ def test_psi_argument_copy_moves_a_synthetic_use_in_a_later_psi(monkeypatch):
     assert mov.opcode == "mov" and mov.operands == ["a"]
     assert analysis.liveness(work).synthetic_uses[id(mov)] == ["u"]
     assert cache.live.interferes("u", "a", True)
+
+
+def test_phi_result_copy_goes_below_a_psi_argument_copy_at_the_head():
+    """Psi-congruence copies %w at the head of the loop; phi-congruence then
+    renames %x's phi.  %w.1's synthetic use moves onto the result copy
+    `%x = mov %x.1`, so that copy must follow `%w.1 = mov %w`, or %w.1 is
+    used before its definition and live around the loop."""
+    func = load_func("loop_exit_psi_over_phis.pir")
+    for opts in (OutOfSsaOptions(), OutOfSsaOptions(phi_naive=True)):
+        work, _, _ = to_cssa(func, opts)
+        head = [ins.dest for ins in work.block("b1").body
+                if ins.opcode == "mov"]
+        assert head.index("w.1") < head.index("x"), opts
+        final, _ = pipeline(func, ["out-of-ssa"], opts=opts)
+        assert_no_errors(ir.Module([final]))
+        report = interp.differential_check(func, final, trials=32, seed=9,
+                                           budget=5000)
+        assert report.ok and report.compared > 0, opts
 
 
 def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):

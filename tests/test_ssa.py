@@ -8,7 +8,7 @@ from psikit.ssa import (ConditionViolated, EmptyProjection, NotPsiDefined,
                         psi_inline, psi_inline_all, psi_project, psi_promote,
                         psi_promote_pass, psi_reduce, rewrite_psis_to_selects)
 
-from helpers import assert_no_errors, load_func
+from helpers import assert_no_errors, load_func, pipeline
 
 
 def test_construct_renames_and_places_phi():
@@ -154,9 +154,7 @@ def test_inline_requires_psi_defined_argument():
 def test_inline_pass_preserves_semantics_on_chains():
     for seed in range(50):
         func = interp.gen_random_program(seed, "small")
-        work = construct_ssa(func)
-        from psikit.ifconvert import if_convert_pass
-        if_convert_pass(work, FULL)
+        work, _ = pipeline(func, ["ssa", "ifconvert"])
         before = work.clone()
         psi_inline_all(analysis.Analyses(work))
         report = interp.differential_check(before, work, trials=16, seed=seed)
@@ -316,9 +314,7 @@ def test_is_normalized_detects_predicate_mismatch():
 def test_fresh_if_converted_psis_are_normalized():
     for name in ("diamond.pir", "two_merges.pir"):
         func = load_func(name)
-        work = construct_ssa(func)
-        from psikit.ifconvert import if_convert_pass
-        if_convert_pass(work, FULL)
+        work, _ = pipeline(func, ["ssa", "ifconvert"])
         env = guard_env_or_conservative(work)
         dom = analysis.dominator_tree(work)
         for psi in all_psis(work):
