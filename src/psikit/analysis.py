@@ -6,7 +6,11 @@ definition point of argument i+1 (looking through psi-defined arguments to
 their first non-psi definition); the last argument is used at the psi
 itself.  This matches the live ranges of the equivalent select-form
 rewrite and makes "no interference" coincide with "safe to rename into
-one variable".
+one variable".  The rule lives here only, in three helpers that every
+module asks: `arg_deaths` (where each argument dies), `def_point` (where a
+variable is defined, through its psi chain or not) and `order_inverted`
+(whether two adjacent arguments are out of dominance order, the normalized
+form's second condition).
 
 `Analyses` computes the definitions, the block map, the dominator tree,
 the instruction positions, the guard env and the live ranges of one
@@ -311,6 +315,33 @@ def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:
     return var
 
 
+def def_point(var: str, defs: dict[str, Instruction],
+              positions: dict[int, tuple[str, int]],
+              resolved: bool = False) -> tuple[str, int] | None:
+    """Where `var` is defined (through its psi chain if `resolved`); None
+    for a parameter, which is defined before everything."""
+    ins = defs.get(resolve_psi_chain(var, defs) if resolved else var)
+    return None if ins is None else positions[id(ins)]
+
+
+def arg_deaths(psi: PsiInstr, defs: dict[str, Instruction]
+               ) -> list[tuple[str, Instruction | None]]:
+    """For each argument of `psi` but the last, the argument and the
+    instruction where it dies: the chain-resolved definition of the next
+    argument, or None when that is a parameter."""
+    return [(arg, defs.get(resolve_psi_chain(nxt, defs)))
+            for (_, arg), (_, nxt) in zip(psi.args, psi.args[1:])]
+
+
+def order_inverted(dom: DomTree, cur: tuple[str, int] | None,
+                   nxt: tuple[str, int] | None) -> bool:
+    """Are adjacent psi arguments out of dominance order?  `cur` is the
+    left argument's own definition point and `nxt` the right argument's
+    chain-resolved one (`def_point`)."""
+    return cur is not None and (nxt is None or (
+        nxt != cur and dom.dominates_pos(nxt, cur, strict=True)))
+
+
 @dataclass
 class LivenessInfo:
     live_in: dict[str, frozenset[str]]
@@ -347,14 +378,10 @@ def psi_synthetic_uses(func: Function) -> dict[int, list[str]]:
     defs = func.defs()
     synthetic: dict[int, list[str]] = {}
     for _, ins in func.instructions():
-        if not isinstance(ins, PsiInstr):
-            continue
-        for (_, arg), (_, nxt) in zip(ins.args, ins.args[1:]):
-            head = resolve_psi_chain(nxt, defs)
-            target = defs.get(head)
-            if target is None:
-                continue  # parameter: argument dies at function entry scope
-            synthetic.setdefault(id(target), []).append(arg)
+        if isinstance(ins, PsiInstr):
+            for arg, target in arg_deaths(ins, defs):
+                if target is not None:  # a parameter: dies at entry scope
+                    synthetic.setdefault(id(target), []).append(arg)
     return synthetic
 
 
@@ -665,12 +692,8 @@ class LiveRanges:
         """(Re)attach psi's synthetic uses (see `psi_synthetic_uses`);
         the instructions whose uses changed go into `touched`.  A use that
         lands on a phi counts nowhere, as in `liveness`."""
-        defs = self.defs
-        new = []
-        for (_, arg), (_, nxt) in zip(psi.args, psi.args[1:]):
-            target = defs.get(resolve_psi_chain(nxt, defs))
-            if target is not None and not isinstance(target, PhiInstr):
-                new.append((arg, target))
+        new = [(arg, target) for arg, target in arg_deaths(psi, self.defs)
+               if target is not None and not isinstance(target, PhiInstr)]
         old = self._synth.get(id(psi), [])
         if [(a, id(t)) for a, t in old] == [(a, id(t)) for a, t in new]:
             return

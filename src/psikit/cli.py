@@ -65,7 +65,8 @@ STAT_VARIANTS = [
 def _stats_matrix(mod: ir.Module, args, promote: bool):
     columns = []
     for title, passes in STAT_VARIANTS:
-        passes = list(passes)
+        # Every variant starts with `ssa`, which a psi-SSA input skips.
+        passes = passes[1:] if args.in_ssa else list(passes)
         if promote:
             passes.insert(passes.index("out-of-ssa"), "psi-promote")
         s = _run_module(mod.clone(), passes, args)
@@ -231,6 +232,14 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="input is already in (psi-)SSA form")
     run.add_argument("--verify", action="store_true",
                      help="differential-check the final program against the input")
-    run.add_argument("--trials", type=int, default=32)
+    run.add_argument("--trials", type=_count, default=32)
     run.add_argument("--stats", action="store_true",
                      help="emit the per-phase copy table over the standard "
                           "pipeline variants")
@@ -263,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
 
     fuzz = sub.add_parser("fuzz", help="differential fuzzing of a pipeline")
-    fuzz.add_argument("--trials", type=int, default=100)
-    fuzz.add_argument("--vectors", type=int, default=32,
+    fuzz.add_argument("--trials", type=_count, default=100)
+    fuzz.add_argument("--vectors", type=_count, default=32,
                       help="input vectors per program")
     fuzz.add_argument("--passes", default=",".join(pipeline.STANDARD))
     fuzz.add_argument("--profile", choices=["tiny", "small", "mix"],

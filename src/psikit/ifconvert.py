@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .analysis import Analyses
+from .analysis import Analyses, def_point
 from .ir import (Block, Function, Instr, Instruction, NameAllocator, Pred,
                  PsiInstr, TRUE)
 from .machine import MachineModel
@@ -249,10 +249,6 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
     emit_arm(region.then_blocks, then_path)
     emit_arm(region.else_blocks, else_path)
 
-    def outside_pos(var: str):
-        ins = defs.get(var)
-        return None if ins is None else pos[id(ins)]
-
     def outside_pred(var: str) -> Pred:
         ins = defs.get(var)
         if isinstance(ins, Instr) and ins.guard is not None:
@@ -277,7 +273,7 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
             if v in arm_def_info:
                 entries.append(((1, body_rank[v]), edge, v))
             else:
-                p = outside_pos(v)
+                p = def_point(v, defs, pos)
                 if p is None:
                     entries.append(((0, (-1, -1)), edge, v))
                 else:

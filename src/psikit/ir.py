@@ -427,6 +427,7 @@ class _Parser:
         self.expect("word", "func")
         name_tok = self.expect("fname")
         func = Function(name=name_tok.text[1:], params=[])
+        self.label_refs: list[tuple[_Tok, str]] = []
         self.expect("punct", "(")
         seen = set()
         while not self.at_punct(")"):
@@ -556,7 +557,7 @@ class _Parser:
         self.expect("punct", "(")
         args = []
         while True:
-            lbl = self.expect("word").text
+            lbl = self.label_ref("phi references undefined block")
             self.expect("punct", ":")
             var = self.expect("var").text[1:]
             args.append((lbl, var))
@@ -602,33 +603,32 @@ class _Parser:
         if guard is not None:
             self.error(f"{tok.text} cannot be guarded", tok)
         if tok.text == "goto":
-            target = self.expect("word").text
+            target = self.label_ref("undefined block")
             return Instr("goto", None, [target])
         if tok.text == "br":
             cond = self.expect("var").text[1:]
             self.expect("punct", ",")
-            t1 = self.expect("word").text
+            t1 = self.label_ref("undefined block")
             self.expect("punct", ",")
-            t2 = self.expect("word").text
+            t2 = self.label_ref("undefined block")
             return Instr("br", None, [cond, t1, t2])
         # ret
         if self.peek().kind == "var":
             return Instr("ret", None, [self.next().text[1:]])
         return Instr("ret", None, [])
 
+    def label_ref(self, what: str) -> str:
+        """Read a block label that must name a block of the function;
+        `check_targets` reports it as `what` if it does not."""
+        tok = self.expect("word")
+        self.label_refs.append((tok, what))
+        return tok.text
+
     def check_targets(self, func: Function):
         labels = {b.label for b in func.blocks}
-        for b in func.blocks:
-            if b.term is None:
-                continue
-            for t in b.term.labels():
-                if t not in labels:
-                    raise ParseError(f"undefined block {t}", 0, 0)
-            for phi in b.phis:
-                for lbl, _ in phi.args:
-                    if lbl not in labels:
-                        raise ParseError(
-                            f"phi references undefined block {lbl}", 0, 0)
+        for tok, what in self.label_refs:
+            if tok.text not in labels:
+                self.error(f"{what} {tok.text}", tok)
 
 
 def parse_module(text: str) -> Module:
@@ -825,18 +825,12 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
     dom = analysis.dominator_tree(func)
     pos = analysis.instr_positions(func)
     defs = func.defs()
-    param_names = {n for n, _ in func.params}
 
-    def def_pos(var):
-        if var in param_names:
-            return None  # params dominate everything
-        ins = defs.get(var)
-        return pos.get(id(ins))
-
-    def dominates_use(var, use_pos, strict_before=True) -> bool:
-        dpos = def_pos(var)
+    def dominates_use(var, use_pos, strict_before=True,
+                      resolved=False) -> bool:
+        dpos = analysis.def_point(var, defs, pos, resolved)
         if dpos is None:
-            return True
+            return True  # a parameter dominates everything
         if use_pos is None:
             return False
         return dom.dominates_pos(dpos, use_pos, strict=strict_before)
@@ -853,8 +847,7 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
             upos = pos[id(ins)]
             if isinstance(ins, PsiInstr):
                 for p, v in ins.args:
-                    head = analysis.resolve_psi_chain(v, defs)
-                    if not dominates_use(head, upos):
+                    if not dominates_use(v, upos, resolved=True):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",
                             f"psi arg %{v} definition does not dominate the psi"))

@@ -3,7 +3,9 @@
 1. psi-normalize: make every psi satisfy the normalized form (argument
    predicates equal their definitions' guards, arguments ordered by the
    dominance order of their definitions), inserting predicated copies where
-   the form is violated.
+   the form is violated.  The order rule and the point where an argument
+   dies are the psi rule's, asked of `analysis` (`order_inverted`,
+   `def_point`, `arg_deaths`); `ssa.is_normalized` asks the same.
 2. psi-congruence: grow congruence classes from psi operations, repairing
    live-range interference between class members with predicated copies.
 3. phi-congruence: extend the same classes over phi operations, inserting
@@ -133,17 +135,6 @@ def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
     return mov
 
 
-def _arg_death_instr(defs, psi: PsiInstr, idx: int):
-    """The instruction where psi argument idx dies: the (chain-resolved)
-    definition of the next argument, or the psi itself for the last one."""
-    if idx + 1 < len(psi.args):
-        head = analysis.resolve_psi_chain(psi.args[idx + 1][1], defs)
-        ins = defs.get(head)
-        if ins is not None:
-            return ins
-    return psi
-
-
 def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
                     pred: Pred, alloc: NameAllocator,
                     anchor=None) -> str:
@@ -161,7 +152,10 @@ def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
     defs = cache.defs
     if anchor is None:
         anchor = defs.get(src)
-    death = _arg_death_instr(defs, psi, idx)
+    # The last argument, and one followed by a parameter, dies at the psi.
+    deaths = analysis.arg_deaths(psi, defs)
+    death = deaths[idx][1] if idx < len(deaths) else None
+    death = psi if death is None else death
     if anchor is None:
         block, at = cache.func.blocks[0], 0
     else:
@@ -226,39 +220,25 @@ def psi_normalize(cache: Analyses, reorder_disjoint: bool = True,
     return copies
 
 
-def _def_point(cache: Analyses, var: str, resolved: bool):
-    defs = cache.defs
-    target = analysis.resolve_psi_chain(var, defs) if resolved else var
-    ins = defs.get(target)
-    if ins is None:
-        return None  # parameter: defined before everything
-    return cache.positions[id(ins)]
-
-
 def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
                    alloc: NameAllocator) -> int:
-    env, dom = cache.env, cache.dom
+    env, defs, pos = cache.env, cache.defs, cache.positions
     copies = 0
     swaps_left = 4 * len(psi.args) * len(psi.args) + 8
     i = 0
     while i < len(psi.args):
         q, v = psi.args[i]
         if not env.equal(env.pred_formula(q),
-                         definition_formula(v, cache.defs, env)):
+                         definition_formula(v, defs, env)):
             new = _place_arg_copy(cache, psi, i, v, q, alloc)
             psi.args[i] = (q, new)
             copies += 1
             v = new
         if i + 1 < len(psi.args):
             q2, v2 = psi.args[i + 1]
-            p_cur = _def_point(cache, v, resolved=False)
-            p_next = _def_point(cache, v2, resolved=True)
-            inverted = (p_cur is not None
-                        and (p_next is None
-                             or (p_next != p_cur
-                                 and dom.dominates_pos(p_next, p_cur,
-                                                       strict=True))))
-            if inverted:
+            if analysis.order_inverted(
+                    cache.dom, analysis.def_point(v, defs, pos),
+                    analysis.def_point(v2, defs, pos, resolved=True)):
                 if (reorder_disjoint and swaps_left > 0
                         and env.disjoint(env.pred_formula(q),
                                          env.pred_formula(q2))):
@@ -279,16 +259,15 @@ def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
     above the psi when they are incomparable) so the copy follows `cur`'s
     definition."""
     defs, dom, pos = cache.defs, cache.dom, cache.positions
-    cur_ins, nxt_ins = defs.get(cur), defs.get(nxt)
-    cur_pos = None if cur_ins is None else pos[id(cur_ins)]
-    nxt_pos = None if nxt_ins is None else pos[id(nxt_ins)]
+    cur_pos = analysis.def_point(cur, defs, pos)
+    nxt_pos = analysis.def_point(nxt, defs, pos)
     anchor = None
     if cur_pos is not None and (
             nxt_pos is None or dom.dominates_pos(nxt_pos, cur_pos)):
-        anchor = cur_ins
+        anchor = defs[cur]
     elif nxt_pos is not None and (
             cur_pos is None or dom.dominates_pos(cur_pos, nxt_pos)):
-        anchor = nxt_ins
+        anchor = defs[nxt]
     if anchor is not None:
         return _place_arg_copy(cache, psi, arg_index, nxt, pred, alloc,
                                anchor=anchor)

@@ -398,28 +398,17 @@ def is_normalized(func: Function, psi: PsiInstr, dom: analysis.DomTree,
     """Both normalized-psi characteristics: each argument predicate equals
     the predicate domain of the argument's definition, and adjacent
     arguments are not inverted with respect to dominance order of their
-    (psi-chain-resolved) definitions."""
+    definitions (`analysis.order_inverted`, the normalizer's rule)."""
     defs = func.defs()
     pos = analysis.instr_positions(func)
 
     for p, v in psi.args:
         if not env.equal(env.pred_formula(p), definition_formula(v, defs, env)):
             return False
-
-    def def_pos(var):
-        head = analysis.resolve_psi_chain(var, defs)
-        ins = defs.get(head)
-        return None if ins is None else pos[id(ins)]
-
-    for (_, a), (_, b) in zip(psi.args, psi.args[1:]):
-        pa, pb = def_pos(a), def_pos(b)
-        if pa is None:
-            continue  # parameters dominate everything
-        if pb is None:
-            return False  # later argument is a parameter: inverted
-        if pa != pb and dom.dominates_pos(pb, pa, strict=True):
-            return False
-    return True
+    return not any(
+        analysis.order_inverted(dom, analysis.def_point(a, defs, pos),
+                                analysis.def_point(b, defs, pos, resolved=True))
+        for (_, a), (_, b) in zip(psi.args, psi.args[1:]))
 
 
 # ---------------------------------------------------------------------------

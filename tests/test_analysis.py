@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 from psikit import analysis, ir
 from psikit.interp import gen_random_program
@@ -255,3 +256,13 @@ def test_dump_output_is_sorted_and_deterministic():
     assert live.dump() == live.dump()
     lines = graph.dump().strip().splitlines()
     assert lines == sorted(lines)
+
+
+def test_psi_rule_lives_only_in_analysis():
+    """Every module asks `analysis` where a psi argument dies and where a
+    variable is defined through its psi chain; none walks the chain."""
+    package = Path(analysis.__file__).parent
+    walkers = sorted(path.name for path in package.glob("*.py")
+                     if path.name != "analysis.py"
+                     and "resolve_psi_chain" in path.read_text())
+    assert walkers == []

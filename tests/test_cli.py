@@ -117,6 +117,32 @@ def test_stats_csv_is_machine_readable():
         assert len(cells) == 4
 
 
+def test_stats_tabulates_a_psi_ssa_input():
+    """Criterion 2's loop, already in psi-SSA form: the variants skip `ssa`,
+    and the "no if-conv" column shows its copy counts."""
+    proc = run_cli("run", str(DATA / "loop_carried.pir"), "--in-ssa",
+                   "--stats", "--stats-format=csv")
+    assert proc.returncode == 0, proc.stderr
+    plain, promoted = proc.stdout.split("\n\n")[:2]
+
+    def no_ifconv(table):
+        rows = [line.split(",") for line in table.splitlines()[2:]]
+        return {row[0]: int(row[1]) for row in rows}
+
+    assert no_ifconv(plain) == {"psi-normalize": 1, "psi-congruence": 0,
+                                "phi-congruence": 1, "total copies": 2}
+    assert set(no_ifconv(promoted).values()) == {0}
+
+
+def test_counts_below_one_are_flag_errors():
+    for args in (("run", DIAMOND, "--passes=ssa", "--verify", "--trials=-3"),
+                 ("fuzz", "--trials", "0"), ("fuzz", "--vectors", "0")):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert "must be at least 1" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_verification_mismatch_exits_two(monkeypatch, capsys):
     bad = interp.DiffReport(trials=1, compared=1, skipped=0, mismatches=[
         interp.Mismatch([0], [0], interp.ExecResult(value=1),

@@ -37,8 +37,17 @@ def test_psi_argument_order_is_preserved():
 
 
 def test_undefined_branch_target_is_an_error():
-    with pytest.raises(ParseError, match="undefined block b9"):
+    with pytest.raises(ParseError, match="undefined block b9") as exc:
         parse_module("func @f(){ b0: goto b9 }")
+    assert (exc.value.line, exc.value.col) == (1, 21)
+    with pytest.raises(ParseError, match="undefined block b7") as exc:
+        parse_module("func @f(%p:guard) {\nb0:\n  br %p, b0, b7\n}")
+    assert (exc.value.line, exc.value.col) == (3, 14)
+    with pytest.raises(ParseError,
+                       match="phi references undefined block b5") as exc:
+        parse_module("func @f(%a) {\nb0:\n  goto b1\nb1:\n"
+                     "  %x = phi(b0: %a, b5: %a)\n  ret %x\n}")
+    assert (exc.value.line, exc.value.col) == (5, 20)
 
 
 def test_syntax_error_carries_position():

@@ -50,6 +50,22 @@ def test_normalize_order_violation_inserts_predicated_copy():
     assert ir.alpha_equivalent(work, expected)
 
 
+def test_oracle_and_normalizer_share_the_order_rule():
+    """A psi-defined left argument is defined at its psi, not at its chain
+    head, for `is_normalized` as for `psi_normalize`."""
+    func = load_func("order_psi_left.pir")
+    y = all_psis(func)[-1]
+    assert not is_normalized(func, y, analysis.dominator_tree(func),
+                             guard_env_or_conservative(func))
+    work, copies = normalize_only(func)
+    assert copies == 1
+    env = guard_env_or_conservative(work)
+    dom = analysis.dominator_tree(work)
+    assert all(is_normalized(work, p, dom, env) for p in all_psis(work))
+    assert not interp.differential_check(func, work, trials=32,
+                                         seed=3).mismatches
+
+
 # -- psi-congruence -----------------------------------------------------------
 
 def test_congruence_repairs_live_overlap():
