@@ -367,9 +367,7 @@ def _instr_uses(ins: Instruction, synthetic: dict[int, list[str]]) -> list[str]:
         uses = [v for v in (p.reg for p, _ in ins.args) if v is not None]
         uses.append(ins.args[-1][1])
     else:
-        uses = list(ins.uses())
-        if ins.guard is not None:
-            uses.append(ins.guard.reg)
+        uses = ins.uses()
     uses.extend(synthetic.get(id(ins), ()))
     return uses
 
@@ -492,23 +490,16 @@ def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
     graph = InterferenceGraph()
     defs = func.defs()
     blocks = {b.label: b for b in func.blocks}
-    disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
 
     def guard(var) -> Pred | None:
         return _guard(defs.get(var))
-
-    def guards_disjoint(key) -> bool:
-        if key not in disjoint:
-            disjoint[key] = env.disjoint(env.pred_formula(key[0]),
-                                         env.pred_formula(key[1]))
-        return disjoint[key]
 
     def add(d, others):
         gd = guard(d) if refine_disjoint else None
         for v in others:
             if v == d:
                 continue
-            if refine_disjoint and guards_disjoint((gd, guard(v))):
+            if refine_disjoint and env.preds_disjoint(gd, guard(v)):
                 continue
             graph.add_edge(d, v)
 
@@ -578,7 +569,6 @@ class LiveRanges:
         self._psi_users: dict[str, dict[int, PsiInstr]] = {}
         self._in_of: dict[str, set[str]] = {}
         self._out_of: dict[str, set[str]] = {}
-        self._disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
         psis = [ins for _, ins in func.instructions()
                 if isinstance(ins, PsiInstr)]
         for psi in psis:
@@ -599,14 +589,8 @@ class LiveRanges:
                     and self._live_after(a, self.entry, 0)
                     and self._live_after(b, self.entry, 0))):
             return False
-        if refine_disjoint:
-            key = (_guard(self._def.get(a)), _guard(self._def.get(b)))
-            if key not in self._disjoint:
-                env = self.env
-                self._disjoint[key] = env.disjoint(env.pred_formula(key[0]),
-                                                   env.pred_formula(key[1]))
-            return not self._disjoint[key]
-        return True
+        return not (refine_disjoint and self.env.preds_disjoint(
+            _guard(self._def.get(a)), _guard(self._def.get(b))))
 
     def _live_after_def(self, a: str, b: str) -> bool:
         """Is b live just after a's definition?  Phis define at slot 0."""

@@ -66,7 +66,7 @@ def _follow_arm(blocks: dict[str, Block], start: str, head: str,
             return None
         seen.add(label)
         chain.append(label)
-        label = block.term.operands[0]
+        label = block.term.labels()[0]
 
 
 def _plan_arm(cache: Analyses, arm_labels: list[str],
@@ -85,40 +85,33 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
     def always_defined_outside(var: str) -> bool:
         return env.subset(TRUE_EXPR, definition_formula(var, defs, env))
 
+    def reads_defined(ins: Instruction) -> bool:
+        """Force the arm definitions `ins` reads, which it needs when
+        speculated; False if it reads an outside variable that is not
+        defined on every path."""
+        for ref in ins.uses():
+            if ref in in_arm_def:
+                forced.append(in_arm_def[ref])
+            elif not always_defined_outside(ref):
+                return False
+        return True
+
     for ins in instrs:
         if isinstance(ins, PsiInstr):
             plan[id(ins)] = "spec"
-            for p, v in ins.args:
-                for ref in ([v] + ([p.reg] if p.reg else [])):
-                    if ref in in_arm_def:
-                        forced.append(in_arm_def[ref])
-                    elif not always_defined_outside(ref):
-                        return None
+            if not reads_defined(ins):
+                return None
         elif ins.guard is not None and ins.guard.reg in in_arm_def:
             forced.append(in_arm_def[ins.guard.reg])
 
     for ins in instrs:
         if id(ins) in plan:
             continue
-        if isinstance(ins, PsiInstr):
-            continue
-        if ins.dest is None and ins.opcode == "store":
-            if not machine.predicable("store"):
-                return None
-            plan[id(ins)] = "pred"
-            continue
         if machine.predicable(ins.opcode):
             plan[id(ins)] = "pred"
         elif machine.speculatable(ins.opcode):
             plan[id(ins)] = "spec"
-            forced.extend(in_arm_def[r] for r in ins.uses() if r in in_arm_def)
-            refs = [r for r in ins.uses() if r not in in_arm_def]
-            if ins.guard is not None:
-                if ins.guard.reg in in_arm_def:
-                    forced.append(in_arm_def[ins.guard.reg])
-                else:
-                    refs.append(ins.guard.reg)
-            if any(not always_defined_outside(r) for r in refs):
+            if not reads_defined(ins):
                 return None
         else:
             return None
@@ -129,14 +122,11 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
         ins = forced.pop()
         if plan.get(id(ins)) == "spec":
             continue
-        if not isinstance(ins, PsiInstr) and not machine.speculatable(ins.opcode):
+        if not machine.speculatable(ins.opcode):
             return None
         plan[id(ins)] = "spec"
-        for ref in ins.uses() + ([ins.guard.reg] if ins.guard else []):
-            if ref in in_arm_def:
-                forced.append(in_arm_def[ref])
-            elif not always_defined_outside(ref):
-                return None
+        if not reads_defined(ins):
+            return None
     return plan
 
 
@@ -154,7 +144,7 @@ def _find_regions_once(cache: Analyses,
         term = block.term
         if term is None or term.opcode != "br" or block.label not in dom.depth:
             continue
-        t_target, e_target = term.operands[1], term.operands[2]
+        t_target, e_target = term.labels()
         if t_target == e_target:
             continue
         t = _follow_arm(blocks, t_target, block.label, preds)

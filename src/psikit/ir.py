@@ -47,6 +47,10 @@ ARITY = {
     "cmp_eq": 2, "cmp_lt": 2, "cmp_le": 2, "and": 2, "or": 2, "not": 1,
     "select": 3, "load": 1, "store": 2, "goto": 1, "br": 3,
 }
+# Index of the first operand that names a block; from there on, every
+# operand does (`Instr.labels()`).  `Instr.uses()`, which every analysis
+# calls per instruction, reads it without the call.
+FIRST_LABEL = {"br": 1, "goto": 0}
 
 
 class ParseError(Exception):
@@ -88,18 +92,20 @@ class Instr:
     guard: Pred | None = None
 
     def uses(self) -> list[str]:
-        if self.opcode == "br":
-            return [self.operands[0]]
-        if self.opcode == "goto":
-            return []
-        return [o for o in self.operands if isinstance(o, str)]
+        """Every variable the instruction reads, in the order `rename_uses`
+        renames them: its variable operands (the `labels()` excluded), then
+        its guard register."""
+        first = FIRST_LABEL.get(self.opcode)
+        operands = self.operands if first is None else self.operands[:first]
+        out = [o for o in operands if isinstance(o, str)]
+        if self.guard is not None:
+            out.append(self.guard.reg)
+        return out
 
     def labels(self) -> list[str]:
-        if self.opcode == "br":
-            return list(self.operands[1:])
-        if self.opcode == "goto":
-            return list(self.operands)
-        return []
+        """The operands that name blocks; they trail the others."""
+        first = FIRST_LABEL.get(self.opcode)
+        return [] if first is None else self.operands[first:]
 
 
 @dataclass
@@ -133,8 +139,12 @@ class PsiInstr:
     guard = None
 
     def uses(self) -> list[str]:
-        out = [v for _, v in self.args]
-        out.extend(p.reg for p, _ in self.args if p.reg is not None)
+        """Argument by argument, the predicate register, then the value."""
+        out = []
+        for p, v in self.args:
+            if p.reg is not None:
+                out.append(p.reg)
+            out.append(v)
         return out
 
     def values(self) -> list[str]:
@@ -145,23 +155,20 @@ Instruction = Instr | PhiInstr | PsiInstr
 
 
 def rename_uses(ins: Instruction, rename) -> None:
-    """Replace each variable `ins` reads by `rename(var)`: its operands (a
-    `br` reads only its condition, a `goto` nothing), its guard, the
-    predicates and values of a psi, the arguments of a phi.  Labels and
-    `dest` stay as they are."""
+    """Replace each variable `ins` reads by `rename(var)`, in the order of
+    `ins.uses()`.  Labels and `dest` stay as they are."""
     if isinstance(ins, PhiInstr):
         ins.args = [(label, rename(v)) for label, v in ins.args]
     elif isinstance(ins, PsiInstr):
         ins.args = [(Pred(rename(p.reg), p.positive) if p.reg else p,
                      rename(v)) for p, v in ins.args]
     else:
+        labels = ins.labels()
+        operands = ins.operands[:-len(labels)] if labels else ins.operands
+        ins.operands = [rename(o) if isinstance(o, str) else o
+                        for o in operands] + labels
         if ins.guard is not None:
             ins.guard = Pred(rename(ins.guard.reg), ins.guard.positive)
-        if ins.opcode == "br":
-            ins.operands[0] = rename(ins.operands[0])
-        elif ins.opcode != "goto":
-            ins.operands = [rename(o) if isinstance(o, str) else o
-                            for o in ins.operands]
 
 
 @dataclass
@@ -734,8 +741,9 @@ def _check_kind_uses(func: Function, kinds, diags: list[Diagnostic]):
                     err(block, f"{ins.opcode} mixes guard and value operands")
             elif ins.opcode in ("add", "sub", "mul", "neg", "load", "store",
                                 "ret"):
-                for o in ins.uses():
-                    if kinds.get(o) == "guard":
+                # Operands only: the guard is read as a guard (above).
+                for o in ins.operands:
+                    if isinstance(o, str) and kinds.get(o) == "guard":
                         err(block, f"guard %{o} used as a value in {ins.opcode}")
 
 
@@ -831,21 +839,19 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
         dpos = analysis.def_point(var, defs, pos, resolved)
         if dpos is None:
             return True  # a parameter dominates everything
-        if use_pos is None:
-            return False
         return dom.dominates_pos(dpos, use_pos, strict=strict_before)
 
     for block in func.blocks:
-        for phi in block.phis:
-            for lbl, v in phi.args:
-                edge_pos = pos[id(func.block(lbl).term)]
-                if not dominates_use(v, edge_pos, strict_before=False):
-                    diags.append(Diagnostic(
-                        "error", f"@{func.name}/{block.label}",
-                        f"phi arg %{v} does not dominate edge from {lbl}"))
-        for ins in block.body:
+        for ins in block.instructions():
             upos = pos[id(ins)]
-            if isinstance(ins, PsiInstr):
+            if isinstance(ins, PhiInstr):
+                for lbl, v in ins.args:
+                    edge_pos = pos[id(func.block(lbl).term)]
+                    if not dominates_use(v, edge_pos, strict_before=False):
+                        diags.append(Diagnostic(
+                            "error", f"@{func.name}/{block.label}",
+                            f"phi arg %{v} does not dominate edge from {lbl}"))
+            elif isinstance(ins, PsiInstr):
                 for p, v in ins.args:
                     if not dominates_use(v, upos, resolved=True):
                         diags.append(Diagnostic(
@@ -952,13 +958,9 @@ def _match_instr(x, y, match_var, match_label) -> bool:
         return False
     if len(x.operands) != len(y.operands):
         return False
-    label_idx = set()
-    if x.opcode == "br":
-        label_idx = {1, 2}
-    elif x.opcode == "goto":
-        label_idx = {0}
+    first_label = len(x.operands) - len(x.labels())
     for i, (ox, oy) in enumerate(zip(x.operands, y.operands)):
-        if i in label_idx:
+        if i >= first_label:
             if not match_label(ox, oy):
                 return False
         elif isinstance(ox, int) or isinstance(oy, int):

@@ -22,7 +22,8 @@ interference queries.  Phi-congruence decides on the liveness and
 interference of the function as the phase starts, plus the edges it adds
 itself for its copies, and records its copies when it ends; that keeps its
 decisions those of a graph built once per phase (exact queries after each
-of its copies would change 6 of 400 generated outputs per machine).
+of its copies would change 6 of 400 generated outputs per machine, not
+all for the better: one gains 2 copies with every refinement off).
 `rename_and_strip` checks the pairs inside each class on the same live
 ranges.
 
@@ -240,8 +241,7 @@ def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
                     cache.dom, analysis.def_point(v, defs, pos),
                     analysis.def_point(v2, defs, pos, resolved=True)):
                 if (reorder_disjoint and swaps_left > 0
-                        and env.disjoint(env.pred_formula(q),
-                                         env.pred_formula(q2))):
+                        and env.preds_disjoint(q, q2)):
                     psi.args[i], psi.args[i + 1] = psi.args[i + 1], psi.args[i]
                     swaps_left -= 1
                     i = max(i - 1, 0)
@@ -410,8 +410,7 @@ def _result_copy_slot(block, var: str, own: list[Instruction]) -> int:
     at = 0
     for ins in block.body:
         if (ins.opcode != "mov" or any(ins is c for c in own)
-                or var in ins.uses()
-                or (ins.guard is not None and ins.guard.reg == var)):
+                or var in ins.uses()):
             break
         at += 1
     return at

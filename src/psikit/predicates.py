@@ -104,6 +104,7 @@ class GuardEnv:
         self.symbol_count = symbol_count
         self.exact = True
         self.capped_queries = 0
+        self._preds_disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
 
     def formula(self, guard: str) -> PredExpr:
         return self.formulas[guard]
@@ -151,6 +152,15 @@ class GuardEnv:
 
     def equal(self, a: PredExpr, b: PredExpr) -> bool:
         return self.subset(a, b) and self.subset(b, a)
+
+    def preds_disjoint(self, p: Pred | None, q: Pred | None) -> bool:
+        """`disjoint` over two simple predicates, decided once per pair: a
+        register's formula never changes once it is set."""
+        key = (p, q)
+        if key not in self._preds_disjoint:
+            self._preds_disjoint[key] = self.disjoint(self.pred_formula(p),
+                                                      self.pred_formula(q))
+        return self._preds_disjoint[key]
 
 
 def _support(expr: PredExpr) -> set[int]:

@@ -222,7 +222,7 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                     psi.args[i] = (q, a)
                     changed = True
         # Drop predicated movs that became dead.
-        used = _all_uses(func)
+        used = {v for _, ins in func.instructions() for v in ins.uses()}
         for block in func.blocks:
             for ins in list(block.body):
                 if (isinstance(ins, Instr) and ins.opcode == "mov"
@@ -231,15 +231,6 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                     removed += 1
                     changed = True
     return removed
-
-
-def _all_uses(func: Function) -> set[str]:
-    used: set[str] = set()
-    for _, ins in func.instructions():
-        used.update(ins.uses())
-        if ins.guard is not None:
-            used.add(ins.guard.reg)
-    return used
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +356,11 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
             raise ConditionViolated(1, f"%{var} definition cannot cover "
                                        f"{new_pred}")
         # Speculation executes the definition more often; its operands must
-        # already be defined there, or evaluation would trap.
-        for op in def_ins.uses():
-            if not env.subset(nf, definition_formula(op, defs, env)):
+        # already be defined there, or evaluation would trap.  Not its guard:
+        # speculation drops it.
+        for op in def_ins.operands:
+            if isinstance(op, str) and not env.subset(
+                    nf, definition_formula(op, defs, env)):
                 raise ConditionViolated(1, f"operand %{op} of %{var} is not "
                                            f"defined under {new_pred}")
         def_ins.guard = None

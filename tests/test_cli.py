@@ -187,13 +187,35 @@ b0:
   ret %x
 }
 """,
+    "guard_below_use": """
+func @f(%a) {
+b0:
+  %q? %y.1 = add %a, 1
+  %q = cmp_lt %a, 3
+  ret %y.1
+}
+""",
+    "ret_not_dominated": """
+func @f(%a, %p:guard) {
+b0:
+  br %p, b1, b2
+b1:
+  %x = add %a, 1
+  goto b2
+b2:
+  ret %x
+}
+""",
 }
 
 
 def test_in_ssa_input_that_is_not_ssa_is_a_diagnostic(tmp_path):
     expected = {"twice_defined": ["multiple definitions of %w"],
                 "args_below_psi": ["psi arg %u definition does not dominate",
-                                   "psi arg %v definition does not dominate"]}
+                                   "psi arg %v definition does not dominate"],
+                "guard_below_use": ["use of %q not dominated by its definition"],
+                "ret_not_dominated": [
+                    "use of %x not dominated by its definition"]}
     for name, text in IN_SSA_VIOLATIONS.items():
         path = tmp_path / f"{name}.pir"
         path.write_text(text)

@@ -2,11 +2,13 @@ import textwrap
 
 import pytest
 
-from psikit import ir
+from psikit import ir, pipeline
 from psikit.interp import gen_random_program
-from psikit.ir import ParseError, Pred, PsiInstr, parse_module, print_module
+from psikit.ir import (ParseError, Pred, PsiInstr, parse_module, print_module,
+                       rename_uses)
+from psikit.machine import FULL, PARTIAL
 
-from helpers import assert_no_errors, load_func
+from helpers import DATA, assert_no_errors, load_func
 
 
 def parse_one(text: str) -> ir.Function:
@@ -94,6 +96,26 @@ def test_roundtrip_fixpoint_on_generated_corpus():
         assert print_module(parse_module(once)) == once
 
 
+def test_uses_lists_exactly_what_rename_uses_renames():
+    """`uses()` is the operand rule: a recording `rename_uses` sees the
+    variables it lists, in its order, guards and psi predicates included,
+    labels excluded."""
+    def check(name, func):
+        for _, ins in func.instructions():
+            seen = []
+            rename_uses(ins, lambda v: seen.append(v) or v)
+            assert seen == ins.uses(), (name, ins)
+
+    for path in sorted(DATA.glob("*.pir")):
+        for func in parse_module(path.read_text()).functions:
+            check(path.name, func)
+    for machine in (FULL, PARTIAL):
+        for seed in range(40):
+            func = gen_random_program(seed, "tiny" if seed % 2 == 0
+                                      else "small")
+            pipeline.run(func, pipeline.STANDARD, machine, after=check)
+
+
 def test_validate_accepts_psi_ssa_form():
     func = load_func("two_merges_predicated.pir")
     assert_no_errors(ir.Module([func]), "ssa")
@@ -135,16 +157,23 @@ def test_validate_psi_argument_must_dominate_the_psi():
 
 
 def test_validate_rejects_value_used_as_guard():
-    func = parse_one("""
-        func @f(%a) {
-        b0:
-          %v = add %a, 1
-          %v? %x = add %a, 2
-          ret %x
-        }
-    """)
-    diags = ir.validate(ir.Module([func]), "non_ssa")
-    assert any("is not guard-kind" in d.message for d in diags)
+    expected = {
+        "%v": ["guard %v is not guard-kind"],
+        # %z is never defined: an undefined use besides the kind error.
+        "%z": ["guard %z is not guard-kind", "use of undefined variable %z"],
+    }
+    for guard, messages in expected.items():
+        func = parse_one(f"""
+            func @f(%a) {{
+            b0:
+              %v = add %a, 1
+              {guard}? %x = add %a, 2
+              ret %x
+            }}
+        """)
+        diags = ir.validate(ir.Module([func]), "non_ssa")
+        for message in messages:
+            assert any(d.message == message for d in diags), guard
 
 
 def test_validate_rejects_value_branch_condition():

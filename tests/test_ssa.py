@@ -286,6 +286,25 @@ b0:
     assert exc.value.which == 1
 
 
+def test_promote_speculation_reads_operands_not_the_guard():
+    """Speculating %v drops its guard %q, so only its operand %a must be
+    defined under the new predicate; %q itself is defined only under %p."""
+    func = ir.parse_module("""
+func @f(%a, %p:guard) {
+b0:
+  %p? %q = cmp_lt %a, 3
+  %q? %v = add %a, 1
+  %w = add %a, 2
+  %x = psi(%q ? %v, 1 ? %w)
+  ret %x
+}
+""").functions[0]
+    env = guard_env_or_conservative(func)
+    psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
+    assert psi_text(func, "x") == [("1", "v"), ("1", "w")]
+    assert func.blocks[0].body[1].guard is None  # definition speculated
+
+
 def test_promote_pass_applies_first_argument_policy():
     func = load_func("speculate_add_predicated.pir")
     env = guard_env_or_conservative(func)
