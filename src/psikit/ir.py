@@ -29,9 +29,9 @@ compare and boolean connectives over guards are inferred.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 OPCODES = {
     "const", "mov", "add", "sub", "mul", "neg",
@@ -107,6 +107,9 @@ class Instr:
         first = FIRST_LABEL.get(self.opcode)
         return [] if first is None else self.operands[first:]
 
+    def clone(self) -> "Instr":
+        return Instr(self.opcode, self.dest, list(self.operands), self.guard)
+
 
 @dataclass
 class PhiInstr:
@@ -120,6 +123,9 @@ class PhiInstr:
 
     def uses(self) -> list[str]:
         return [v for _, v in self.args]
+
+    def clone(self) -> "PhiInstr":
+        return PhiInstr(self.dest, list(self.args))
 
     def arg_for(self, label: str) -> str:
         for lbl, v in self.args:
@@ -149,6 +155,9 @@ class PsiInstr:
 
     def values(self) -> list[str]:
         return [v for _, v in self.args]
+
+    def clone(self) -> "PsiInstr":
+        return PsiInstr(self.dest, list(self.args))
 
 
 Instruction = Instr | PhiInstr | PsiInstr
@@ -186,6 +195,11 @@ class Block:
 
     def successors(self) -> list[str]:
         return self.term.labels() if self.term is not None else []
+
+    def clone(self) -> "Block":
+        return Block(self.label, [phi.clone() for phi in self.phis],
+                     [ins.clone() for ins in self.body],
+                     None if self.term is None else self.term.clone())
 
 
 @dataclass
@@ -239,7 +253,11 @@ class Function:
         return names
 
     def clone(self) -> "Function":
-        return copy.deepcopy(self)
+        """A copy with its own blocks, instructions and containers; what
+        cannot change in place (names, `Pred`s, argument tuples) is shared."""
+        return Function(self.name, list(self.params),
+                        [b.clone() for b in self.blocks],
+                        set(self.guard_decls))
 
 
 @dataclass
@@ -253,7 +271,7 @@ class Module:
         raise KeyError(name)
 
     def clone(self) -> "Module":
-        return copy.deepcopy(self)
+        return Module([f.clone() for f in self.functions])
 
 
 class NameAllocator:
@@ -352,13 +370,13 @@ _TOKEN_RE = re.compile(
       | (?P<int>-?[0-9]+)
       | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
       | (?P<punct>[(){},:=?!])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -366,23 +384,24 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """One scan of `text`: the matches cover it, and a character that
+    starts no token is the `bad` group."""
     toks = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        col = m.start() - line_start + 1
         if kind == "nl":
-            toks.append(_Tok("nl", "\n", line, m.start() - line_start + 1))
+            toks.append(_Tok("nl", "\n", line, col))
             line += 1
             line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, pos - line_start + 1))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        else:
+            toks.append(_Tok(kind, m.group(), line, col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -434,6 +453,7 @@ class _Parser:
         self.expect("word", "func")
         name_tok = self.expect("fname")
         func = Function(name=name_tok.text[1:], params=[])
+        self.labels: set[str] = set()
         self.label_refs: list[tuple[_Tok, str]] = []
         self.expect("punct", "(")
         seen = set()
@@ -460,7 +480,7 @@ class _Parser:
         while not self.at_punct("}"):
             self.block(func)
         self.next()  # '}'
-        self.check_targets(func)
+        self.check_targets()
         if not func.blocks:
             self.error(f"function @{func.name} has no blocks")
         return func
@@ -471,8 +491,9 @@ class _Parser:
             self.error("expected block label")
         label = self.next().text
         self.next()  # ':'
-        if any(b.label == label for b in func.blocks):
+        if label in self.labels:
             self.error(f"duplicate block label {label}", tok)
+        self.labels.add(label)
         block = Block(label)
         func.blocks.append(block)
         self.skip_newlines()
@@ -631,10 +652,9 @@ class _Parser:
         self.label_refs.append((tok, what))
         return tok.text
 
-    def check_targets(self, func: Function):
-        labels = {b.label for b in func.blocks}
+    def check_targets(self):
         for tok, what in self.label_refs:
-            if tok.text not in labels:
+            if tok.text not in self.labels:
                 self.error(f"{what} {tok.text}", tok)
 
 

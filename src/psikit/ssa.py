@@ -66,10 +66,11 @@ def construct_ssa(func: Function) -> Function:
 
     # Pruned placement: a phi for v at frontier block B only if v is live-in.
     phi_vars: dict[str, list[str]] = {b.label: [] for b in func.blocks}
+    param_names = {n for n, _ in func.params}
     for var, sites in sorted(def_blocks.items()):
-        if len(sites) < 2 and var not in dict(func.params):
+        if len(sites) < 2 and var not in param_names:
             continue
-        work = sorted(sites | ({func.entry} if var in dict(func.params) else set()))
+        work = sorted(sites | ({func.entry} if var in param_names else set()))
         placed = set()
         while work:
             site = work.pop()
@@ -88,7 +89,7 @@ def construct_ssa(func: Function) -> Function:
 
     alloc = NameAllocator(func)
     stacks: dict[str, list[str]] = {n: [n] for n, _ in func.params}
-    named_once: set[str] = {n for n, _ in func.params}
+    named_once = set(param_names)
 
     def push(root: str) -> str:
         if root in named_once:

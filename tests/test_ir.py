@@ -1,3 +1,4 @@
+import copy
 import textwrap
 
 import pytest
@@ -58,6 +59,31 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("bad_line", [
+    "  %x = add %a, $1",    # a character no token starts with
+    "  %x = sub %a, - 1",   # a minus sign not followed by a digit
+    "  %x = sub %a, -",     # ... nor at the end of a line
+])
+def test_unexpected_character_carries_position(bad_line):
+    text = f"func @f(%a) {{\nb0:\n{bad_line}\n  ret %x\n}}"
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    char = bad_line[15]
+    assert exc.value.message == f"unexpected character {char!r}"
+    assert (exc.value.line, exc.value.col) == (3, 16)
+
+
+def test_duplicate_block_label_carries_position():
+    with pytest.raises(ParseError) as exc:
+        parse_module("func @f(%a) {\nb0:\n  goto b1\nb1:\n  goto b0\n"
+                     " b0:\n  ret %a\n}")
+    assert exc.value.message == "duplicate block label b0"
+    assert (exc.value.line, exc.value.col) == (6, 2)
+    # Labels are per function: a second function may reuse them.
+    mod = parse_module("func @f() {\nb0:\n  ret\n}\nfunc @g() {\nb0:\n  ret\n}")
+    assert [f.blocks[0].label for f in mod.functions] == ["b0", "b0"]
+
+
 @pytest.mark.parametrize("text", [
     "func @f(){ b0: ret }",
     "func @f(%a, %p:guard){ b0: br %p, b1, b1\nb1: ret %a }",
@@ -94,6 +120,82 @@ def test_roundtrip_fixpoint_on_generated_corpus():
         once = print_module(mod)
         assert parse_module(once) == mod
         assert print_module(parse_module(once)) == once
+
+
+def _mutable_parts(func: ir.Function):
+    """Every list, set, block and instruction object reachable from `func`."""
+    yield from (func, func.params, func.guard_decls, func.blocks)
+    for block in func.blocks:
+        yield from (block, block.phis, block.body)
+        for ins in block.instructions():
+            yield ins
+            yield ins.operands if isinstance(ins, ir.Instr) else ins.args
+
+
+def _assert_clone_is_independent(func: ir.Function):
+    text = ir.print_function(func)
+    reference = copy.deepcopy(func)
+    clone = func.clone()
+    assert clone == func
+    assert ir.print_function(clone) == text
+    shared = ({id(o) for o in _mutable_parts(func)}
+              & {id(o) for o in _mutable_parts(clone)})
+    assert not shared
+    # Grow every container of the clone; the original must not see it.
+    names = clone.var_names()
+    clone.params.append(("zz", "value"))
+    clone.guard_decls.update(names)
+    for block in clone.blocks:
+        for ins in block.instructions():
+            if isinstance(ins, ir.PhiInstr):
+                ins.args.append(("zz", "zz"))
+            elif isinstance(ins, ir.PsiInstr):
+                ins.args.append((ir.TRUE, "zz"))
+            else:
+                ins.operands.append("zz")
+        block.phis.append(ir.PhiInstr("zz", []))
+        block.body.append(ir.Instr("mov", "zz", [0]))
+    clone.blocks.append(ir.Block("zz"))
+    assert func == reference
+    assert ir.print_function(func) == text
+
+
+def _standard_states(func: ir.Function):
+    """`func`, then the function after each pass of the standard pipeline
+    that accepts it (the `ssa` pass is skipped for psi-SSA inputs)."""
+    states = [func]
+    in_ssa = any(isinstance(ins, (ir.PhiInstr, ir.PsiInstr))
+                 or (ins.guard is not None and ins.dest is not None)
+                 for _, ins in func.instructions())
+    passes = pipeline.STANDARD[1:] if in_ssa else pipeline.STANDARD
+    try:
+        pipeline.run(func.clone(), passes,
+                     after=lambda _, f: states.append(f.clone()))
+    except pipeline.FAILURES:
+        pass
+    return states
+
+
+def test_clone_copies_every_container_and_shares_nothing_mutable():
+    funcs = [f for path in sorted(DATA.glob("*.pir"))
+             for f in parse_module(path.read_text()).functions]
+    funcs += [gen_random_program(seed, "tiny" if seed % 2 else "small")
+              for seed in range(50)]
+    checked = 0
+    for func in funcs:
+        for state in _standard_states(func):
+            _assert_clone_is_independent(state)
+            checked += 1
+    assert checked > 6 * 50  # the standard pipeline ran on every program
+
+
+def test_module_clone_clones_each_function():
+    mod = parse_module((DATA / "two_merges.pir").read_text()
+                       + (DATA / "diamond_predicated.pir").read_text())
+    clone = mod.clone()
+    assert clone == mod and clone.functions is not mod.functions
+    for f, g in zip(mod.functions, clone.functions):
+        assert f is not g and f.blocks is not g.blocks
 
 
 def test_uses_lists_exactly_what_rename_uses_renames():
