@@ -24,11 +24,12 @@ computed twice:
   leave the block map, the dominator tree and its reverse postorder, and
   the merge's dominator children become the head's, one level shallower;
   the removed instructions (phis, the head's branch, the arms' gotos)
-  leave the positions and the head's are re-derived.  The guard env gains
-  `Not(f)` and `And(f, g)` for the temporaries; a psi keeps its phi's
-  formula, a fresh symbol either way, and moving or re-guarding an
-  instruction changes no formula.  Queries are exact truth tables, so
-  the numbering of symbols cannot change an answer;
+  leave the positions and the head's are re-derived.  The guard env
+  defines the temporaries by its one rule, `GuardEnv.define`, as `Not(f)`
+  and `And(f, g)`; a psi keeps its phi's formula, a fresh symbol either
+  way, and moving or re-guarding an instruction changes no formula.
+  Queries are exact truth tables, so the numbering of symbols cannot
+  change an answer;
 - inserting a copy records its definition and re-derives the positions of
   the block it went into: call `inserted()`.  The dominator tree stays
   valid, and so does the guard env: a copy defines a fresh name and
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ir import Block, Function, Instr, Instruction, PhiInstr, Pred, PsiInstr
-from .predicates import And, GuardEnv, Not, guard_env_or_conservative
+from .predicates import GuardEnv, guard_env_or_conservative
 
 
 def reachable_blocks(func: Function) -> list[str]:
@@ -296,14 +297,9 @@ class Analyses:
         if "dom" in computed:
             computed["dom"].fold(head.label, merge, removed)
         if "env" in computed:
-            formulas = computed["env"].formulas
             for ins in added:
-                if not isinstance(ins, Instr) or ins.opcode not in ("not", "and"):
-                    continue
-                args = [formulas.get(o) for o in ins.operands]
-                if None not in args:
-                    formulas[ins.dest] = (Not(*args) if ins.opcode == "not"
-                                          else And(*args))
+                if ins.opcode in ("not", "and"):
+                    computed["env"].define(ins)
 
 
 def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:

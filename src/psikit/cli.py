@@ -102,14 +102,12 @@ def _machine_from_args(args) -> MachineModel:
 
 def _run_module(mod: ir.Module, passes: list[str], args,
                 after=None) -> PassStats:
-    """Run `passes` over each function of `mod`, replacing it by the result;
-    returns the copies out-of-SSA inserted, summed over the functions."""
+    """Run `passes` over each function of `mod`, in place; returns the
+    copies out-of-SSA inserted, summed over the functions."""
     machine, opts = _machine_from_args(args), _options_from_args(args)
     total = PassStats()
-    for i, func in enumerate(mod.functions):
-        mod.functions[i], stats = pipeline.run(func, passes, machine, opts,
-                                               after)
-        total.add(stats)
+    for func in mod.functions:
+        total.add(pipeline.run(func, passes, machine, opts, after))
     return total
 
 
@@ -199,9 +197,9 @@ def cmd_fuzz(args) -> int:
         if profile == "mix":
             profile = "tiny" if i % 2 == 0 else "small"
         func = interp.gen_random_program(seed, profile, name=f"f{seed}")
+        work = func.clone()
         try:
-            # The checked list starts with `ssa`, which leaves `func` as is.
-            work, _ = pipeline.run(func, passes, machine, opts)
+            pipeline.run(work, passes, machine, opts)
         except pipeline.FAILURES as exc:
             print(f"seed {seed}: pipeline error: {exc}", file=sys.stderr)
             mismatch_total += 1

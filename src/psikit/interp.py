@@ -362,7 +362,10 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
 
     Executions where f1 traps on an undefined read or an all-false psi are
     skipped: f1 is only partially defined there and f2 is free to differ.
+    Comparing a function with itself proves nothing and raises ValueError.
     """
+    if f1 is f2:
+        raise ValueError(f"@{f1.name} compared with itself")
     if len(f1.params) != len(f2.params):
         raise ValueError("functions have different signatures")
     rng = random.Random(seed)

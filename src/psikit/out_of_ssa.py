@@ -113,9 +113,6 @@ class CongruenceClasses:
     def classes(self) -> list[list[str]]:
         return [sorted(v) for _, v in sorted(self._members.items())]
 
-    def representative(self, name: str) -> str:
-        return self.find(name)
-
 
 def count_movs(func: Function) -> int:
     return sum(1 for _, ins in func.instructions()
@@ -514,13 +511,15 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
     cache = cache or Analyses(func)
     live, defs = cache.live, cache.defs
 
-    def mov_root(v: str) -> str:
+    def mov_root(v: str, cls: str | None = None) -> str:
+        """Where `v`'s chain of movs starts, inside class `cls` if given."""
         seen = set()
         while v not in seen:
             seen.add(v)
             ins = defs.get(v)
             if (isinstance(ins, Instr) and ins.opcode == "mov"
-                    and isinstance(ins.operands[0], str)):
+                    and isinstance(ins.operands[0], str)
+                    and (cls is None or classes.find(ins.operands[0]) == cls)):
                 v = ins.operands[0]
             else:
                 break
@@ -528,7 +527,9 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
 
     # A psi result never materializes as a write (the guarded definitions of
     # its arguments are the writes, and they are class members), so overlap
-    # between a result and its own arguments is not a conflict.
+    # between a result and its own arguments is not a conflict.  Nor is it
+    # through movs inside the class: renamed, they are no-ops, so a copy
+    # made in the class writes nothing its source did not.
     exempt: set[frozenset[str]] = set()
     for _, ins in func.instructions():
         if isinstance(ins, PsiInstr):
@@ -536,19 +537,19 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
                 exempt.add(frozenset((ins.dest, v)))
 
     for group in classes.classes():
+        cls = classes.find(group[0])
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if not live.interferes(a, b, refine_disjoint):
                     continue
-                if frozenset((a, b)) in exempt or mov_root(a) == mov_root(b):
+                if (mov_root(a) == mov_root(b) or frozenset(
+                        (mov_root(a, cls), mov_root(b, cls))) in exempt):
                     continue
                 raise ClassInterferenceDetected(
                     f"@{func.name}: %{a} and %{b} share a class but "
                     "interfere")
 
-    def rep(v: str) -> str:
-        return classes.representative(v)
-
+    rep = classes.find
     func.params = [(rep(n), k) for n, k in func.params]
     func.guard_decls = {rep(n) for n in func.guard_decls}
     for block in func.blocks:

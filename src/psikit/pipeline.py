@@ -1,9 +1,9 @@
 """The pass registry and the one runner every pipeline goes through.
 
-`PASSES` maps each pass name to a callable over `(func, machine, opts)`
-that returns the resulting function (`ssa` builds a new one, the others
-rewrite theirs in place) and the copies out-of-SSA inserted (None for
-the other passes).  Every pass except `ssa` needs its input in SSA form.
+`PASSES` maps each pass name to a callable `(func, machine, opts)` that
+rewrites `func` in place and returns the copies it inserted (out-of-SSA)
+or None (every other pass).  Every pass except `ssa` needs its input in
+SSA form.
 """
 
 from __future__ import annotations
@@ -27,27 +27,34 @@ class PipelineError(Exception):
     or a dump point outside the list."""
 
 
-def _in_place(step):
-    """The pass `step(func, machine)`, which rewrites `func` in place."""
-    def apply(func, machine, opts):
-        step(func, machine)
-        return func, None
-    return apply
+def _ssa(func, machine, opts) -> None:
+    construct_ssa(func)
 
 
-PASSES = {
-    "ssa": lambda func, machine, opts: (construct_ssa(func), None),
-    "fold": _in_place(lambda func, machine: copy_fold(func, env_of(func))),
-    "ifconvert": _in_place(if_convert_pass),
-    "psi-inline": _in_place(lambda func, machine:
-                            psi_inline_all(Analyses(func))),
-    "psi-reduce": _in_place(lambda func, machine:
-                            psi_reduce_all(func, env_of(func))),
-    "psi-promote": _in_place(lambda func, machine:
-                             psi_promote_pass(func, env_of(func), machine)),
-    "out-of-ssa": lambda func, machine, opts: (func,
-                                               run_out_of_ssa(func, opts)),
-}
+def _fold(func, machine, opts) -> None:
+    copy_fold(func, env_of(func))
+
+
+def _ifconvert(func, machine, opts) -> None:
+    if_convert_pass(func, machine)
+
+
+def _psi_inline(func, machine, opts) -> None:
+    psi_inline_all(Analyses(func))
+
+
+def _psi_reduce(func, machine, opts) -> None:
+    psi_reduce_all(func, env_of(func))
+
+
+def _psi_promote(func, machine, opts) -> None:
+    psi_promote_pass(func, env_of(func), machine)
+
+
+PASSES = {"ssa": _ssa, "fold": _fold, "ifconvert": _ifconvert,
+          "psi-inline": _psi_inline, "psi-reduce": _psi_reduce,
+          "psi-promote": _psi_promote,
+          "out-of-ssa": lambda func, machine, opts: run_out_of_ssa(func, opts)}
 STANDARD = ["ssa", "fold", "ifconvert", "psi-promote", "out-of-ssa"]
 
 
@@ -70,17 +77,16 @@ def check(passes: list[str], in_ssa: bool = False,
 
 
 def run(func: Function, passes: list[str], machine: MachineModel = FULL,
-        opts: OutOfSsaOptions | None = None,
-        after=None) -> tuple[Function, PassStats]:
-    """Apply `passes` to `func` in order; returns the resulting function and
-    the copies out-of-SSA inserted.  `after(name, func)`, if given, sees
-    the function after each pass.  Raises one of FAILURES when a pass
-    refuses the function."""
+        opts: OutOfSsaOptions | None = None, after=None) -> PassStats:
+    """Apply `passes` to `func` in place, in order; returns the copies
+    out-of-SSA inserted.  `after(name, func)`, if given, sees the function
+    after each pass.  Raises one of FAILURES when a pass refuses the
+    function."""
     stats = PassStats()
     for name in passes:
-        func, copies = PASSES[name](func, machine, opts)
+        copies = PASSES[name](func, machine, opts)
         if copies is not None:
             stats.add(copies)
         if after is not None:
             after(name, func)
-    return func, stats
+    return stats

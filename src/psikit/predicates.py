@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ir import CMP_OPS, Function, Instr, Pred, PhiInstr, PsiInstr
+from .ir import Function, Instruction, Pred
 
 # At 20 symbols a truth table is 2^20 bits, 128 KiB.
 QUERY_SYMBOL_CAP = 20
@@ -106,8 +106,30 @@ class GuardEnv:
         self.capped_queries = 0
         self._preds_disjoint: dict[tuple[Pred | None, Pred | None], bool] = {}
 
-    def formula(self, guard: str) -> PredExpr:
-        return self.formulas[guard]
+    def fresh(self) -> PredExpr:
+        """A new symbol."""
+        self.symbol_count += 1
+        return Sym(self.symbol_count - 1)
+
+    def define(self, ins: Instruction) -> None:
+        """Set the formula of the guard register `ins` defines.  A boolean
+        connective or a move maps to the corresponding formula operation
+        and const 0/1 to a constant; a compare, any other definition (phi,
+        psi, load) and a connective over an operand without a formula get
+        a fresh symbol, which is conservative."""
+        op, formulas = ins.opcode, self.formulas
+        args = ([formulas.get(o) for o in ins.operands]
+                if op in ("mov", "not", "and", "or") else None)
+        if op == "const":
+            formulas[ins.dest] = TRUE_EXPR if ins.operands[0] else FALSE_EXPR
+        elif args is None or None in args:
+            formulas[ins.dest] = self.fresh()
+        elif op == "mov":
+            formulas[ins.dest] = args[0]
+        elif op == "not":
+            formulas[ins.dest] = Not(args[0])
+        else:
+            formulas[ins.dest] = (And if op == "and" else Or)(*args)
 
     def pred_formula(self, pred: Pred | None) -> PredExpr:
         """Formula of a simple predicate reference (None means always-true)."""
@@ -210,57 +232,22 @@ def domain_union(preds: list[PredExpr]) -> PredExpr:
 
 
 def guard_env_or_conservative(func: Function) -> GuardEnv:
-    """Assign a formula to every guard register of `func`.
-
-    Compares get fresh symbols; boolean connectives and moves map to the
-    corresponding formula operations; const 0/1 map to constants; any other
-    guard definition (phi, psi, load, param) gets a fresh symbol, which is
-    conservative.  There is no limit on the number of symbols: only a query
-    over more than QUERY_SYMBOL_CAP of them falls back to syntactic answers.
+    """Assign a formula to every guard register of `func`: a fresh symbol
+    to each guard parameter, `GuardEnv.define`'s to each definition.
+    There is no limit on the number of symbols: only a query over more
+    than QUERY_SYMBOL_CAP of them falls back to syntactic answers.
     """
     from .ir import infer_kinds
 
     kinds = infer_kinds(func)
-    formulas: dict[str, PredExpr] = {}
-    counter = 0
-
-    def fresh() -> PredExpr:
-        nonlocal counter
-        counter += 1
-        return Sym(counter - 1)
-
+    env = GuardEnv({}, 0)
     for name, kind in func.params:
         if kind == "guard":
-            formulas[name] = fresh()
+            env.formulas[name] = env.fresh()
 
     # Definitions are visited in block order; a forward reference (loop phi)
     # falls back to a fresh symbol anyway, so one pass suffices.
     for _, ins in func.instructions():
-        dest = ins.dest
-        if dest is None or kinds.get(dest) != "guard" or dest in formulas:
-            continue
-        if isinstance(ins, (PhiInstr, PsiInstr)):
-            formulas[dest] = fresh()
-            continue
-        assert isinstance(ins, Instr)
-        op = ins.opcode
-        if op in CMP_OPS:
-            formulas[dest] = fresh()
-        elif op == "const":
-            formulas[dest] = TRUE_EXPR if ins.operands[0] else FALSE_EXPR
-        elif op == "mov" and isinstance(ins.operands[0], str):
-            formulas[dest] = formulas.get(ins.operands[0]) or fresh()
-        elif op == "not":
-            inner = formulas.get(ins.operands[0])
-            formulas[dest] = Not(inner) if inner is not None else fresh()
-        elif op in ("and", "or"):
-            left = formulas.get(ins.operands[0])
-            right = formulas.get(ins.operands[1])
-            if left is None or right is None:
-                formulas[dest] = fresh()
-            else:
-                formulas[dest] = (And if op == "and" else Or)(left, right)
-        else:
-            formulas[dest] = fresh()
-    return GuardEnv(formulas, counter)
-
+        if kinds.get(ins.dest) == "guard" and ins.dest not in env.formulas:
+            env.define(ins)
+    return env

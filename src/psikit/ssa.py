@@ -35,38 +35,47 @@ class ConditionViolated(Exception):
 # Construction
 
 def construct_ssa(func: Function) -> Function:
-    """Rename to SSA with pruned phi placement at dominance frontiers.
+    """Rename `func` to SSA in place, with pruned phi placement at
+    dominance frontiers, and drop its unreachable blocks; returns `func`.
 
     The input must be branch-structured, unpredicated code: a guarded
     definition is a partial definition and has no SSA name without a psi,
-    so such inputs are rejected.
+    so such inputs are rejected.  So are inputs already in SSA form and a
+    use that some path reaches before any definition.  Only reachable
+    blocks are checked, and a rejected input is left unchanged.
     """
-    func = func.clone()
-    analysis.remove_unreachable(func)
-    for block, ins in func.instructions():
-        if ins.guard is not None and ins.dest is not None:
-            raise ValueError(
-                f"@{func.name}/{block.label}: guarded definition of "
-                f"%{ins.dest} cannot be renamed to SSA directly")
-        if isinstance(ins, (PhiInstr, PsiInstr)):
-            raise ValueError(f"@{func.name} is already in SSA form")
+    reachable = set(analysis.reachable_blocks(func))
+    kept = [b for b in func.blocks if b.label in reachable]
+    def_blocks: dict[str, set[str]] = {}
+    for block in kept:
+        for ins in block.instructions():
+            if ins.guard is not None and ins.dest is not None:
+                raise ValueError(
+                    f"@{func.name}/{block.label}: guarded definition of "
+                    f"%{ins.dest} cannot be renamed to SSA directly")
+            if isinstance(ins, (PhiInstr, PsiInstr)):
+                raise ValueError(f"@{func.name} is already in SSA form")
+            if ins.dest is not None:
+                def_blocks.setdefault(ins.dest, set()).add(block.label)
+
+    # Liveness reads the reachable blocks before `func` changes.  They hold
+    # no phi, so keeping them is all that `remove_unreachable` would do.
+    live_in = analysis.liveness(Function(func.name, func.params,
+                                         kept)).live_in
+    param_names = {n for n, _ in func.params}
+    undefined = live_in[func.entry] - param_names
+    if undefined:
+        raise ValueError(f"@{func.name}: %{min(undefined)} may be used "
+                         "before it is defined")
+    func.blocks = kept
 
     dom = analysis.dominator_tree(func)
     frontiers = analysis.dominance_frontiers(func, dom)
     blocks = func.block_map()
     preds = func.predecessors()
 
-    def_blocks: dict[str, set[str]] = {}
-    for block in func.blocks:
-        for ins in block.instructions():
-            if ins.dest is not None:
-                def_blocks.setdefault(ins.dest, set()).add(block.label)
-
-    live_in = analysis.liveness(func).live_in
-
     # Pruned placement: a phi for v at frontier block B only if v is live-in.
     phi_vars: dict[str, list[str]] = {b.label: [] for b in func.blocks}
-    param_names = {n for n, _ in func.params}
     for var, sites in sorted(def_blocks.items()):
         if len(sites) < 2 and var not in param_names:
             continue
@@ -103,11 +112,7 @@ def construct_ssa(func: Function) -> Function:
         return new
 
     def top(var: str) -> str:
-        stack = stacks.get(var)
-        if not stack:
-            raise ValueError(f"@{func.name}: %{var} may be used before "
-                             "it is defined")
-        return stack[-1]
+        return stacks[var][-1]
 
     def rename(label: str) -> list[str]:
         """Rename one block; returns the roots it pushed."""

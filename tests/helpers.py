@@ -25,8 +25,10 @@ def load_func(name: str) -> ir.Function:
 
 def pipeline(func: ir.Function, passes, machine: MachineModel = FULL,
              opts: OutOfSsaOptions | None = None):
-    """Apply a named pass list to a clone of `func`; returns (func, stats)."""
-    return run_passes(func.clone(), passes, machine, opts)
+    """Apply a named pass list to a clone of `func`; returns the clone and
+    the copies out-of-SSA inserted."""
+    work = func.clone()
+    return work, run_passes(work, passes, machine, opts)
 
 
 def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-from psikit import cli, interp, pipeline
+from psikit import cli, interp, ir, pipeline
 from psikit.out_of_ssa import ClassInterferenceDetected
 
 from helpers import DATA
@@ -243,3 +243,16 @@ def test_class_interference_is_a_diagnostic(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: @f: %a and %b interfere\n"
+
+
+def test_copy_of_a_psi_result_beside_its_own_argument_compiles(tmp_path):
+    # Phi-congruence copies a psi result where one of that psi's arguments
+    # is still live, read by a later psi.  Both copy and source are in the
+    # argument's class, so the copy renames to a no-op: no conflict.
+    func = interp.gen_random_program(
+        2229, interp.SizeProfile("mid", 40, 4, 3, True))
+    path = tmp_path / "copied_psi_result.pir"
+    path.write_text(ir.print_module(ir.Module([func])))
+    proc = run_cli("run", str(path), "--passes=" + ",".join(pipeline.STANDARD),
+                   "--verify", "--trials=256")
+    assert proc.returncode == 0, proc.stderr

@@ -118,7 +118,7 @@ b2:
 def test_full_predication_matches_reference():
     func = load_func("diamond.pir")
     expected = load_func("diamond_predicated.pir")
-    work = construct_ssa(func)
+    work = construct_ssa(func.clone())
     assert if_convert_pass(work, FULL) == 1
     assert ir.alpha_equivalent(work, expected)
     assert_no_errors(ir.Module([work]), "ssa")
@@ -138,7 +138,7 @@ def test_partial_predication_speculates_and_extends_psi():
 def test_chained_merges_inline_into_wide_psi():
     func = load_func("two_merges.pir")
     expected = load_func("two_merges_predicated.pir")
-    work = construct_ssa(func)
+    work = construct_ssa(func.clone())
     assert if_convert_pass(work, FULL) == 2
     assert ir.alpha_equivalent(work, expected)
     report = interp.differential_check(func, work, trials=32, seed=3)

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from psikit import interp, ir
 from psikit.interp import (DEFAULT_MEM_SIZE, OUT_OF_BOUNDS, PSI_NONE_TRUE,
                            UNDEFINED_READ, decode, differential_check,
@@ -142,8 +144,16 @@ def test_eval_is_deterministic():
 
 def test_differential_reflexivity():
     func = gen_random_program(5, "small")
-    report = differential_check(func, func, trials=32, seed=9)
+    report = differential_check(func, func.clone(), trials=32, seed=9)
     assert report.ok and report.compared + report.skipped == 32
+
+
+def test_differential_check_refuses_a_function_compared_with_itself():
+    # A pass that rewrites its argument in place, checked against that same
+    # argument, would pass any check: the call must fail instead.
+    func = gen_random_program(5, "small")
+    with pytest.raises(ValueError, match="@main compared with itself"):
+        differential_check(func, func, trials=32, seed=9)
 
 
 def test_differential_full_vs_partial_conversion():

@@ -33,9 +33,9 @@ def test_check_rejects(passes, in_ssa, dump_after, message):
 def test_run_reports_out_of_ssa_copies_and_each_pass():
     func = load_func("loop_carried.pir")
     seen = []
-    result, stats = run(func.clone(), ["psi-inline", "psi-reduce",
-                                       "out-of-ssa"], PARTIAL,
-                        after=lambda name, f: seen.append((name, f)))
+    result = func.clone()
+    stats = run(result, ["psi-inline", "psi-reduce", "out-of-ssa"], PARTIAL,
+                after=lambda name, f: seen.append((name, f)))
     expected = func.clone()
     assert stats == run_out_of_ssa(expected)
     assert ir.alpha_equivalent(result, expected)
@@ -48,7 +48,8 @@ def test_every_registered_pass_keeps_the_semantics():
     func = interp.gen_random_program(3, "small")
     for name in PASSES:
         passes = ["ssa"] if name == "ssa" else ["ssa", name]
-        work, stats = run(func, passes)
+        work = func.clone()
+        stats = run(work, passes)
         assert interp.differential_check(func, work, trials=8, seed=3).ok
         if name != "out-of-ssa":
             assert stats == PassStats(), name

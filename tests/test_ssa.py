@@ -31,7 +31,7 @@ b0:
   ret %y
 }
 """).functions[0]
-    ssa = construct_ssa(func)
+    ssa = construct_ssa(func.clone())
     assert ir.alpha_equivalent(func, ssa)
 
 
@@ -47,10 +47,79 @@ b0:
         construct_ssa(func)
 
 
+# Each refused input also holds an unreachable block, which an accepted
+# input loses.
+REFUSED_BY_CONSTRUCTION = {
+    "guarded definition of %x": """
+func @f(%a, %p:guard) {
+b0:
+  %p? %x = add %a, 1
+  ret %x
+dead:
+  goto b0
+}
+""",
+    "already in SSA form": """
+func @f(%a, %p:guard) {
+b0:
+  br %p, b1, b2
+b1:
+  goto b2
+b2:
+  %x = phi(b0: %a, b1: %a)
+  ret %x
+dead:
+  goto b2
+}
+""",
+    "%x may be used before it is defined": """
+func @f(%a, %p:guard) {
+b0:
+  br %p, b1, b2
+b1:
+  %x = add %a, 1
+  goto b2
+b2:
+  ret %x
+dead:
+  goto b1
+}
+""",
+}
+
+
+def test_construct_renames_in_place_and_leaves_a_refused_input_unchanged():
+    func = load_func("diamond.pir")
+    assert construct_ssa(func) is func
+    assert_no_errors(ir.Module([func]), "ssa")
+    for message, text in REFUSED_BY_CONSTRUCTION.items():
+        func = ir.parse_module(text).functions[0]
+        before = ir.print_function(func)
+        with pytest.raises(ValueError, match=message):
+            construct_ssa(func)
+        assert ir.print_function(func) == before, message
+
+
+def test_construct_checks_only_reachable_blocks():
+    func = ir.parse_module("""
+func @f(%a, %p:guard) {
+b0:
+  %x = add %a, 1
+  ret %x
+dead:
+  %p? %y = add %a, 2
+  %z = psi(%p ? %y)
+  ret %z
+}
+""").functions[0]
+    construct_ssa(func)
+    assert [b.label for b in func.blocks] == ["b0"]
+
+
 def test_construct_is_interpreter_equivalent():
     for seed in range(200):
         func = interp.gen_random_program(seed, "tiny" if seed % 2 else "small")
-        ssa = construct_ssa(func)
+        ssa = construct_ssa(func.clone())
         assert_no_errors(ir.Module([ssa]), "ssa")
         report = interp.differential_check(func, ssa, trials=32, seed=seed)
         assert not report.mismatches, f"seed {seed}: {report.mismatches[0]}"
