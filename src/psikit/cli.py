@@ -5,7 +5,8 @@
     psikit run file.pir --stats
     psikit fuzz --trials 1000 --seed 0 --passes=ssa,fold,ifconvert,psi-promote,out-of-ssa
 
-Exit codes: 0 success, 1 diagnostics or bad flags, 2 verification mismatch.
+Exit codes: 0 success, 1 diagnostics or bad flags, 2 verification mismatch
+(for fuzz: a mismatch or a program the pipeline refused).
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ def _print_stats(mod: ir.Module, args):
 
 
 def _machine_from_args(args) -> MachineModel:
-    return machine_from_flags(args.machine, args.predicable, args.speculatable)
+    try:
+        return machine_from_flags(args.machine, args.predicable,
+                                  args.speculatable)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _run_module(mod: ir.Module, passes: list[str], args,
@@ -189,8 +194,7 @@ def cmd_fuzz(args) -> int:
     passes = [p for p in args.passes.split(",") if p]
     pipeline.check(passes)
     machine, opts = _machine_from_args(args), _options_from_args(args)
-    mismatch_total = 0
-    compared = 0
+    mismatch_total = refused = compared = 0
     for i in range(args.trials):
         seed = args.seed + i
         profile = args.profile
@@ -202,7 +206,7 @@ def cmd_fuzz(args) -> int:
             pipeline.run(work, passes, machine, opts)
         except pipeline.FAILURES as exc:
             print(f"seed {seed}: pipeline error: {exc}", file=sys.stderr)
-            mismatch_total += 1
+            refused += 1
             continue
         report = interp.differential_check(func, work, trials=args.vectors,
                                            seed=seed)
@@ -211,8 +215,8 @@ def cmd_fuzz(args) -> int:
             print(f"seed {seed}: {mm}", file=sys.stderr)
         mismatch_total += len(report.mismatches)
     print(f"fuzz: {args.trials} programs, {compared} runs compared, "
-          f"{mismatch_total} mismatches")
-    return 2 if mismatch_total else 0
+          f"{mismatch_total} mismatches, {refused} refused")
+    return 2 if mismatch_total or refused else 0
 
 
 def _add_common(parser):

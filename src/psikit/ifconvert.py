@@ -1,21 +1,24 @@
 """If-conversion of diamond and triangle regions into predicated code.
 
 One region per call: the head's branch plus two linear arms meeting at a
-merge block with exactly two predecessors.  Arm definitions are either
-guarded with the (possibly conjoined) path predicate or speculated,
-depending on the machine model; merge phis become psi instructions whose
-argument order follows the linearized definition order.
+merge block with exactly two predecessors.  Region detection plans each
+arm once, deciding per arm instruction, from the machine model, whether it
+is speculated or guarded with the (possibly conjoined) path predicate; the
+region carries that plan and `if_convert` carries it out.  Merge phis
+become psi instructions whose argument order follows the linearized
+definition order.  `if_convert_pass` inlines chained psis once, after its
+last region.
 
 Any value feeding a psi that stays in the linearized code must be defined
 whenever the psi executes, so definitions feeding arm psis (and the guard
 registers of guarded arm instructions) are forced to be speculated; if the
-machine cannot speculate them the region is not convertible.
+machine cannot speculate them the region is not a candidate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import Analyses, def_point
 from .ir import (Block, Function, Instr, Instruction, NameAllocator, Pred,
@@ -27,10 +30,6 @@ from .predicates import TRUE_EXPR, guard_env_or_conservative  # noqa: F401
 from .ssa import definition_formula, psi_inline_all
 
 
-class NotConvertible(Exception):
-    pass
-
-
 @dataclass
 class Region:
     head: str
@@ -38,6 +37,8 @@ class Region:
     else_blocks: list[str]
     merge: str
     cond: str
+    # ids of the arm instructions to speculate; the others are predicated.
+    speculated: set[int] = field(default_factory=set)
 
     def arm_labels(self) -> list[str]:
         return self.then_blocks + self.else_blocks
@@ -70,16 +71,16 @@ def _follow_arm(blocks: dict[str, Block], start: str, head: str,
 
 
 def _plan_arm(cache: Analyses, arm_labels: list[str],
-              machine: MachineModel) -> dict[int, str] | None:
-    """Decide per arm instruction whether it is speculated ('spec') or
-    predicated ('pred'); None when the arm cannot be converted."""
+              machine: MachineModel) -> set[int] | None:
+    """The ids of the arm instructions to speculate; every other arm
+    instruction is predicated.  None when the arm cannot be converted."""
     defs, env = cache.defs, cache.env
     instrs: list[Instruction] = []
     for label in arm_labels:
         instrs.extend(cache.blocks[label].body)
     in_arm_def = {ins.dest: ins for ins in instrs if ins.dest is not None}
 
-    plan: dict[int, str] = {}
+    spec: set[int] = set()
     forced: list[Instruction] = []
 
     def always_defined_outside(var: str) -> bool:
@@ -98,19 +99,17 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
 
     for ins in instrs:
         if isinstance(ins, PsiInstr):
-            plan[id(ins)] = "spec"
+            spec.add(id(ins))
             if not reads_defined(ins):
                 return None
         elif ins.guard is not None and ins.guard.reg in in_arm_def:
             forced.append(in_arm_def[ins.guard.reg])
 
     for ins in instrs:
-        if id(ins) in plan:
+        if id(ins) in spec or machine.predicable(ins.opcode):
             continue
-        if machine.predicable(ins.opcode):
-            plan[id(ins)] = "pred"
-        elif machine.speculatable(ins.opcode):
-            plan[id(ins)] = "spec"
+        if machine.speculatable(ins.opcode):
+            spec.add(id(ins))
             if not reads_defined(ins):
                 return None
         else:
@@ -120,19 +119,20 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
     # may turn a predicated plan into a speculated one.
     while forced:
         ins = forced.pop()
-        if plan.get(id(ins)) == "spec":
+        if id(ins) in spec:
             continue
         if not machine.speculatable(ins.opcode):
             return None
-        plan[id(ins)] = "spec"
+        spec.add(id(ins))
         if not reads_defined(ins):
             return None
-    return plan
+    return spec
 
 
 def _find_regions_once(cache: Analyses,
                        machine: MachineModel) -> Iterator[Region]:
-    """Directly convertible regions of the current CFG, innermost first.
+    """Directly convertible regions of the current CFG, innermost first,
+    each carrying its plan.
 
     The structural candidates are sorted first; an arm is planned only
     when the generator reaches its region, so a caller that takes the
@@ -165,30 +165,27 @@ def _find_regions_once(cache: Analyses,
     order = {b.label: i for i, b in enumerate(func.blocks)}
     candidates.sort(key=lambda r: (-dom.depth.get(r.head, 0), order[r.head]))
     for region in candidates:
-        if _plan_arm(cache, region.then_blocks, machine) is None:
+        then_spec = _plan_arm(cache, region.then_blocks, machine)
+        if then_spec is None:
             continue
-        if _plan_arm(cache, region.else_blocks, machine) is None:
+        else_spec = _plan_arm(cache, region.else_blocks, machine)
+        if else_spec is None:
             continue
+        region.speculated = then_spec | else_spec
         yield region
 
 
-def if_convert(cache: Analyses, region: Region, machine: MachineModel,
+def if_convert(cache: Analyses, region: Region,
                alloc: NameAllocator) -> Function:
-    """Linearize one region in place and record the change in `cache`;
-    returns the function.  Fresh names come from `alloc`."""
+    """Linearize one region in place, as its plan says, and record the
+    change in `cache`; returns the function.  The region must come from
+    `_find_regions_once` on the function as it stands.  Fresh names come
+    from `alloc`."""
     func, blocks, defs = cache.func, cache.blocks, cache.defs
     head = blocks[region.head]
     merge = blocks[region.merge]
     pos = cache.positions
     dom = cache.dom
-
-    plans = {}
-    for labels in (region.then_blocks, region.else_blocks):
-        plan = _plan_arm(cache, labels, machine)
-        if plan is None:
-            raise NotConvertible(f"region at {region.head} has an arm that "
-                                 "can be neither predicated nor speculated")
-        plans.update(plan)
 
     new_body: list[Instruction] = []
     temps: list[Instr] = []  # the not/and instructions made here
@@ -216,28 +213,28 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
             conj_cache[key] = t
         return Pred(conj_cache[key], True)
 
-    # (arm kind, final pred) for every variable defined inside the arms.
-    arm_def_info: dict[str, tuple[str, Pred | None]] = {}
+    # The merge-psi predicate of each arm definition: its guard when
+    # predicated, the arm's path when speculated.
+    arm_pred: dict[str, Pred] = {}
 
     def emit_arm(labels: list[str], path: Pred):
         for label in labels:
             for ins in blocks[label].body:
-                if plans[id(ins)] == "spec":
-                    new_body.append(ins)
-                    if ins.dest is not None:
-                        kind = "psi" if isinstance(ins, PsiInstr) else "spec"
-                        arm_def_info[ins.dest] = (kind, path)
-                    continue
-                guard = path if ins.guard is None else conjoin(path, ins.guard)
-                ins.guard = guard
+                pred = path
+                if id(ins) not in region.speculated:
+                    if ins.guard is not None:
+                        pred = conjoin(path, ins.guard)
+                    ins.guard = pred
                 new_body.append(ins)
                 if ins.dest is not None:
-                    arm_def_info[ins.dest] = ("pred", guard)
+                    arm_pred[ins.dest] = pred
 
     then_path = Pred(region.cond, True)
     else_path = Pred(region.cond, False)
     emit_arm(region.then_blocks, then_path)
     emit_arm(region.else_blocks, else_path)
+    body_rank = {ins.dest: i for i, ins in enumerate(new_body)
+                 if ins.dest is not None}
 
     def outside_pred(var: str) -> Pred:
         ins = defs.get(var)
@@ -245,46 +242,33 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
             return ins.guard
         return TRUE
 
+    def rank(v: str):
+        """Where `v` is defined, in linearized order."""
+        if v in arm_pred:
+            return (1, body_rank[v])
+        p = def_point(v, defs, pos)
+        return (0, (-1, -1) if p is None else (dom.depth.get(p[0], 0), p[1]))
+
+    def psi_arg(path: Pred, v: str, last: bool) -> tuple[Pred, str]:
+        """The merge psi's argument for `v`, which reaches the merge along
+        `path`."""
+        if v not in arm_pred:
+            return (path if last else outside_pred(v), v)
+        if isinstance(defs[v], PsiInstr) and not last:
+            return (TRUE, v)
+        return (arm_pred[v], v)
+
     new_psis: list[PsiInstr] = []
     for phi in merge.phis:
-        by_edge = {
-            "then": phi.arg_for(region.then_exit()),
-            "else": phi.arg_for(region.else_exit()),
-        }
-        if by_edge["then"] == by_edge["else"]:
-            v = by_edge["then"]
-            psi = PsiInstr(phi.dest, [(outside_pred(v), v)])
-            new_psis.append(psi)
+        t = phi.arg_for(region.then_exit())
+        e = phi.arg_for(region.else_exit())
+        if t == e:
+            new_psis.append(PsiInstr(phi.dest, [(outside_pred(t), t)]))
             continue
-        entries = []  # (sort key, edge, var)
-        body_rank = {ins.dest: i for i, ins in enumerate(new_body)
-                     if ins.dest is not None}
-        for edge, v in by_edge.items():
-            if v in arm_def_info:
-                entries.append(((1, body_rank[v]), edge, v))
-            else:
-                p = def_point(v, defs, pos)
-                if p is None:
-                    entries.append(((0, (-1, -1)), edge, v))
-                else:
-                    entries.append(((0, (dom.depth.get(p[0], 0), p[1])),
-                                    edge, v))
-        entries.sort(key=lambda t: t[0])
-        args = []
-        for rank, (key, edge, v) in enumerate(entries):
-            last = rank == len(entries) - 1
-            path = then_path if edge == "then" else else_path
-            if v in arm_def_info:
-                kind, pred = arm_def_info[v]
-                if kind == "pred":
-                    args.append((pred, v))
-                elif kind == "psi":
-                    args.append((path if last else TRUE, v))
-                else:  # speculated
-                    args.append((path, v))
-            else:
-                args.append((path if last else outside_pred(v), v))
-        new_psis.append(PsiInstr(phi.dest, args))
+        first, second = sorted([(then_path, t), (else_path, e)],
+                               key=lambda arg: rank(arg[1]))
+        new_psis.append(PsiInstr(phi.dest, [psi_arg(*first, last=False),
+                                            psi_arg(*second, last=True)]))
 
     head.body.extend(new_body)
     head.body.extend(new_psis)
@@ -306,15 +290,16 @@ def if_convert(cache: Analyses, region: Region, machine: MachineModel,
 
 
 def if_convert_pass(func: Function, machine: MachineModel) -> int:
-    """Convert regions to a fixpoint, innermost out, inlining chained psis
-    after each conversion.  Returns the number of regions converted."""
+    """Convert regions to a fixpoint, innermost out, then inline chained
+    psis if any region was converted.  Returns the number of regions
+    converted."""
     cache = Analyses(func)
     alloc = NameAllocator(func)
     converted = 0
-    while True:
-        region = next(_find_regions_once(cache, machine), None)
-        if region is None:
-            return converted
-        if_convert(cache, region, machine, alloc)
-        psi_inline_all(cache)
+    for region in iter(lambda: next(_find_regions_once(cache, machine),
+                                    None), None):
+        if_convert(cache, region, alloc)
         converted += 1
+    if converted:
+        psi_inline_all(cache)
+    return converted

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ir import OPCODES
+
 PURE_OPS = frozenset({
     "const", "mov", "add", "sub", "mul", "neg",
     "cmp_eq", "cmp_lt", "cmp_le", "and", "or", "not", "select",
@@ -41,15 +43,22 @@ PARTIAL = MachineModel("partial",
 PRESETS = {"full": FULL, "partial": PARTIAL}
 
 
+def _opcodes(flag: str, text: str) -> frozenset[str]:
+    ops = frozenset(op.strip() for op in text.split(",") if op.strip())
+    if ops - OPCODES:
+        raise ValueError(f"--{flag}: unknown opcode {min(ops - OPCODES)!r}")
+    return ops
+
+
 def machine_from_flags(name: str, predicable: str | None = None,
                        speculatable: str | None = None) -> MachineModel:
-    """Build a machine from a preset name plus optional op-list overrides."""
+    """Build a machine from a preset name plus optional op-list overrides;
+    ValueError when an override names something that is not an opcode."""
     base = PRESETS[name]
     pred = base.predicable_ops
     spec = base.speculatable_ops
     if predicable:
-        pred = frozenset(p.strip() for p in predicable.split(",") if p.strip())
+        pred = _opcodes("predicable", predicable)
     if speculatable:
-        spec = frozenset(s.strip() for s in speculatable.split(",") if s.strip())
-    return MachineModel(name, frozenset(pred) & REAL_OPS,
-                        frozenset(spec) - NEVER_SPECULATABLE)
+        spec = _opcodes("speculatable", speculatable)
+    return MachineModel(name, pred & REAL_OPS, spec - NEVER_SPECULATABLE)

@@ -9,7 +9,7 @@ SSA form.
 from __future__ import annotations
 
 from .analysis import Analyses
-from .ifconvert import NotConvertible, if_convert_pass
+from .ifconvert import if_convert_pass
 from .ir import Function
 from .machine import FULL, MachineModel
 from .out_of_ssa import (ClassInterferenceDetected, OutOfSsaOptions,
@@ -19,7 +19,7 @@ from .ssa import (construct_ssa, copy_fold, psi_inline_all, psi_promote_pass,
                   psi_reduce_all)
 
 # How a pass refuses an input it cannot transform.
-FAILURES = (NotConvertible, ClassInterferenceDetected, ValueError)
+FAILURES = (ClassInterferenceDetected, ValueError)
 
 
 class PipelineError(Exception):

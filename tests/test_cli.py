@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from psikit import cli, interp, ir, pipeline
 from psikit.out_of_ssa import ClassInterferenceDetected
 
@@ -87,6 +89,30 @@ def test_fuzz_subcommand_reports_zero_mismatches():
                    "--passes=ssa,fold,ifconvert,psi-promote,out-of-ssa")
     assert proc.returncode == 0, proc.stderr
     assert "0 mismatches" in proc.stdout
+
+
+def test_fuzz_counts_refusals_apart_from_mismatches(monkeypatch, capsys):
+    def refuse(func, opts):
+        raise ClassInterferenceDetected(f"@{func.name}: %a and %b interfere")
+
+    monkeypatch.setattr(pipeline, "run_out_of_ssa", refuse)
+    code = cli.main(["fuzz", "--trials", "3", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("fuzz: 3 programs, 0 runs compared, "
+                            "0 mismatches, 3 refused\n")
+    assert captured.err.count("pipeline error: @f") == 3
+
+
+@pytest.mark.parametrize("command", [["run", DIAMOND,
+                                      "--passes=ssa,ifconvert"],
+                                     ["fuzz", "--trials", "1"]])
+@pytest.mark.parametrize("flag", ["--predicable", "--speculatable"])
+def test_unknown_opcode_in_a_machine_override_is_a_flag_error(command, flag):
+    proc = run_cli(*command, f"{flag}=add,foo")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {flag}: unknown opcode 'foo'\n"
+    assert proc.stdout == ""
 
 
 def test_stats_table_shapes():

@@ -2,13 +2,12 @@ import pytest
 
 from psikit import interp, ir
 from psikit.analysis import Analyses
-from psikit.ifconvert import (NotConvertible, _find_regions_once, if_convert,
-                              if_convert_pass)
+from psikit.ifconvert import _find_regions_once, if_convert, if_convert_pass
 from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.ssa import construct_ssa, psi_inline_all
 
-from helpers import assert_no_errors, load_func, pipeline
+from helpers import DATA, assert_no_errors, load, load_func, pipeline
 
 
 def regions_of(func, machine=FULL):
@@ -93,26 +92,6 @@ b2:
     assert store.guard == ir.Pred("p")
     report = interp.differential_check(func, work, trials=32, seed=0)
     assert not report.mismatches
-
-
-def test_if_convert_reports_not_convertible():
-    func = construct_ssa(ir.parse_module("""
-func @f(%i, %p:guard) {
-b0:
-  br %p, b1, b2
-b1:
-  store 0, %i
-  goto b2
-b2:
-  ret %i
-}
-""").functions[0])
-    cache = Analyses(func)
-    region = next(_find_regions_once(cache, PARTIAL))
-    with pytest.raises(NotConvertible):
-        if_convert(cache, region, machine_from_flags("partial",
-                                                     predicable="mov,select"),
-                   ir.NameAllocator(func))
 
 
 def test_full_predication_matches_reference():
@@ -240,12 +219,51 @@ def test_carried_analyses_match_fresh_ones_after_every_region(machine):
         alloc = ir.NameAllocator(func)
         for region in iter(lambda: next(_find_regions_once(cache, machine),
                                         None), None):
-            if_convert(cache, region, machine, alloc)
+            if_convert(cache, region, alloc)
             _assert_cache_is_fresh(cache)
             psi_inline_all(cache)
             _assert_cache_is_fresh(cache)
             regions += 1
     assert regions > 40
+
+
+def _convert_inlining_after_every_region(func, machine) -> int:
+    """The reference: if_convert_pass's loop with the chained psis inlined
+    after each region instead of once at the end; returns the splices."""
+    cache = Analyses(func)
+    alloc = ir.NameAllocator(func)
+    splices = 0
+    for region in iter(lambda: next(_find_regions_once(cache, machine),
+                                    None), None):
+        if_convert(cache, region, alloc)
+        splices += psi_inline_all(cache)
+    return splices
+
+
+def _ifconvert_inputs():
+    """SSA functions ready for if-conversion: generated programs after
+    `ssa,fold`, and every function of tests/data (as given when it is
+    already in psi-SSA form)."""
+    for seed in range(200):
+        program = gen_random_program(seed, ("tiny", "small")[seed % 2])
+        yield pipeline(program, ["ssa", "fold"])[0]
+    for path in sorted(DATA.glob("*.pir")):
+        for func in load(path.name).functions:
+            try:
+                yield construct_ssa(func.clone())
+            except ValueError:
+                yield func
+
+
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+def test_inlining_once_per_pass_matches_inlining_after_every_region(machine):
+    splices = 0
+    for func in _ifconvert_inputs():
+        reference = func.clone()
+        splices += _convert_inlining_after_every_region(reference, machine)
+        if_convert_pass(func, machine)
+        assert ir.print_function(func) == ir.print_function(reference)
+    assert splices > 20
 
 
 def _diamond_chain(n: int) -> ir.Function:
@@ -275,8 +293,10 @@ def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
     _counting(monkeypatch, analysis, "guard_env_or_conservative", counts)
     _counting(monkeypatch, analysis, "dominator_tree", counts)
     _counting(monkeypatch, ifconvert, "_plan_arm", counts)
+    _counting(monkeypatch, ifconvert, "psi_inline_all", counts)
     assert if_convert_pass(func, FULL) == 100
     assert len(func.blocks) == 1
     assert counts["guard_env_or_conservative"] == 1
     assert counts["dominator_tree"] <= 1
-    assert counts["_plan_arm"] <= 4 * 100
+    assert counts["_plan_arm"] == 2 * 100
+    assert counts["psi_inline_all"] == 1

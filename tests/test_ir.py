@@ -2,6 +2,8 @@ import copy
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psikit import ir, pipeline
 from psikit.interp import gen_random_program
@@ -120,6 +122,40 @@ def test_roundtrip_fixpoint_on_generated_corpus():
         once = print_module(mod)
         assert parse_module(once) == mod
         assert print_module(parse_module(once)) == once
+
+
+# Characters of .pir text, plus a few it never contains.
+_PIR_CHARS = "%@!?:,=(){}\n #;-_.0123456789abcdefghijklmnopqrstuvwxyz\t\"'$"
+_PIR_TEXTS = [path.read_text() for path in sorted(DATA.glob("*.pir"))]
+
+
+@st.composite
+def mutated_pir(draw):
+    """A tests/data text with one to three characters inserted, deleted or
+    duplicated."""
+    text = draw(st.sampled_from(_PIR_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            char = draw(st.sampled_from(_PIR_CHARS) | st.characters())
+            text = text[:i] + char + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[i] + text[i:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_pir())
+def test_mutated_text_raises_parse_error_or_round_trips(text):
+    try:
+        mod = parse_module(text)
+    except ParseError:
+        return
+    printed = print_module(mod)
+    assert print_module(parse_module(printed)) == printed
 
 
 def _mutable_parts(func: ir.Function):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from psikit import interp, ir
-from psikit.machine import PARTIAL
+from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import PassStats, run_out_of_ssa
 from psikit.pipeline import PASSES, STANDARD, PipelineError, check, run
 
@@ -53,3 +53,18 @@ def test_every_registered_pass_keeps_the_semantics():
         assert interp.differential_check(func, work, trials=8, seed=3).ok
         if name != "out-of-ssa":
             assert stats == PassStats(), name
+
+
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+@pytest.mark.parametrize("profile, seeds", [
+    (interp.SizeProfile("large", 200, 3, 2, True), range(2)),
+    (interp.SizeProfile("deep", 60, 8, 2, True), range(4)),
+], ids=["large", "deep"])
+def test_large_and_deep_programs_compile_and_keep_their_semantics(
+        profile, seeds, machine):
+    for seed in seeds:
+        func = interp.gen_random_program(seed, profile)
+        work = func.clone()
+        run(work, STANDARD, machine)
+        report = interp.differential_check(func, work, trials=8, seed=seed)
+        assert report.ok, (seed, report.mismatches[:1])
