@@ -12,17 +12,19 @@ variable is defined, through its psi chain or not) and `order_inverted`
 (whether two adjacent arguments are out of dominance order, the normalized
 form's second condition).
 
-`Analyses` computes the definitions, the block map, the dominator tree,
-the instruction positions, the guard env and the live ranges of one
-function on first use and keeps them while the function changes.  A pass
-that mutates the function keeps them correct by one rule, so none is
-computed twice:
+`Analyses` computes the definitions, the block map, the predecessors, the
+dominator tree, the instruction positions, the guard env and the live
+ranges of one function on first use and keeps them while the function
+changes.  A pass that mutates the function keeps them correct by one rule,
+so none is computed twice:
 
 - if-converting a region records the folding of its arms and merge into
   the head: call `linearized()`.  The new `not`/`and` temporaries and the
   psis that replace the merge phis become definitions; the folded labels
-  leave the block map, the dominator tree and its reverse postorder, and
-  the merge's dominator children become the head's, one level shallower;
+  leave the block map, the predecessors, the dominator tree and its
+  reverse postorder; the merge's successors, now the head's, name the
+  head as their predecessor instead of the merge, and the merge's
+  dominator children become the head's, one level shallower;
   the removed instructions (phis, the head's branch, the arms' gotos)
   leave the positions and the head's are re-derived.  The guard env
   defines the temporaries by its one rule, `GuardEnv.define`, as `Not(f)`
@@ -164,11 +166,13 @@ class DomTree:
         return out
 
 
-def dominator_tree(func: Function) -> DomTree:
-    """Iterative RPO dataflow over reachable blocks."""
+def dominator_tree(func: Function,
+                   preds: dict[str, list[str]] | None = None) -> DomTree:
+    """Iterative RPO dataflow over reachable blocks; `preds`, if given,
+    is `func.predecessors()`."""
     order = _rpo(func)
     index = {l: i for i, l in enumerate(order)}
-    preds = func.predecessors()
+    preds = func.predecessors() if preds is None else preds
     idom: dict[str, str | None] = {order[0]: None}
 
     def intersect(a: str, b: str) -> str:
@@ -246,8 +250,14 @@ class Analyses:
         return self.func.block_map()
 
     @cached_property
+    def preds(self) -> dict[str, list[str]]:
+        """`Function.predecessors()`; once a region is folded, a list may
+        leave block order (the head takes the merge's place)."""
+        return self.func.predecessors()
+
+    @cached_property
     def dom(self) -> "DomTree":
-        return dominator_tree(self.func)
+        return dominator_tree(self.func, self.preds)
 
     @cached_property
     def positions(self) -> dict[int, tuple[str, int]]:
@@ -294,6 +304,13 @@ class Analyses:
             for ins in dropped:
                 del pos[id(ins)]
             _block_positions(head, pos)
+        if "preds" in computed:
+            preds = computed["preds"]
+            for label in removed:
+                del preds[label]
+            for label in head.successors():
+                preds[label] = [head.label if p == merge else p
+                                for p in preds[label]]
         if "dom" in computed:
             computed["dom"].fold(head.label, merge, removed)
         if "env" in computed:
@@ -552,7 +569,7 @@ class LiveRanges:
         self.live_in: dict[str, set[str]] = {l: set() for l in reachable}
         self.live_out: dict[str, set[str]] = {l: set() for l in reachable}
         self.preds = {l: [p for p in ps if p in self.live_in]
-                      for l, ps in func.predecessors().items()}
+                      for l, ps in cache.preds.items()}
         self._def: dict[str, Instruction] = dict(self.defs)
         # var -> block -> id -> instruction using var there (synthetic
         # uses included); var -> predecessor -> ids of phis using var there.

@@ -1,13 +1,26 @@
 """If-conversion of diamond and triangle regions into predicated code.
 
 One region per call: the head's branch plus two linear arms meeting at a
-merge block with exactly two predecessors.  Region detection plans each
-arm once, deciding per arm instruction, from the machine model, whether it
-is speculated or guarded with the (possibly conjoined) path predicate; the
-region carries that plan and `if_convert` carries it out.  Merge phis
-become psi instructions whose argument order follows the linearized
-definition order.  `if_convert_pass` inlines chained psis once, after its
-last region.
+merge block with exactly two predecessors.  Planning a region decides per
+arm instruction, from the machine model, whether it is speculated or
+guarded with the (possibly conjoined) path predicate; the region carries
+that plan and `if_convert` carries it out.  Merge phis become psi
+instructions whose argument order follows the linearized definition order.
+
+`if_convert_pass` scans the CFG once for the blocks that head a region
+and takes the regions from a worklist, innermost (deepest in the dominator
+tree) first, ties in block order; a region whose plan failed leaves it.
+Converting a region with head h gives a new region to one block at most:
+the branch whose arm can now run through h, the first branch up h's chain
+of single predecessors, once h ends with the merge's `goto`.  No other
+region changes: arms are single-predecessor goto chains, the folded blocks
+had predecessors only inside the region, and the merge's successors only
+see h instead of the merge.  If h now ends with the merge's branch, its
+region, if any, is the merge's, which was deeper and so has failed.  A
+failed plan stays failed, since a conversion only narrows plannability: it
+guards arm definitions and turns phis into psis, so an outside variable
+defined on every path may stop being one, never the reverse.  The pass
+inlines chained psis once, after its last region.
 
 Any value feeding a psi that stays in the linearized code must be defined
 whenever the psi executes, so definitions feeding arm psis (and the guard
@@ -17,7 +30,7 @@ machine cannot speculate them the region is not a candidate.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import heapq
 from dataclasses import dataclass, field
 
 from .analysis import Analyses, def_point
@@ -68,6 +81,45 @@ def _follow_arm(blocks: dict[str, Block], start: str, head: str,
         seen.add(label)
         chain.append(label)
         label = block.term.labels()[0]
+
+
+def _candidate(cache: Analyses, label: str) -> Region | None:
+    """The region headed by block `label` in the CFG as it stands, not yet
+    planned; None when the block heads none."""
+    blocks, preds = cache.blocks, cache.preds
+    term = blocks[label].term
+    if term is None or term.opcode != "br" or label not in cache.dom.depth:
+        return None
+    t_target, e_target = term.labels()
+    if t_target == e_target:
+        return None
+    t = _follow_arm(blocks, t_target, label, preds)
+    e = _follow_arm(blocks, e_target, label, preds)
+    if t is None or e is None:
+        return None
+    (t_chain, merge), (e_chain, e_merge) = t, e
+    if (merge != e_merge or set(t_chain) & set(e_chain) or merge == label
+            or len(preds[merge]) != 2):
+        return None
+    return Region(label, t_chain, e_chain, merge, cond=term.operands[0])
+
+
+def _branch_above(cache: Analyses, label: str) -> str | None:
+    """The block whose arm can run through block `label`: climbing from
+    `label` through blocks with a single predecessor that end in `goto`,
+    the first predecessor that ends in `br`; None if the climb stops
+    first."""
+    preds, blocks = cache.preds, cache.blocks
+    seen = set()
+    while label not in seen and len(preds[label]) == 1:
+        term = blocks[label].term
+        if term is None or term.opcode != "goto":
+            return None
+        seen.add(label)
+        label = preds[label][0]
+        if blocks[label].term.opcode == "br":
+            return label
+    return None
 
 
 def _plan_arm(cache: Analyses, arm_labels: list[str],
@@ -129,58 +181,26 @@ def _plan_arm(cache: Analyses, arm_labels: list[str],
     return spec
 
 
-def _find_regions_once(cache: Analyses,
-                       machine: MachineModel) -> Iterator[Region]:
-    """Directly convertible regions of the current CFG, innermost first,
-    each carrying its plan.
-
-    The structural candidates are sorted first; an arm is planned only
-    when the generator reaches its region, so a caller that takes the
-    first region plans no other."""
-    func, blocks, dom = cache.func, cache.blocks, cache.dom
-    preds = func.predecessors()
-    candidates: list[Region] = []
-    for block in func.blocks:
-        term = block.term
-        if term is None or term.opcode != "br" or block.label not in dom.depth:
-            continue
-        t_target, e_target = term.labels()
-        if t_target == e_target:
-            continue
-        t = _follow_arm(blocks, t_target, block.label, preds)
-        e = _follow_arm(blocks, e_target, block.label, preds)
-        if t is None or e is None:
-            continue
-        t_chain, t_merge = t
-        e_chain, e_merge = e
-        if t_merge != e_merge:
-            continue
-        merge = t_merge
-        if set(t_chain) & set(e_chain) or merge == block.label:
-            continue
-        if len(preds[merge]) != 2:
-            continue
-        candidates.append(Region(block.label, t_chain, e_chain, merge,
-                                 cond=term.operands[0]))
-    order = {b.label: i for i, b in enumerate(func.blocks)}
-    candidates.sort(key=lambda r: (-dom.depth.get(r.head, 0), order[r.head]))
-    for region in candidates:
-        then_spec = _plan_arm(cache, region.then_blocks, machine)
-        if then_spec is None:
-            continue
-        else_spec = _plan_arm(cache, region.else_blocks, machine)
-        if else_spec is None:
-            continue
-        region.speculated = then_spec | else_spec
-        yield region
+def _planned(cache: Analyses, region: Region,
+             machine: MachineModel) -> bool:
+    """Plan both arms of `region` into it; False when an arm cannot be
+    converted."""
+    then_spec = _plan_arm(cache, region.then_blocks, machine)
+    if then_spec is None:
+        return False
+    else_spec = _plan_arm(cache, region.else_blocks, machine)
+    if else_spec is None:
+        return False
+    region.speculated = then_spec | else_spec
+    return True
 
 
 def if_convert(cache: Analyses, region: Region,
                alloc: NameAllocator) -> Function:
     """Linearize one region in place, as its plan says, and record the
-    change in `cache`; returns the function.  The region must come from
-    `_find_regions_once` on the function as it stands.  Fresh names come
-    from `alloc`."""
+    change in `cache`; returns the function.  The region must be planned
+    (`_planned`) on the function as it stands.  Fresh names come from
+    `alloc`."""
     func, blocks, defs = cache.func, cache.blocks, cache.defs
     head = blocks[region.head]
     merge = blocks[region.merge]
@@ -295,11 +315,30 @@ def if_convert_pass(func: Function, machine: MachineModel) -> int:
     converted."""
     cache = Analyses(func)
     alloc = NameAllocator(func)
+    depth = cache.dom.depth
+    index = {b.label: i for i, b in enumerate(func.blocks)}
+    # The regions still to try, innermost first.  Every key stays exact: a
+    # conversion lowers depths only below its merge, and every queued head
+    # lies above the head just taken.
+    queue: list[tuple[int, int, Region]] = []
+
+    def push(label: str) -> None:
+        region = _candidate(cache, label)
+        if region is not None:
+            heapq.heappush(queue, (-depth[label], index[label], region))
+
+    for label in index:
+        push(label)
     converted = 0
-    for region in iter(lambda: next(_find_regions_once(cache, machine),
-                                    None), None):
+    while queue:
+        region = heapq.heappop(queue)[2]
+        if not _planned(cache, region, machine):
+            continue
         if_convert(cache, region, alloc)
         converted += 1
+        above = _branch_above(cache, region.head)
+        if above is not None:
+            push(above)
     if converted:
         psi_inline_all(cache)
     return converted

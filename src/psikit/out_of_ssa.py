@@ -78,21 +78,17 @@ class OutOfSsaOptions:
 
 class CongruenceClasses:
     """Union-find over variable names, representative = smallest name.
-    Each representative keeps the list of its class's members."""
+    Each representative keeps the list of its class's members.  A name
+    joins, as its own class, when first asked about."""
 
-    def __init__(self, names=()):
+    def __init__(self):
         self.parent: dict[str, str] = {}
         self._members: dict[str, list[str]] = {}
-        for n in names:
-            self.add(n)
 
-    def add(self, name: str):
+    def find(self, name: str) -> str:
         if name not in self.parent:
             self.parent[name] = name
             self._members[name] = [name]
-
-    def find(self, name: str) -> str:
-        self.add(name)
         root = name
         while self.parent[root] != root:
             root = self.parent[root]
@@ -111,7 +107,9 @@ class CongruenceClasses:
         return sorted(self._members[self.find(name)])
 
     def classes(self) -> list[list[str]]:
-        return [sorted(v) for _, v in sorted(self._members.items())]
+        """The classes of two or more members, by representative."""
+        return [sorted(v) for _, v in sorted(self._members.items())
+                if len(v) > 1]
 
 
 def count_movs(func: Function) -> int:
@@ -584,7 +582,7 @@ def to_cssa(func: Function, opts: OutOfSsaOptions | None = None,
     cache = cache or Analyses(func)
     alloc = NameAllocator(func)
     n_normalize = psi_normalize(cache, opts.reorder_disjoint, alloc)
-    classes = CongruenceClasses(func.var_names())
+    classes = CongruenceClasses()
     n_psi = psi_congruence(cache, classes, opts, alloc)
     n_phi = phi_congruence(cache, classes, opts, alloc)
     return classes, (n_normalize, n_psi, n_phi)

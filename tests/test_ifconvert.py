@@ -2,7 +2,8 @@ import pytest
 
 from psikit import interp, ir
 from psikit.analysis import Analyses
-from psikit.ifconvert import _find_regions_once, if_convert, if_convert_pass
+from psikit.ifconvert import (Region, _follow_arm, _planned, if_convert,
+                              if_convert_pass)
 from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.ssa import construct_ssa, psi_inline_all
@@ -10,9 +11,45 @@ from psikit.ssa import construct_ssa, psi_inline_all
 from helpers import DATA, assert_no_errors, load, load_func, pipeline
 
 
+def rescanned_regions(cache, machine):
+    """The reference detector: the planned regions of the CFG as it stands,
+    innermost first, found by a scan of every block on fresh predecessors.
+    A region is planned only when the generator reaches it."""
+    func, blocks, dom = cache.func, cache.blocks, cache.dom
+    preds = func.predecessors()
+    candidates = []
+    for block in func.blocks:
+        term = block.term
+        if term is None or term.opcode != "br" or block.label not in dom.depth:
+            continue
+        t_target, e_target = term.labels()
+        if t_target == e_target:
+            continue
+        t = _follow_arm(blocks, t_target, block.label, preds)
+        e = _follow_arm(blocks, e_target, block.label, preds)
+        if t is None or e is None:
+            continue
+        (t_chain, merge), (e_chain, e_merge) = t, e
+        if (merge != e_merge or set(t_chain) & set(e_chain)
+                or merge == block.label or len(preds[merge]) != 2):
+            continue
+        candidates.append(Region(block.label, t_chain, e_chain, merge,
+                                 cond=term.operands[0]))
+    order = {b.label: i for i, b in enumerate(func.blocks)}
+    candidates.sort(key=lambda r: (-dom.depth.get(r.head, 0), order[r.head]))
+    for region in candidates:
+        if _planned(cache, region, machine):
+            yield region
+
+
+def rescanning_loop(cache, machine):
+    """The regions to convert one after another, each found by a rescan."""
+    return iter(lambda: next(rescanned_regions(cache, machine), None), None)
+
+
 def regions_of(func, machine=FULL):
     """Regions directly convertible in the function as it stands."""
-    return list(_find_regions_once(Analyses(func), machine))
+    return list(rescanned_regions(Analyses(func), machine))
 
 
 def test_diamond_is_a_region():
@@ -189,6 +226,10 @@ def _assert_cache_is_fresh(cache):
     assert cache.defs.keys() == fresh.defs.keys()
     assert all(cache.defs[v] is fresh.defs[v] for v in fresh.defs)
     assert list(cache.blocks) == list(fresh.blocks)
+    # The same predecessors; a folded merge's successors list the head
+    # where the merge was, not in block order.
+    assert ({l: sorted(ps) for l, ps in cache.preds.items()}
+            == {l: sorted(ps) for l, ps in fresh.preds.items()})
     assert all(cache.blocks[l] is fresh.blocks[l] for l in fresh.blocks)
     assert cache.positions == fresh.positions
     assert cache.dom.idom == fresh.dom.idom
@@ -217,8 +258,7 @@ def test_carried_analyses_match_fresh_ones_after_every_region(machine):
         func, _ = pipeline(program, ["ssa", "fold"])
         cache = Analyses(func)
         alloc = ir.NameAllocator(func)
-        for region in iter(lambda: next(_find_regions_once(cache, machine),
-                                        None), None):
+        for region in rescanning_loop(cache, machine):
             if_convert(cache, region, alloc)
             _assert_cache_is_fresh(cache)
             psi_inline_all(cache)
@@ -233,18 +273,17 @@ def _convert_inlining_after_every_region(func, machine) -> int:
     cache = Analyses(func)
     alloc = ir.NameAllocator(func)
     splices = 0
-    for region in iter(lambda: next(_find_regions_once(cache, machine),
-                                    None), None):
+    for region in rescanning_loop(cache, machine):
         if_convert(cache, region, alloc)
         splices += psi_inline_all(cache)
     return splices
 
 
-def _ifconvert_inputs():
+def _ifconvert_inputs(seeds: int = 200):
     """SSA functions ready for if-conversion: generated programs after
     `ssa,fold`, and every function of tests/data (as given when it is
     already in psi-SSA form)."""
-    for seed in range(200):
+    for seed in range(seeds):
         program = gen_random_program(seed, ("tiny", "small")[seed % 2])
         yield pipeline(program, ["ssa", "fold"])[0]
     for path in sorted(DATA.glob("*.pir")):
@@ -264,6 +303,41 @@ def test_inlining_once_per_pass_matches_inlining_after_every_region(machine):
         if_convert_pass(func, machine)
         assert ir.print_function(func) == ir.print_function(reference)
     assert splices > 20
+
+
+def _shape(region):
+    return (region.head, region.then_blocks, region.else_blocks,
+            region.merge)
+
+
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+def test_worklist_converts_the_regions_a_rescan_finds(machine, monkeypatch):
+    """if_convert_pass converts the regions that rescanning the CFG after
+    every conversion finds, in the same order, to the same output."""
+    from psikit import ifconvert
+    converted = []
+
+    def recording(cache, region, alloc):
+        converted.append(_shape(region))
+        return if_convert(cache, region, alloc)
+    monkeypatch.setattr(ifconvert, "if_convert", recording)
+    regions = 0
+    for func in _ifconvert_inputs(400):
+        reference = func.clone()
+        cache = Analyses(reference)
+        alloc = ir.NameAllocator(reference)
+        expected = []
+        for region in rescanning_loop(cache, machine):
+            expected.append(_shape(region))
+            if_convert(cache, region, alloc)
+        if expected:
+            psi_inline_all(cache)
+        converted.clear()
+        assert if_convert_pass(func, machine) == len(expected)
+        assert converted == expected
+        assert ir.print_function(func) == ir.print_function(reference)
+        regions += len(expected)
+    assert regions > 1000
 
 
 def _diamond_chain(n: int) -> ir.Function:
@@ -294,9 +368,45 @@ def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
     _counting(monkeypatch, analysis, "dominator_tree", counts)
     _counting(monkeypatch, ifconvert, "_plan_arm", counts)
     _counting(monkeypatch, ifconvert, "psi_inline_all", counts)
+    _counting(monkeypatch, ir.Function, "predecessors", counts)
     assert if_convert_pass(func, FULL) == 100
     assert len(func.blocks) == 1
     assert counts["guard_env_or_conservative"] == 1
     assert counts["dominator_tree"] <= 1
+    assert counts["predecessors"] <= 1
     assert counts["_plan_arm"] == 2 * 100
     assert counts["psi_inline_all"] == 1
+
+
+def test_a_failed_plan_is_not_repeated(monkeypatch):
+    """k convertible diamonds, then m whose then-arm loads, which a machine
+    that cannot predicate loads cannot convert.  The failing regions are
+    innermost, so each conversion comes after them in the order, and the
+    last conversion hands the first failing branch to its head; each
+    failing region is still planned once."""
+    from psikit import ifconvert
+    k, m = 30, 20
+    lines = ["func @f(%x) {"]
+    for i in range(k):
+        lines += [f"h{i}:", f"  %c = cmp_lt %x, {i}", f"  br %c, t{i}, e{i}",
+                  f"t{i}:", "  %x = add %x, 1", f"  goto h{i + 1}",
+                  f"e{i}:", "  %x = sub %x, 1", f"  goto h{i + 1}"]
+    for j in range(m):
+        lines += [f"h{k + j}:", f"  %c = cmp_lt %x, {j}",
+                  f"  br %c, ft{j}, fe{j}",
+                  f"ft{j}:", "  %x = load %x", f"  goto h{k + j + 1}",
+                  f"fe{j}:", "  %x = sub %x, 1", f"  goto h{k + j + 1}"]
+    lines += [f"h{k + m}:", "  ret %x", "}"]
+    func = construct_ssa(ir.parse_module("\n".join(lines)).functions[0])
+    no_pred_load = machine_from_flags("partial", predicable="mov")
+    planned: dict[tuple, int] = {}
+    plan_arm = ifconvert._plan_arm
+
+    def counting(cache, arm_labels, machine):
+        planned[tuple(arm_labels)] = planned.get(tuple(arm_labels), 0) + 1
+        return plan_arm(cache, arm_labels, machine)
+    monkeypatch.setattr(ifconvert, "_plan_arm", counting)
+    assert if_convert_pass(func, no_pred_load) == k
+    assert len(func.blocks) == 3 * m + 1
+    assert all(planned[(f"ft{j}",)] == 1 for j in range(m))
+    assert sum(planned.values()) == 2 * k + m

@@ -122,7 +122,7 @@ b0:
 }
 """).functions[0]
     work = func.clone()
-    rename_and_strip(work, CongruenceClasses(work.var_names()))
+    rename_and_strip(work, CongruenceClasses())
     assert ir.alpha_equivalent(work, func)
 
 

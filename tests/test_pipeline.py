@@ -59,7 +59,8 @@ def test_every_registered_pass_keeps_the_semantics():
 @pytest.mark.parametrize("profile, seeds", [
     (interp.SizeProfile("large", 200, 3, 2, True), range(2)),
     (interp.SizeProfile("deep", 60, 8, 2, True), range(4)),
-], ids=["large", "deep"])
+    (interp.SizeProfile("l", 400, 3, 2, True), range(2)),
+], ids=["large", "deep", "l400"])
 def test_large_and_deep_programs_compile_and_keep_their_semantics(
         profile, seeds, machine):
     for seed in seeds:
