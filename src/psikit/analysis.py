@@ -15,18 +15,20 @@ form's second condition).
 `Analyses` computes the definitions, the block map, the predecessors, the
 dominator tree, the instruction positions, the guard env and the live
 ranges of one function on first use and keeps them while the function
-changes.  A pass that mutates the function keeps them correct by one rule,
-so none is computed twice:
+changes.  SSA construction, SSA validation, if-conversion, psi inlining,
+out-of-SSA and `ssa.is_normalized` read their analyses from one
+`Analyses`.  A pass that mutates the function keeps them correct by one
+rule, so none is computed twice:
 
 - if-converting a region records the folding of its arms and merge into
   the head: call `linearized()`.  The new `not`/`and` temporaries and the
   psis that replace the merge phis become definitions; the folded labels
-  leave the block map, the predecessors, the dominator tree and its
-  reverse postorder; the merge's successors, now the head's, name the
-  head as their predecessor instead of the merge, and the merge's
-  dominator children become the head's, one level shallower;
-  the removed instructions (phis, the head's branch, the arms' gotos)
-  leave the positions and the head's are re-derived.  The guard env
+  leave the block map, the predecessors and the dominator tree; the
+  merge's successors, now the head's, name the head as their predecessor
+  instead of the merge, and the merge's dominator children become the
+  head's, one level shallower; the removed instructions (phis, the head's
+  branch, the arms' gotos) leave the positions and the head's are
+  re-derived.  The guard env
   defines the temporaries by its one rule, `GuardEnv.define`, as `Not(f)`
   and `And(f, g)`; a psi keeps its phi's formula, a fresh symbol either
   way, and moving or re-guarding an instruction changes no formula.
@@ -58,34 +60,9 @@ from .predicates import GuardEnv, guard_env_or_conservative
 
 
 def reachable_blocks(func: Function) -> list[str]:
-    blocks = func.block_map()
-    seen = {func.entry}
-    stack = [func.entry]
-    order = [func.entry]
-    while stack:
-        for s in blocks[stack.pop()].successors():
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-                order.append(s)
-    return order
-
-
-def remove_unreachable(func: Function) -> list[str]:
-    """Drop unreachable blocks; returns the labels removed."""
-    keep = set(reachable_blocks(func))
-    dropped = [b.label for b in func.blocks if b.label not in keep]
-    if dropped:
-        func.blocks = [b for b in func.blocks if b.label in keep]
-        for block in func.blocks:
-            for phi in block.phis:
-                phi.args = [(l, v) for l, v in phi.args if l in keep]
-    return dropped
-
-
-def _rpo(func: Function) -> list[str]:
-    """Reverse postorder of a depth-first walk that visits successors in
-    order; iterative, so chains of any depth are fine."""
+    """The blocks reachable from the entry, in reverse postorder of a
+    depth-first walk that visits successors in order; iterative, so chains
+    of any depth are fine."""
     blocks = func.block_map()
     seen = {func.entry}
     order: list[str] = []
@@ -104,12 +81,25 @@ def _rpo(func: Function) -> list[str]:
     return order
 
 
+def remove_unreachable(func: Function) -> list[str]:
+    """Drop unreachable blocks; returns the labels removed."""
+    keep = set(reachable_blocks(func))
+    dropped = [b.label for b in func.blocks if b.label not in keep]
+    if dropped:
+        func.blocks = [b for b in func.blocks if b.label in keep]
+        for block in func.blocks:
+            for phi in block.phis:
+                phi.args = [(l, v) for l, v in phi.args if l in keep]
+    return dropped
+
+
 class DomTree:
-    """Immediate dominators plus an instruction-level dominance query."""
+    """Immediate dominators, children in reverse postorder (`order`), and
+    an instruction-level dominance query."""
 
     def __init__(self, idom: dict[str, str | None], order: list[str]):
         self.idom = idom
-        self.rpo = order
+        self.entry = order[0]
         self.depth: dict[str, int] = {}
         for label in order:
             parent = idom[label]
@@ -125,28 +115,23 @@ class DomTree:
             b = self.idom[b]
         return a == b
 
-    def strictly_dominates_block(self, a: str, b: str) -> bool:
-        return a != b and self.dominates_block(a, b)
-
     def dominates_pos(self, a: tuple[str, int], b: tuple[str, int],
                       strict: bool = False) -> bool:
         """Does program point a dominate point b?  Points are (block, slot);
         within one block the earlier instruction dominates the later."""
         if a[0] == b[0]:
             return a[1] < b[1] if strict else a[1] <= b[1]
-        return self.strictly_dominates_block(a[0], b[0])
+        return self.dominates_block(a[0], b[0])
 
     def fold(self, head: str, merge: str, removed: list[str]) -> None:
         """Drop the labels `removed` (a region's arms and its merge, which
         `head` immediately dominates); the merge's children become the
         head's, and the head had no others: every path out of the head
         runs through the merge.  Dominance between the remaining blocks is
-        unchanged and their reverse postorder keeps its order."""
-        gone = set(removed)
+        unchanged."""
         moved = self.children[merge]
         for label in removed:
             del self.idom[label], self.depth[label], self.children[label]
-        self.rpo = [l for l in self.rpo if l not in gone]
         self.children[head] = moved
         for child in moved:
             self.idom[child] = head
@@ -158,7 +143,7 @@ class DomTree:
 
     def preorder(self) -> list[str]:
         out = []
-        stack = [self.rpo[0]]
+        stack = [self.entry]
         while stack:
             label = stack.pop()
             out.append(label)
@@ -166,13 +151,11 @@ class DomTree:
         return out
 
 
-def dominator_tree(func: Function,
-                   preds: dict[str, list[str]] | None = None) -> DomTree:
-    """Iterative RPO dataflow over reachable blocks; `preds`, if given,
-    is `func.predecessors()`."""
-    order = _rpo(func)
+def dominator_tree(func: Function, preds: dict[str, list[str]]) -> DomTree:
+    """Iterative RPO dataflow over reachable blocks; `preds` is
+    `func.predecessors()`."""
+    order = reachable_blocks(func)
     index = {l: i for i, l in enumerate(order)}
-    preds = func.predecessors() if preds is None else preds
     idom: dict[str, str | None] = {order[0]: None}
 
     def intersect(a: str, b: str) -> str:
@@ -199,12 +182,14 @@ def dominator_tree(func: Function,
     return DomTree(idom, order)
 
 
-def dominance_frontiers(func: Function, dom: DomTree) -> dict[str, set[str]]:
-    preds = func.predecessors()
-    df: dict[str, set[str]] = {l: set() for l in dom.rpo}
-    for label in dom.rpo:
+def dominance_frontiers(cache: Analyses) -> dict[str, set[str]]:
+    """Each reachable block's dominance frontier.  A branch to the entry
+    makes it a join: control also enters it from outside the function."""
+    dom, preds = cache.dom, cache.preds
+    df: dict[str, set[str]] = {l: set() for l in dom.idom}
+    for label in dom.idom:
         ps = [p for p in preds[label] if p in dom.depth]
-        if len(ps) < 2:
+        if len(ps) < (1 if label == dom.entry else 2):
             continue
         for p in ps:
             runner = p
@@ -565,9 +550,8 @@ class LiveRanges:
         self.env = cache.env
         self.entry = func.entry
         self.params = {n for n, _ in func.params}
-        reachable = reachable_blocks(func)
-        self.live_in: dict[str, set[str]] = {l: set() for l in reachable}
-        self.live_out: dict[str, set[str]] = {l: set() for l in reachable}
+        self.live_in: dict[str, set[str]] = {l: set() for l in cache.dom.depth}
+        self.live_out: dict[str, set[str]] = {l: set() for l in self.live_in}
         self.preds = {l: [p for p in ps if p in self.live_in]
                       for l, ps in cache.preds.items()}
         self._def: dict[str, Instruction] = dict(self.defs)

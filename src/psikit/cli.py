@@ -134,7 +134,22 @@ def _call_from_args(mod: ir.Module, args) -> tuple[str, list[int]]:
     return name, values
 
 
+def _check_run_flags(args) -> None:
+    """Raise CliError for flags that would be silently ignored: `--stats`
+    runs its own pipelines and prints only its table."""
+    if args.stats:
+        ignored = ["--" + name.replace("_", "-") for name in (
+            "passes", "verify", "dump_after", "dump_liveness",
+            "dump_interference", "func", "args") if getattr(args, name)]
+        if ignored:
+            raise CliError("--stats cannot be combined with "
+                           + ", ".join(ignored))
+    if args.args and not args.func:
+        raise CliError("--args needs --func")
+
+
 def cmd_run(args) -> int:
+    _check_run_flags(args)
     mod = _load(args.file, "ssa" if args.in_ssa else "non_ssa")
     passes = [p for p in args.passes.split(",") if p] if args.passes else []
     pipeline.check(passes, args.in_ssa, args.dump_after)

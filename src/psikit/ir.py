@@ -213,12 +213,6 @@ class Function:
     def entry(self) -> str:
         return self.blocks[0].label
 
-    def block(self, label: str) -> Block:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
 
@@ -769,7 +763,8 @@ def _check_kind_uses(func: Function, kinds, diags: list[Diagnostic]):
 
 def validate(mod: Module, mode: str = "non_ssa") -> list[Diagnostic]:
     """Structural validation; in 'ssa' mode also single-def and dominance."""
-    assert mode in ("non_ssa", "ssa")
+    if mode not in ("non_ssa", "ssa"):
+        raise ValueError(f"validation mode must be non_ssa or ssa: {mode!r}")
     diags: list[Diagnostic] = []
     names = set()
     for func in mod.functions:
@@ -782,13 +777,14 @@ def validate(mod: Module, mode: str = "non_ssa") -> list[Diagnostic]:
 
 
 def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
+    from .analysis import Analyses, reachable_blocks  # analysis imports ir
+
     diags: list[Diagnostic] = []
 
     def err(where, msg):
         diags.append(Diagnostic("error", f"@{func.name}/{where}", msg))
 
-    labels = {b.label for b in func.blocks}
-    preds = func.predecessors()
+    cache = Analyses(func)
     for block in func.blocks:
         if block.term is None:
             err(block.label, "missing terminator")
@@ -799,11 +795,11 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
             if isinstance(ins, Instr) and ins.opcode in TERMINATORS:
                 err(block.label, "terminator in mid-block")
         for t in block.term.labels():
-            if t not in labels:
+            if t not in cache.blocks:
                 err(block.label, f"undefined branch target {t}")
         for phi in block.phis:
             got = sorted(lbl for lbl, _ in phi.args)
-            want = sorted(preds[block.label])
+            want = sorted(cache.preds[block.label])
             if got != want:
                 err(block.label,
                     f"phi %{phi.dest} args {got} do not match predecessors {want}")
@@ -830,7 +826,6 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
                                         f"use of undefined variable %{v}"))
 
     # Unreachable blocks are legal but analyses drop them.
-    from .analysis import reachable_blocks  # deferred: analysis imports ir
     seen = set(reachable_blocks(func))
     for b in func.blocks:
         if b.label not in seen:
@@ -842,21 +837,21 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
             diags.append(Diagnostic("error", f"@{func.name}",
                                     f"multiple definitions of %{v}"))
         if not multi:
-            diags.extend(_check_ssa_dominance(func))
+            diags.extend(_check_ssa_dominance(cache))
     return diags
 
 
-def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
-    from . import analysis  # deferred: analysis depends on ir types
+def _check_ssa_dominance(cache) -> list[Diagnostic]:
+    """Dominance of every use, read from the function's `analysis.Analyses`."""
+    from .analysis import def_point  # deferred: analysis imports ir
 
     diags: list[Diagnostic] = []
-    dom = analysis.dominator_tree(func)
-    pos = analysis.instr_positions(func)
-    defs = func.defs()
+    func, blocks = cache.func, cache.blocks
+    dom, pos, defs = cache.dom, cache.positions, cache.defs
 
     def dominates_use(var, use_pos, strict_before=True,
                       resolved=False) -> bool:
-        dpos = analysis.def_point(var, defs, pos, resolved)
+        dpos = def_point(var, defs, pos, resolved)
         if dpos is None:
             return True  # a parameter dominates everything
         return dom.dominates_pos(dpos, use_pos, strict=strict_before)
@@ -866,7 +861,7 @@ def _check_ssa_dominance(func: Function) -> list[Diagnostic]:
             upos = pos[id(ins)]
             if isinstance(ins, PhiInstr):
                 for lbl, v in ins.args:
-                    edge_pos = pos[id(func.block(lbl).term)]
+                    edge_pos = pos[id(blocks[lbl].term)]
                     if not dominates_use(v, edge_pos, strict_before=False):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",

@@ -40,12 +40,16 @@ def construct_ssa(func: Function) -> Function:
 
     The input must be branch-structured, unpredicated code: a guarded
     definition is a partial definition and has no SSA name without a psi,
-    so such inputs are rejected.  So are inputs already in SSA form and a
-    use that some path reaches before any definition.  Only reachable
+    so such inputs are rejected.  So are inputs already in SSA form, a
+    use that some path reaches before any definition, and a branch to the
+    entry, where no phi could take the function's inputs.  Only reachable
     blocks are checked, and a rejected input is left unchanged.
     """
     reachable = set(analysis.reachable_blocks(func))
     kept = [b for b in func.blocks if b.label in reachable]
+    if any(func.entry in b.successors() for b in kept):
+        raise ValueError(f"@{func.name}: entry block {func.entry} has "
+                         "predecessors")
     def_blocks: dict[str, set[str]] = {}
     for block in kept:
         for ins in block.instructions():
@@ -69,10 +73,9 @@ def construct_ssa(func: Function) -> Function:
                          "before it is defined")
     func.blocks = kept
 
-    dom = analysis.dominator_tree(func)
-    frontiers = analysis.dominance_frontiers(func, dom)
-    blocks = func.block_map()
-    preds = func.predecessors()
+    cache = analysis.Analyses(func)
+    dom, blocks, preds = cache.dom, cache.blocks, cache.preds
+    frontiers = analysis.dominance_frontiers(cache)
 
     # Pruned placement: a phi for v at frontier block B only if v is live-in.
     phi_vars: dict[str, list[str]] = {b.label: [] for b in func.blocks}
@@ -304,7 +307,7 @@ def _inline_preserves_value(psi: PsiInstr, i: int, inner: PsiInstr,
     return env.subset(inner_union, tail)
 
 
-def psi_reduce(func: Function, psi: PsiInstr, env: GuardEnv) -> int:
+def psi_reduce(psi: PsiInstr, env: GuardEnv) -> int:
     """Drop arguments whose predicate domain is covered by the arguments to
     their right; left-to-right until fixpoint.  Returns removals."""
     removed = 0
@@ -321,7 +324,7 @@ def psi_reduce(func: Function, psi: PsiInstr, env: GuardEnv) -> int:
 
 
 def psi_reduce_all(func: Function, env: GuardEnv) -> int:
-    return sum(psi_reduce(func, psi, env) for psi in all_psis(func))
+    return sum(psi_reduce(psi, env) for psi in all_psis(func))
 
 
 def psi_project(func: Function, psi: PsiInstr, onto, env: GuardEnv) -> str:
@@ -338,9 +341,10 @@ def psi_project(func: Function, psi: PsiInstr, onto, env: GuardEnv) -> str:
     return new
 
 
-def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
-                env: GuardEnv, machine: MachineModel) -> None:
-    """Widen one argument predicate, speculating its definition if needed.
+def psi_promote(defs: dict[str, Instruction], psi: PsiInstr, arg_index: int,
+                new_pred: Pred, env: GuardEnv, machine: MachineModel) -> None:
+    """Widen one argument predicate, speculating its definition if needed;
+    `defs` is the function's definitions.
 
     Refuses (leaving the function unchanged) unless the new predicate stays
     within the union of the predicates from this argument rightward, and the
@@ -353,7 +357,6 @@ def psi_promote(func: Function, psi: PsiInstr, arg_index: int, new_pred: Pred,
         raise ConditionViolated(2, f"%{psi.dest} argument {arg_index}")
 
     var = psi.args[arg_index][1]
-    defs = func.defs()
     def_ins = defs.get(var)
     covered = env.subset(nf, definition_formula(var, defs, env))
     if not covered:
@@ -378,11 +381,12 @@ def psi_promote_pass(func: Function, env: GuardEnv,
     """Default promotion policy: raise the first argument of every psi to
     the constant-true predicate where the promotion conditions allow it."""
     promoted = 0
+    defs = func.defs()  # speculation only drops guards: defs stay valid
     for psi in all_psis(func):
         if psi.args[0][0].is_true():
             continue
         try:
-            psi_promote(func, psi, 0, TRUE, env, machine)
+            psi_promote(defs, psi, 0, TRUE, env, machine)
             promoted += 1
         except ConditionViolated:
             pass
@@ -392,14 +396,12 @@ def psi_promote_pass(func: Function, env: GuardEnv,
 # ---------------------------------------------------------------------------
 # Normalization predicate
 
-def is_normalized(func: Function, psi: PsiInstr, dom: analysis.DomTree,
-                  env: GuardEnv) -> bool:
+def is_normalized(cache: analysis.Analyses, psi: PsiInstr) -> bool:
     """Both normalized-psi characteristics: each argument predicate equals
     the predicate domain of the argument's definition, and adjacent
     arguments are not inverted with respect to dominance order of their
     definitions (`analysis.order_inverted`, the normalizer's rule)."""
-    defs = func.defs()
-    pos = analysis.instr_positions(func)
+    defs, pos, dom, env = cache.defs, cache.positions, cache.dom, cache.env
 
     for p, v in psi.args:
         if not env.equal(env.pred_formula(p), definition_formula(v, defs, env)):

@@ -57,7 +57,7 @@ def oracle_dominators(func: ir.Function):
 
 def test_straight_line_dominance_is_in_block_order():
     func = build_cfg({"b0": []})
-    tree = analysis.dominator_tree(func)
+    tree = analysis.Analyses(func).dom
     pos_a, pos_b = ("b0", 1), ("b0", 4)
     assert tree.dominates_pos(pos_a, pos_b)
     assert not tree.dominates_pos(pos_b, pos_a, strict=True)
@@ -66,26 +66,30 @@ def test_straight_line_dominance_is_in_block_order():
 def test_diamond_idom():
     func = build_cfg({"b0": ["b1", "b2"], "b1": ["b3"], "b2": ["b3"],
                       "b3": []})
-    tree = analysis.dominator_tree(func)
+    tree = analysis.Analyses(func).dom
     assert tree.idom == {"b0": None, "b1": "b0", "b2": "b0", "b3": "b0"}
+
+
+def random_cfg(seed: int, n: int = 50) -> ir.Function:
+    """n blocks with random edges: loops and unreachable blocks included."""
+    rng = random.Random(seed)
+    labels = [f"b{i}" for i in range(n)]
+    edges = {}
+    for i, label in enumerate(labels):
+        kind = rng.random()
+        if kind < 0.15 or i == n - 1:
+            edges[label] = []
+        elif kind < 0.5:
+            edges[label] = [rng.choice(labels)]
+        else:
+            edges[label] = [rng.choice(labels), rng.choice(labels)]
+    return build_cfg(edges)
 
 
 def test_random_cfgs_match_naive_oracle():
     for seed in range(30):
-        rng = random.Random(seed)
-        n = 50
-        labels = [f"b{i}" for i in range(n)]
-        edges = {}
-        for i, label in enumerate(labels):
-            kind = rng.random()
-            if kind < 0.15 or i == n - 1:
-                edges[label] = []
-            elif kind < 0.5:
-                edges[label] = [rng.choice(labels)]
-            else:
-                edges[label] = [rng.choice(labels), rng.choice(labels)]
-        func = build_cfg(edges)
-        tree = analysis.dominator_tree(func)
+        func = random_cfg(seed)
+        tree = analysis.Analyses(func).dom
         _, want = oracle_dominators(func)
         assert tree.idom == want, f"seed {seed}"
 
@@ -93,11 +97,25 @@ def test_random_cfgs_match_naive_oracle():
 def test_dominance_frontiers_on_diamond():
     func = build_cfg({"b0": ["b1", "b2"], "b1": ["b3"], "b2": ["b3"],
                       "b3": []})
-    tree = analysis.dominator_tree(func)
-    df = analysis.dominance_frontiers(func, tree)
+    df = analysis.dominance_frontiers(analysis.Analyses(func))
     assert df["b1"] == {"b3"}
     assert df["b2"] == {"b3"}
     assert df["b0"] == set()
+
+
+def test_random_cfg_frontiers_match_their_definition():
+    """DF(x) holds y iff x dominates a predecessor of y and does not
+    strictly dominate y, over the reachable blocks."""
+    for seed in range(30):
+        func = random_cfg(seed)
+        dom, _ = oracle_dominators(func)
+        preds = func.predecessors()
+        want = {x: {y for y in dom
+                    if any(x in dom[p] for p in preds[y] if p in dom)
+                    and not (x in dom[y] and x != y)}
+                for x in dom}
+        got = analysis.dominance_frontiers(analysis.Analyses(func))
+        assert got == want, f"seed {seed}"
 
 
 # -- liveness under the psi rule ----------------------------------------------

@@ -132,6 +132,24 @@ def test_stats_on_unconvertible_input_is_a_diagnostic():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--stats", "--verify", "--passes=ssa", "--func=@f", "--args=1,0",
+      "--dump-liveness"], "--stats cannot be combined with --passes, "
+                          "--verify, --dump-liveness, --func, --args"),
+    (["--stats", "--dump-interference"],
+     "--stats cannot be combined with --dump-interference"),
+    (["--stats", "--passes=ssa", "--dump-after=ssa"],
+     "--stats cannot be combined with --passes, --dump-after"),
+    (["--passes=ssa", "--args=1,0"], "--args needs --func"),
+], ids=["stats-with-many", "stats-with-dump", "stats-with-dump-after",
+        "args-without-func"])
+def test_flags_that_would_be_ignored_are_flag_errors(flags, message, capsys):
+    assert cli.main(["run", DIAMOND, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_stats_csv_is_machine_readable():
     proc = run_cli("run", DIAMOND, "--stats", "--stats-format=csv")
     assert proc.returncode == 0

@@ -6,7 +6,8 @@ from psikit.ifconvert import (Region, _follow_arm, _planned, if_convert,
                               if_convert_pass)
 from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
-from psikit.ssa import construct_ssa, psi_inline_all
+from psikit.predicates import guard_env_or_conservative
+from psikit.ssa import construct_ssa, psi_inline_all, psi_promote_pass
 
 from helpers import DATA, assert_no_errors, load, load_func, pipeline
 
@@ -234,7 +235,7 @@ def _assert_cache_is_fresh(cache):
     assert cache.positions == fresh.positions
     assert cache.dom.idom == fresh.dom.idom
     assert cache.dom.depth == fresh.dom.depth
-    assert cache.dom.rpo == fresh.dom.rpo
+    assert cache.dom.entry == fresh.dom.entry
     assert cache.dom.children == fresh.dom.children
     env, ref = cache.env, fresh.env
     assert env.formulas.keys() == ref.formulas.keys()
@@ -340,15 +341,19 @@ def test_worklist_converts_the_regions_a_rescan_finds(machine, monkeypatch):
     assert regions > 1000
 
 
-def _diamond_chain(n: int) -> ir.Function:
-    """n sequential diamonds, each merge the head of the next."""
+def _diamond_chain_source(n: int) -> ir.Function:
+    """n sequential diamonds, each merge the head of the next; not SSA."""
     lines = ["func @f(%x) {"]
     for i in range(n):
         lines += [f"h{i}:", f"  %c = cmp_lt %x, {i}", f"  br %c, t{i}, e{i}",
                   f"t{i}:", "  %x = add %x, 1", f"  goto h{i + 1}",
                   f"e{i}:", "  %x = sub %x, 1", f"  goto h{i + 1}"]
     lines += [f"h{n}:", "  ret %x", "}"]
-    return construct_ssa(ir.parse_module("\n".join(lines)).functions[0])
+    return ir.parse_module("\n".join(lines)).functions[0]
+
+
+def _diamond_chain(n: int) -> ir.Function:
+    return construct_ssa(_diamond_chain_source(n))
 
 
 def _counting(monkeypatch, module, name: str, counts: dict):
@@ -376,6 +381,25 @@ def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
     assert counts["predecessors"] <= 1
     assert counts["_plan_arm"] == 2 * 100
     assert counts["psi_inline_all"] == 1
+
+
+def test_construction_and_validation_compute_predecessors_once(monkeypatch):
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, ir.Function, "predecessors", counts)
+    func = construct_ssa(_diamond_chain_source(100))
+    assert counts.pop("predecessors") == 1
+    assert_no_errors(ir.Module([func]), "ssa")
+    assert counts.pop("predecessors") == 1
+
+
+def test_promotion_builds_the_definitions_once(monkeypatch):
+    func = _diamond_chain(100)
+    assert if_convert_pass(func, FULL) == 100
+    env = guard_env_or_conservative(func)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, ir.Function, "defs", counts)
+    assert psi_promote_pass(func, env, FULL) == 100
+    assert counts["defs"] == 1
 
 
 def test_a_failed_plan_is_not_repeated(monkeypatch):

@@ -1,4 +1,6 @@
 import copy
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -257,6 +259,22 @@ def test_uses_lists_exactly_what_rename_uses_renames():
 def test_validate_accepts_psi_ssa_form():
     func = load_func("two_merges_predicated.pir")
     assert_no_errors(ir.Module([func]), "ssa")
+
+
+def test_validate_rejects_an_unknown_mode():
+    mod = parse_module((DATA / "diamond.pir").read_text())
+    for mode in ("SSA", "non-ssa", ""):
+        with pytest.raises(ValueError, match="validation mode"):
+            ir.validate(mod, mode)
+    # Not an assert, which `python -O` would strip.
+    code = ("import pathlib, sys; from psikit import ir; "
+            "mod = ir.parse_module(pathlib.Path(sys.argv[1]).read_text())\n"
+            "try: ir.validate(mod, 'SSA')\n"
+            "except ValueError: sys.exit(0)\n"
+            "sys.exit(3)")
+    proc = subprocess.run([sys.executable, "-O", "-c", code,
+                           str(DATA / "diamond.pir")], check=False)
+    assert proc.returncode == 0
 
 
 def test_validate_multiple_definitions_in_ssa_mode():

@@ -22,9 +22,8 @@ def test_normalize_three_shapes():
     work, copies = normalize_only(func)
     assert copies == 3
     assert ir.alpha_equivalent(work, expected)
-    env = guard_env_or_conservative(work)
-    dom = analysis.dominator_tree(work)
-    assert all(is_normalized(work, p, dom, env) for p in all_psis(work))
+    cache = analysis.Analyses(work)
+    assert all(is_normalized(cache, p) for p in all_psis(work))
 
 
 def test_normalize_is_idempotent():
@@ -55,13 +54,11 @@ def test_oracle_and_normalizer_share_the_order_rule():
     head, for `is_normalized` as for `psi_normalize`."""
     func = load_func("order_psi_left.pir")
     y = all_psis(func)[-1]
-    assert not is_normalized(func, y, analysis.dominator_tree(func),
-                             guard_env_or_conservative(func))
+    assert not is_normalized(analysis.Analyses(func), y)
     work, copies = normalize_only(func)
     assert copies == 1
-    env = guard_env_or_conservative(work)
-    dom = analysis.dominator_tree(work)
-    assert all(is_normalized(work, p, dom, env) for p in all_psis(work))
+    cache = analysis.Analyses(work)
+    assert all(is_normalized(cache, p) for p in all_psis(work))
     assert not interp.differential_check(func, work, trials=32,
                                          seed=3).mismatches
 
@@ -421,7 +418,7 @@ def test_phi_result_copy_goes_below_a_psi_argument_copy_at_the_head():
     func = load_func("loop_exit_psi_over_phis.pir")
     for opts in (OutOfSsaOptions(), OutOfSsaOptions(phi_naive=True)):
         work, _, _ = to_cssa(func, opts)
-        head = [ins.dest for ins in work.block("b1").body
+        head = [ins.dest for ins in work.block_map()["b1"].body
                 if ins.opcode == "mov"]
         assert head.index("w.1") < head.index("x"), opts
         final, _ = pipeline(func, ["out-of-ssa"], opts=opts)

@@ -5,7 +5,8 @@ import pytest
 
 from psikit import interp, ir
 from psikit.machine import FULL, PARTIAL
-from psikit.out_of_ssa import PassStats, run_out_of_ssa
+from psikit.out_of_ssa import (ClassInterferenceDetected, PassStats,
+                               run_out_of_ssa)
 from psikit.pipeline import PASSES, STANDARD, PipelineError, check, run
 
 from helpers import load_func
@@ -53,6 +54,20 @@ def test_every_registered_pass_keeps_the_semantics():
         assert interp.differential_check(func, work, trials=8, seed=3).ok
         if name != "out-of-ssa":
             assert stats == PassStats(), name
+
+
+@pytest.mark.xfail(strict=True, raises=ClassInterferenceDetected,
+                   reason="a psi in a loop latch can leave an argument copy "
+                          "live around the back edge")
+def test_psis_in_loop_latches_compile_and_keep_their_semantics():
+    profile = interp.SizeProfile("mid", 40, 4, 3, True)
+    for seed, machine in ((2621, FULL), (2635, FULL), (2635, PARTIAL),
+                          (3006, FULL)):
+        func = interp.gen_random_program(seed, profile)
+        work = func.clone()
+        run(work, STANDARD, machine)
+        report = interp.differential_check(func, work, trials=32, seed=seed)
+        assert not report.mismatches, (seed, machine, report.mismatches[:1])
 
 
 @pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])

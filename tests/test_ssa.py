@@ -15,7 +15,7 @@ def test_construct_renames_and_places_phi():
     func = load_func("diamond.pir")
     ssa = construct_ssa(func)
     assert_no_errors(ir.Module([ssa]), "ssa")
-    merge = ssa.block("b3")
+    merge = ssa.block_map()["b3"]
     assert len(merge.phis) == 1
     assert len(merge.phis[0].args) == 2
     defined = {i.dest for _, i in ssa.instructions() if i.dest}
@@ -100,6 +100,28 @@ def test_construct_renames_in_place_and_leaves_a_refused_input_unchanged():
         assert ir.print_function(func) == before, message
 
 
+def test_construct_refuses_an_entry_block_with_predecessors():
+    """A phi in the entry block could not take the function's inputs, so a
+    loop headed by the entry is refused; it used to lose %a's phi there
+    and run forever."""
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %c = cmp_lt %a, 10
+  br %c, b1, b2
+b1:
+  %a = add %a, 1
+  goto b0
+b2:
+  ret %a
+}
+""").functions[0]
+    before = ir.print_function(func)
+    with pytest.raises(ValueError, match="entry block b0 has predecessors"):
+        construct_ssa(func)
+    assert ir.print_function(func) == before
+
+
 def test_construct_checks_only_reachable_blocks():
     func = ir.parse_module("""
 func @f(%a, %p:guard) {
@@ -135,7 +157,7 @@ def test_deep_block_chain_builds_without_recursion():
         lines += [f"b{k}:", "  %x = add %x, 1",
                   f"  goto b{k + 1}" if k + 1 < depth else "  ret %x"]
     func = ir.parse_module("\n".join(lines + ["}"]) + "\n").functions[0]
-    tree = analysis.dominator_tree(func)
+    tree = analysis.Analyses(func).dom
     assert tree.depth[f"b{depth - 1}"] == depth - 1
     ssa = construct_ssa(func)
     assert_no_errors(ir.Module([ssa]), "ssa")
@@ -242,9 +264,9 @@ b0:
 """).functions[0]
     env = guard_env_or_conservative(func)
     before = func.clone()
-    assert psi_reduce(func, all_psis(func)[0], env) == 1
+    assert psi_reduce(all_psis(func)[0], env) == 1
     assert psi_text(func, "x") == [("1", "b")]
-    assert psi_reduce(func, all_psis(func)[0], env) == 0  # fixpoint
+    assert psi_reduce(all_psis(func)[0], env) == 0  # fixpoint
     report = interp.differential_check(before, func, trials=16, seed=0)
     assert not report.mismatches
 
@@ -252,7 +274,7 @@ b0:
 def test_reduce_keeps_uncovered_arguments():
     func = load_func("diamond_predicated.pir")
     env = guard_env_or_conservative(func)
-    assert psi_reduce(func, all_psis(func)[0], env) == 0
+    assert psi_reduce(all_psis(func)[0], env) == 0
 
 
 def test_reduce_middle_argument():
@@ -267,7 +289,7 @@ b0:
 }
 """).functions[0]
     env = guard_env_or_conservative(func)
-    assert psi_reduce(func, all_psis(func)[0], env) == 1
+    assert psi_reduce(all_psis(func)[0], env) == 1
     assert psi_text(func, "x") == [("%p", "b"), ("!%p", "c")]
 
 
@@ -316,7 +338,7 @@ def test_promote_first_argument_with_speculation():
     func = load_func("diamond_predicated.pir")
     env = guard_env_or_conservative(func)
     before = func.clone()
-    psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
+    psi_promote(func.defs(), all_psis(func)[0], 0, ir.TRUE, env, FULL)
     assert psi_text(func, "x") == [("1", "a"), ("!%p", "b")]
     assert func.blocks[0].body[0].guard is None  # definition speculated
     report = interp.differential_check(before, func, trials=16, seed=1)
@@ -327,7 +349,7 @@ def test_promote_phi_defined_argument_needs_no_speculation():
     func = load_func("loop_carried.pir")
     env = guard_env_or_conservative(func)
     psi = all_psis(func)[0]
-    psi_promote(func, psi, 0, ir.TRUE, env, FULL)
+    psi_promote(func.defs(), psi, 0, ir.TRUE, env, FULL)
     assert [str(p) for p, _ in psi.args] == ["1", "%p"]
 
 
@@ -335,7 +357,7 @@ def test_promote_rejects_widening_beyond_tail_union():
     func = load_func("diamond_predicated.pir")
     env = guard_env_or_conservative(func)
     with pytest.raises(ConditionViolated) as exc:
-        psi_promote(func, all_psis(func)[0], 1, ir.TRUE, env, FULL)
+        psi_promote(func.defs(), all_psis(func)[0], 1, ir.TRUE, env, FULL)
     assert exc.value.which == 2
 
 
@@ -351,7 +373,7 @@ b0:
 """).functions[0]
     env = guard_env_or_conservative(func)
     with pytest.raises(ConditionViolated) as exc:
-        psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
+        psi_promote(func.defs(), all_psis(func)[0], 0, ir.TRUE, env, FULL)
     assert exc.value.which == 1
 
 
@@ -369,7 +391,7 @@ b0:
 }
 """).functions[0]
     env = guard_env_or_conservative(func)
-    psi_promote(func, all_psis(func)[0], 0, ir.TRUE, env, FULL)
+    psi_promote(func.defs(), all_psis(func)[0], 0, ir.TRUE, env, FULL)
     assert psi_text(func, "x") == [("1", "v"), ("1", "w")]
     assert func.blocks[0].body[1].guard is None  # definition speculated
 
@@ -385,28 +407,24 @@ def test_promote_pass_applies_first_argument_policy():
 
 def test_is_normalized_on_folding_example():
     func = load_func("fold_pred_copy_folded.pir")
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
+    cache = analysis.Analyses(func)
     x, y = all_psis(func)
-    assert is_normalized(func, x, dom, env)
-    assert not is_normalized(func, y, dom, env)  # argument order inverted
+    assert is_normalized(cache, x)
+    assert not is_normalized(cache, y)  # argument order inverted
 
 
 def test_is_normalized_detects_predicate_mismatch():
     func = load_func("speculate_add_predicated.pir")
-    env = guard_env_or_conservative(func)
-    dom = analysis.dominator_tree(func)
-    assert not is_normalized(func, all_psis(func)[0], dom, env)
+    assert not is_normalized(analysis.Analyses(func), all_psis(func)[0])
 
 
 def test_fresh_if_converted_psis_are_normalized():
     for name in ("diamond.pir", "two_merges.pir"):
         func = load_func(name)
         work, _ = pipeline(func, ["ssa", "ifconvert"])
-        env = guard_env_or_conservative(work)
-        dom = analysis.dominator_tree(work)
+        cache = analysis.Analyses(work)
         for psi in all_psis(work):
-            assert is_normalized(work, psi, dom, env), name
+            assert is_normalized(cache, psi), name
 
 
 def test_select_rewrite_matches_reference():
