@@ -17,7 +17,8 @@ dominator tree, the instruction positions, the guard env and the live
 ranges of one function on first use and keeps them while the function
 changes.  SSA construction, SSA validation, if-conversion, psi inlining,
 out-of-SSA and `ssa.is_normalized` read their analyses from one
-`Analyses`.  A pass that mutates the function keeps them correct by one
+`Analyses`; SSA construction hands it the predecessors and the reachable
+order that its own sweep of the input found.  A pass that mutates the function keeps them correct by one
 rule, so none is computed twice:
 
 - if-converting a region records the folding of its arms and merge into
@@ -151,10 +152,9 @@ class DomTree:
         return out
 
 
-def dominator_tree(func: Function, preds: dict[str, list[str]]) -> DomTree:
-    """Iterative RPO dataflow over reachable blocks; `preds` is
-    `func.predecessors()`."""
-    order = reachable_blocks(func)
+def dominator_tree(order: list[str], preds: dict[str, list[str]]) -> DomTree:
+    """Iterative RPO dataflow over a function's reachable blocks: `order`
+    is `reachable_blocks(func)` and `preds` is `func.predecessors()`."""
     index = {l: i for i, l in enumerate(order)}
     idom: dict[str, str | None] = {order[0]: None}
 
@@ -242,7 +242,7 @@ class Analyses:
 
     @cached_property
     def dom(self) -> "DomTree":
-        return dominator_tree(self.func, self.preds)
+        return dominator_tree(reachable_blocks(self.func), self.preds)
 
     @cached_property
     def positions(self) -> dict[int, tuple[str, int]]:

@@ -24,6 +24,9 @@ class CliError(Exception):
     pass
 
 
+VERIFY_TRIALS = 32  # input vectors per function under `run --verify`
+
+
 def _load(path: str, mode: str) -> ir.Module:
     """Parse `path` and validate it in `mode` ('ssa' or 'non_ssa')."""
     try:
@@ -136,7 +139,8 @@ def _call_from_args(mod: ir.Module, args) -> tuple[str, list[int]]:
 
 def _check_run_flags(args) -> None:
     """Raise CliError for flags that would be silently ignored: `--stats`
-    runs its own pipelines and prints only its table."""
+    runs its own pipelines and prints only its table, and some flags only
+    tune another one."""
     if args.stats:
         ignored = ["--" + name.replace("_", "-") for name in (
             "passes", "verify", "dump_after", "dump_liveness",
@@ -144,8 +148,11 @@ def _check_run_flags(args) -> None:
         if ignored:
             raise CliError("--stats cannot be combined with "
                            + ", ".join(ignored))
-    if args.args and not args.func:
-        raise CliError("--args needs --func")
+    for flag, needs in (("args", "func"), ("trials", "verify"),
+                        ("stats_format", "stats")):
+        if getattr(args, flag) and not getattr(args, needs):
+            raise CliError(f"--{flag.replace('_', '-')} needs "
+                           f"--{needs.replace('_', '-')}")
 
 
 def cmd_run(args) -> int:
@@ -188,9 +195,9 @@ def cmd_run(args) -> int:
                 print(graph.dump(), end="")
     if args.verify:
         for before, after in zip(original.functions, mod.functions):
-            report = interp.differential_check(before, after,
-                                               trials=args.trials,
-                                               seed=args.seed)
+            report = interp.differential_check(
+                before, after, seed=args.seed,
+                trials=VERIFY_TRIALS if args.trials is None else args.trials)
             for mm in report.mismatches:
                 print(f"mismatch @{before.name}: {mm}", file=sys.stderr)
             if report.mismatches:
@@ -275,11 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="input is already in (psi-)SSA form")
     run.add_argument("--verify", action="store_true",
                      help="differential-check the final program against the input")
-    run.add_argument("--trials", type=_count, default=32)
+    run.add_argument("--trials", type=_count, default=None,
+                     help="input vectors for --verify "
+                          f"(default {VERIFY_TRIALS})")
     run.add_argument("--stats", action="store_true",
                      help="emit the per-phase copy table over the standard "
                           "pipeline variants")
-    run.add_argument("--stats-format", choices=["text", "csv"], default="text")
+    run.add_argument("--stats-format", choices=["text", "csv"], default=None,
+                     help="format of the --stats table (default text)")
     run.add_argument("--dump-after", default=None, metavar="PASS")
     run.add_argument("--dump-liveness", action="store_true")
     run.add_argument("--dump-interference", action="store_true")

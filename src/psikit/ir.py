@@ -239,12 +239,21 @@ class Function:
         return out
 
     def var_names(self) -> set[str]:
-        names = {n for n, _ in self.params}
-        for _, ins in self.instructions():
-            if ins.dest is not None:
-                names.add(ins.dest)
-            names.update(ins.uses())
-        return names
+        """Every name the function mentions: its parameters, and each
+        instruction's destination and `uses()`."""
+        names = [n for n, _ in self.params]
+        for block in self.blocks:
+            for phi in block.phis:
+                names.append(phi.dest)
+                names += phi.uses()
+            for ins in block.body:
+                names.append(ins.dest)
+                names += ins.uses()
+            if block.term is not None:
+                names += block.term.uses()
+        out = set(names)
+        out.discard(None)  # the destination of a store
+        return out
 
     def clone(self) -> "Function":
         """A copy with its own blocks, instructions and containers; what
@@ -272,10 +281,11 @@ class NameAllocator:
     """Deterministic fresh-variable names for one function: `root`, else
     `root.i` with the smallest unused i.  Names are only ever added, so
     that i never decreases; the search for a root resumes where its last
-    one stopped."""
+    one stopped.  `names`, when given, are the function's names
+    (`Function.var_names()`), already collected; the allocator owns them."""
 
-    def __init__(self, func: Function):
-        self.used = set(func.var_names())
+    def __init__(self, func: Function, names: set[str] | None = None):
+        self.used = func.var_names() if names is None else names
         self._next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
@@ -798,6 +808,10 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
             if t not in cache.blocks:
                 err(block.label, f"undefined branch target {t}")
         for phi in block.phis:
+            if block.label == func.entry:
+                err(block.label, f"phi %{phi.dest} in the entry block: the "
+                                 "function's inputs enter it by no edge")
+                continue
             got = sorted(lbl for lbl, _ in phi.args)
             want = sorted(cache.preds[block.label])
             if got != want:

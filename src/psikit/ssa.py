@@ -9,9 +9,11 @@ ground truth for all of them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import analysis
-from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
-                 PsiInstr, TRUE, rename_uses)
+from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
+                 Pred, PsiInstr, TRUE, rename_uses)
 from .machine import MachineModel
 from .predicates import And, GuardEnv, TRUE_EXPR, domain_union
 
@@ -44,37 +46,29 @@ def construct_ssa(func: Function) -> Function:
     use that some path reaches before any definition, and a branch to the
     entry, where no phi could take the function's inputs.  Only reachable
     blocks are checked, and a rejected input is left unchanged.
-    """
-    reachable = set(analysis.reachable_blocks(func))
-    kept = [b for b in func.blocks if b.label in reachable]
-    if any(func.entry in b.successors() for b in kept):
-        raise ValueError(f"@{func.name}: entry block {func.entry} has "
-                         "predecessors")
-    def_blocks: dict[str, set[str]] = {}
-    for block in kept:
-        for ins in block.instructions():
-            if ins.guard is not None and ins.dest is not None:
-                raise ValueError(
-                    f"@{func.name}/{block.label}: guarded definition of "
-                    f"%{ins.dest} cannot be renamed to SSA directly")
-            if isinstance(ins, (PhiInstr, PsiInstr)):
-                raise ValueError(f"@{func.name} is already in SSA form")
-            if ins.dest is not None:
-                def_blocks.setdefault(ins.dest, set()).add(block.label)
 
-    # Liveness reads the reachable blocks before `func` changes.  They hold
-    # no phi, so keeping them is all that `remove_unreachable` would do.
-    live_in = analysis.liveness(Function(func.name, func.params,
-                                         kept)).live_in
+    One sweep over the reachable blocks (`_sweep`) collects what the rest
+    reads: the predecessors, each variable's definition blocks and
+    upward-exposed uses, and the names.  The use-before-definition refusal
+    and pruned placement need only the blocks where each variable is
+    live-in, which `_live_in` finds by one backward walk per variable; the
+    full psi-aware `analysis.liveness` is not built.
+    """
+    sweep = _sweep(func)
+    live_in = _live_in(sweep)
     param_names = {n for n, _ in func.params}
-    undefined = live_in[func.entry] - param_names
+    undefined = {v for v, blocks in live_in.items()
+                 if func.entry in blocks} - param_names
     if undefined:
         raise ValueError(f"@{func.name}: %{min(undefined)} may be used "
                          "before it is defined")
-    func.blocks = kept
+    func.blocks = sweep.blocks
+    def_blocks = sweep.def_blocks
 
     cache = analysis.Analyses(func)
-    dom, blocks, preds = cache.dom, cache.blocks, cache.preds
+    cache.preds = preds = sweep.preds
+    cache.dom = dom = analysis.dominator_tree(sweep.order, preds)
+    blocks = cache.blocks
     frontiers = analysis.dominance_frontiers(cache)
 
     # Pruned placement: a phi for v at frontier block B only if v is live-in.
@@ -87,7 +81,7 @@ def construct_ssa(func: Function) -> Function:
         while work:
             site = work.pop()
             for fb in sorted(frontiers[site]):
-                if fb in placed or var not in live_in[fb]:
+                if fb in placed or fb not in live_in.get(var, ()):
                     continue
                 placed.add(fb)
                 phi_vars[fb].append(var)
@@ -99,7 +93,7 @@ def construct_ssa(func: Function) -> Function:
         for var in names:
             block.phis.append(PhiInstr(var, [(p, var) for p in preds[label]]))
 
-    alloc = NameAllocator(func)
+    alloc = NameAllocator(func, sweep.names)
     stacks: dict[str, list[str]] = {n: [n] for n, _ in func.params}
     named_once = set(param_names)
 
@@ -152,6 +146,79 @@ def construct_ssa(func: Function) -> Function:
     return func
 
 
+class _Sweep(NamedTuple):
+    """What `construct_ssa` reads from its input."""
+    order: list[str]                 # `analysis.reachable_blocks(func)`
+    blocks: list[Block]              # the reachable blocks, in block order
+    preds: dict[str, list[str]]      # as `Function.predecessors()` of those
+    def_blocks: dict[str, set[str]]  # variable -> blocks that define it
+    exposed: dict[str, set[str]]     # variable -> blocks that read it first
+    names: set[str]                  # as `Function.var_names()` of those
+
+
+def _sweep(func: Function) -> _Sweep:
+    """Collect what `construct_ssa` reads from its input in one pass over
+    the reachable blocks, and raise ValueError for the refused inputs
+    (`construct_ssa`); the input is not changed."""
+    order = analysis.reachable_blocks(func)
+    reachable = set(order)
+    kept = [b for b in func.blocks if b.label in reachable]
+    preds: dict[str, list[str]] = {b.label: [] for b in kept}
+    for block in kept:
+        for succ in block.successors():
+            if block.label not in preds[succ]:
+                preds[succ].append(block.label)
+    if preds[func.entry]:
+        raise ValueError(f"@{func.name}: entry block {func.entry} has "
+                         "predecessors")
+    def_blocks: dict[str, set[str]] = {}
+    exposed: dict[str, set[str]] = {}
+    for block in kept:
+        if block.phis:
+            raise ValueError(f"@{func.name} is already in SSA form")
+        label = block.label
+        defined: set[str] = set()
+        for ins in block.body + ([block.term] if block.term else []):
+            if isinstance(ins, PsiInstr):
+                raise ValueError(f"@{func.name} is already in SSA form")
+            for var in ins.uses():
+                if var not in defined:
+                    exposed.setdefault(var, set()).add(label)
+            dest = ins.dest
+            if dest is not None:
+                if ins.guard is not None:
+                    raise ValueError(
+                        f"@{func.name}/{label}: guarded definition of "
+                        f"%{dest} cannot be renamed to SSA directly")
+                defined.add(dest)
+                def_blocks.setdefault(dest, set()).add(label)
+    # A use is upward-exposed or follows a definition in its block.
+    names = {n for n, _ in func.params} | def_blocks.keys() | exposed.keys()
+    return _Sweep(order, kept, preds, def_blocks, exposed, names)
+
+
+def _live_in(sweep: _Sweep) -> dict[str, set[str]]:
+    """The blocks where each variable is live-in, for a phi-free input:
+    one walk per variable, backwards from the blocks that read it before
+    defining it, through the predecessors, stopped by the blocks that
+    define it (path exploration, Brandner et al., "Computing Liveness Sets
+    for SSA-Form Programs", INRIA RR-7503, 2011).  A variable live-in
+    nowhere has no entry."""
+    preds, def_blocks = sweep.preds, sweep.def_blocks
+    live_in: dict[str, set[str]] = {}
+    for var, sites in sweep.exposed.items():
+        kills = def_blocks.get(var, ())
+        seen = set(sites)
+        stack = list(sites)
+        while stack:
+            for pred in preds[stack.pop()]:
+                if pred not in seen and pred not in kills:
+                    seen.add(pred)
+                    stack.append(pred)
+        live_in[var] = seen
+    return live_in
+
+
 # ---------------------------------------------------------------------------
 # Helpers shared by the psi transformations
 
@@ -183,38 +250,43 @@ def all_psis(func: Function) -> list[PsiInstr]:
 # Copy folding
 
 def copy_fold(func: Function, env: GuardEnv) -> int:
-    """Fold mov operations.
+    """Fold mov operations; returns the number of movs removed.
 
-    Unpredicated `x = mov %y` is folded by substituting y for x everywhere.
-    A predicated `p? c = mov %a` can replace a psi argument `q? c` with
-    `q? a` only when q is contained in p intersected with the domain of a's
-    definition; the mov is deleted once dead.  Returns the number of movs
-    removed.
+    Unpredicated `x = mov %y` is folded by substituting y for x everywhere,
+    in one sweep: renaming makes no new mov.  A predicated `p? c = mov %a`
+    can replace a psi argument `q? c` with `q? a` only when q is contained
+    in p intersected with the domain of a's definition; the mov is deleted
+    once dead.  That phase runs to a fixpoint, and only when the function
+    has a predicated mov: before if-conversion it has none.
     """
+    subst: dict[str, str] = {}
     removed = 0
-    changed = True
+    changed = False  # a predicated mov exists
+    for block in func.blocks:
+        kept = []
+        for ins in block.body:
+            if isinstance(ins, Instr) and ins.opcode == "mov":
+                if ins.guard is not None:
+                    changed = True
+                elif isinstance(ins.operands[0], str):
+                    subst[ins.dest] = ins.operands[0]
+                    continue
+            kept.append(ins)
+        if len(kept) < len(block.body):
+            removed += len(block.body) - len(kept)
+            block.body[:] = kept
+    if subst:
+        def resolve(v: str) -> str:
+            seen = set()
+            while v in subst and v not in seen:
+                seen.add(v)
+                v = subst[v]
+            return v
+        for _, ins in func.instructions():
+            rename_uses(ins, resolve)
+
     while changed:
         changed = False
-        # Plain movs: global substitution.
-        subst: dict[str, str] = {}
-        for block in func.blocks:
-            for ins in list(block.body):
-                if (isinstance(ins, Instr) and ins.opcode == "mov"
-                        and ins.guard is None and isinstance(ins.operands[0], str)):
-                    subst[ins.dest] = ins.operands[0]
-                    block.body.remove(ins)
-                    removed += 1
-                    changed = True
-        if subst:
-            def resolve(v: str) -> str:
-                seen = set()
-                while v in subst and v not in seen:
-                    seen.add(v)
-                    v = subst[v]
-                return v
-            for _, ins in func.instructions():
-                rename_uses(ins, resolve)
-
         # Predicated movs: fold into psi arguments when provably contained.
         defs = func.defs()
         for psi in all_psis(func):
@@ -233,12 +305,14 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
         # Drop predicated movs that became dead.
         used = {v for _, ins in func.instructions() for v in ins.uses()}
         for block in func.blocks:
-            for ins in list(block.body):
-                if (isinstance(ins, Instr) and ins.opcode == "mov"
-                        and ins.guard is not None and ins.dest not in used):
-                    block.body.remove(ins)
-                    removed += 1
-                    changed = True
+            kept = [ins for ins in block.body
+                    if not (isinstance(ins, Instr) and ins.opcode == "mov"
+                            and ins.guard is not None
+                            and ins.dest not in used)]
+            if len(kept) < len(block.body):
+                removed += len(block.body) - len(kept)
+                block.body[:] = kept
+                changed = True
     return removed
 
 

@@ -44,6 +44,35 @@ def assert_no_errors(mod: ir.Module, mode: str = "non_ssa"):
     assert not errors, [str(e) for e in errors]
 
 
+def count_calls(monkeypatch, owner, name: str, counts: dict):
+    """Count the calls of `owner.name` in `counts[name]`."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def diamond_chain_source(n: int, copies: bool = False) -> ir.Function:
+    """n sequential diamonds, each merge the head of the next; not SSA.
+    With `copies`, each arm first copies %x with a plain mov."""
+    lines = ["func @f(%x) {"]
+    for i in range(n):
+        arms = []
+        for arm, op in ((f"t{i}", "add"), (f"e{i}", "sub")):
+            src = "%x"
+            arms.append(f"{arm}:")
+            if copies:
+                arms.append("  %y = mov %x")
+                src = "%y"
+            arms += [f"  %x = {op} {src}, 1", f"  goto h{i + 1}"]
+        lines += [f"h{i}:", f"  %c = cmp_lt %x, {i}", f"  br %c, t{i}, e{i}",
+                  *arms]
+    lines += [f"h{n}:", "  ret %x", "}"]
+    return ir.parse_module("\n".join(lines)).functions[0]
+
+
 def random_psi_function(seed: int) -> ir.Function:
     """Straight-line function with a normalized psi over guarded
     definitions, the shape the select-form rewrite covers."""

@@ -141,8 +141,11 @@ def test_stats_on_unconvertible_input_is_a_diagnostic():
     (["--stats", "--passes=ssa", "--dump-after=ssa"],
      "--stats cannot be combined with --passes, --dump-after"),
     (["--passes=ssa", "--args=1,0"], "--args needs --func"),
+    (["--passes=ssa", "--trials=8"], "--trials needs --verify"),
+    (["--passes=ssa", "--stats-format=csv"], "--stats-format needs --stats"),
 ], ids=["stats-with-many", "stats-with-dump", "stats-with-dump-after",
-        "args-without-func"])
+        "args-without-func", "trials-without-verify",
+        "stats-format-without-stats"])
 def test_flags_that_would_be_ignored_are_flag_errors(flags, message, capsys):
     assert cli.main(["run", DIAMOND, *flags]) == 1
     captured = capsys.readouterr()
@@ -270,6 +273,39 @@ def test_in_ssa_input_that_is_not_ssa_is_a_diagnostic(tmp_path):
             assert message in proc.stderr, name
         # Without --in-ssa the same text is valid non-SSA input.
         assert run_cli("run", str(path)).returncode == 0, name
+
+
+ENTRY_PHI = """
+func @f(%a) {
+b0:
+  %x = phi(b1: %y)
+  %c = cmp_lt %a, 10
+  br %c, b1, b2
+b1:
+  %y = add %a, 1
+  goto b0
+b2:
+  ret %a
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--in-ssa", "--func=@f", "--args=3"],
+    ["--in-ssa", "--passes=out-of-ssa", "--verify"],
+    ["--func=@f", "--args=3"],
+], ids=["evaluate", "verify", "evaluate-non-ssa"])
+def test_a_phi_in_the_entry_block_is_a_diagnostic(tmp_path, capsys, flags):
+    """No edge enters the entry block with the function's inputs, so a phi
+    there has no argument to take; evaluating it used to raise KeyError."""
+    path = tmp_path / "entry_phi.pir"
+    path.write_text(ENTRY_PHI)
+    assert cli.main(["run", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: @f/b0: phi %x in the entry block: the function's inputs "
+        "enter it by no edge\n")
 
 
 def test_loop_exit_psi_over_two_phis_leaves_ssa():

@@ -9,7 +9,8 @@ from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import construct_ssa, psi_inline_all, psi_promote_pass
 
-from helpers import DATA, assert_no_errors, load, load_func, pipeline
+from helpers import (DATA, assert_no_errors, count_calls,
+                     diamond_chain_source, load, load_func, pipeline)
 
 
 def rescanned_regions(cache, machine):
@@ -341,39 +342,19 @@ def test_worklist_converts_the_regions_a_rescan_finds(machine, monkeypatch):
     assert regions > 1000
 
 
-def _diamond_chain_source(n: int) -> ir.Function:
-    """n sequential diamonds, each merge the head of the next; not SSA."""
-    lines = ["func @f(%x) {"]
-    for i in range(n):
-        lines += [f"h{i}:", f"  %c = cmp_lt %x, {i}", f"  br %c, t{i}, e{i}",
-                  f"t{i}:", "  %x = add %x, 1", f"  goto h{i + 1}",
-                  f"e{i}:", "  %x = sub %x, 1", f"  goto h{i + 1}"]
-    lines += [f"h{n}:", "  ret %x", "}"]
-    return ir.parse_module("\n".join(lines)).functions[0]
-
-
 def _diamond_chain(n: int) -> ir.Function:
-    return construct_ssa(_diamond_chain_source(n))
-
-
-def _counting(monkeypatch, module, name: str, counts: dict):
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return original(*args, **kwargs)
-    monkeypatch.setattr(module, name, wrapper)
+    return construct_ssa(diamond_chain_source(n))
 
 
 def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
     from psikit import analysis, ifconvert
     func = _diamond_chain(100)
     counts: dict[str, int] = {}
-    _counting(monkeypatch, analysis, "guard_env_or_conservative", counts)
-    _counting(monkeypatch, analysis, "dominator_tree", counts)
-    _counting(monkeypatch, ifconvert, "_plan_arm", counts)
-    _counting(monkeypatch, ifconvert, "psi_inline_all", counts)
-    _counting(monkeypatch, ir.Function, "predecessors", counts)
+    count_calls(monkeypatch, analysis, "guard_env_or_conservative", counts)
+    count_calls(monkeypatch, analysis, "dominator_tree", counts)
+    count_calls(monkeypatch, ifconvert, "_plan_arm", counts)
+    count_calls(monkeypatch, ifconvert, "psi_inline_all", counts)
+    count_calls(monkeypatch, ir.Function, "predecessors", counts)
     assert if_convert_pass(func, FULL) == 100
     assert len(func.blocks) == 1
     assert counts["guard_env_or_conservative"] == 1
@@ -384,10 +365,12 @@ def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
 
 
 def test_construction_and_validation_compute_predecessors_once(monkeypatch):
+    """Construction takes the predecessors from its one sweep over the
+    blocks; validation computes them once."""
     counts: dict[str, int] = {}
-    _counting(monkeypatch, ir.Function, "predecessors", counts)
-    func = construct_ssa(_diamond_chain_source(100))
-    assert counts.pop("predecessors") == 1
+    count_calls(monkeypatch, ir.Function, "predecessors", counts)
+    func = construct_ssa(diamond_chain_source(100))
+    assert "predecessors" not in counts
     assert_no_errors(ir.Module([func]), "ssa")
     assert counts.pop("predecessors") == 1
 
@@ -397,7 +380,7 @@ def test_promotion_builds_the_definitions_once(monkeypatch):
     assert if_convert_pass(func, FULL) == 100
     env = guard_env_or_conservative(func)
     counts: dict[str, int] = {}
-    _counting(monkeypatch, ir.Function, "defs", counts)
+    count_calls(monkeypatch, ir.Function, "defs", counts)
     assert psi_promote_pass(func, env, FULL) == 100
     assert counts["defs"] == 1
 

@@ -1,14 +1,16 @@
 import pytest
 
-from psikit import analysis, interp, ir
+from psikit import analysis, interp, ir, ssa
 from psikit.machine import FULL, PARTIAL
-from psikit.predicates import guard_env_or_conservative
+from psikit.predicates import And, guard_env_or_conservative
 from psikit.ssa import (ConditionViolated, EmptyProjection, NotPsiDefined,
-                        all_psis, construct_ssa, copy_fold, is_normalized,
+                        all_psis, construct_ssa, copy_fold,
+                        definition_formula, is_normalized,
                         psi_inline, psi_inline_all, psi_project, psi_promote,
                         psi_promote_pass, psi_reduce, rewrite_psis_to_selects)
 
-from helpers import assert_no_errors, load_func, pipeline
+from helpers import (DATA, assert_no_errors, count_calls,
+                     diamond_chain_source, load, load_func, pipeline)
 
 
 def test_construct_renames_and_places_phi():
@@ -138,6 +140,27 @@ dead:
     assert [b.label for b in func.blocks] == ["b0"]
 
 
+def test_construct_gives_a_phi_one_argument_per_predecessor():
+    """A branch whose two targets are one block is one edge."""
+    func = ir.parse_module("""
+func @f(%a, %p:guard) {
+b0:
+  %x = add %a, 1
+  br %p, b1, b1
+b1:
+  %x = add %x, 1
+  %c = cmp_lt %x, 10
+  br %c, b1, b2
+b2:
+  ret %x
+}
+""").functions[0]
+    construct_ssa(func)
+    assert_no_errors(ir.Module([func]), "ssa")
+    (phi,) = func.block_map()["b1"].phis
+    assert [label for label, _ in phi.args] == ["b0", "b1"]
+
+
 def test_construct_is_interpreter_equivalent():
     for seed in range(200):
         func = interp.gen_random_program(seed, "tiny" if seed % 2 else "small")
@@ -162,6 +185,60 @@ def test_deep_block_chain_builds_without_recursion():
     ssa = construct_ssa(func)
     assert_no_errors(ir.Module([ssa]), "ssa")
     assert interp.eval_function(ssa, [0]).value == depth
+
+
+def _generated_inputs():
+    """Seeds 0-399 in both profiles, then mid-profile seeds 2000-2099."""
+    for seed in range(400):
+        for profile in ("tiny", "small"):
+            yield interp.gen_random_program(seed, profile)
+    mid = interp.SizeProfile("mid", 40, 4, 3, True)
+    for seed in range(2000, 2100):
+        yield interp.gen_random_program(seed, mid)
+
+
+def _accepted(func) -> bool:
+    try:
+        ssa._sweep(func)
+    except ValueError:
+        return False
+    return True
+
+
+def test_sparse_live_in_equals_liveness():
+    """The per-variable walk that construction asks finds the live-in sets
+    of the full dataflow, block by block, on every input construction
+    accepts: the phi-free tests/data functions without psis or guarded
+    definitions, and generated programs.  The sweep's predecessors and
+    names are those of the reachable blocks."""
+    data = [func for path in sorted(DATA.glob("*.pir"))
+            for func in load(path.name).functions if _accepted(func)]
+    assert len(data) == 4
+    for func in [*data, *_generated_inputs()]:
+        sweep = ssa._sweep(func)
+        reachable = ir.Function(func.name, func.params, sweep.blocks)
+        assert sweep.preds == reachable.predecessors()
+        assert sweep.names == reachable.var_names()
+        walked = ssa._live_in(sweep)
+        expected = analysis.liveness(func).live_in
+        assert expected.keys() == {b.label for b in sweep.blocks}
+        for label, live in expected.items():
+            assert {v for v, blocks in walked.items() if label in blocks} \
+                == live, (func.name, label)
+
+
+def test_construction_and_plain_folding_skip_the_full_analyses(monkeypatch):
+    """Construction builds neither the full liveness nor a second name
+    set, and folding a function without predicated movs neither maps its
+    definitions nor lists its psis."""
+    counts: dict[str, int] = {}
+    for owner, name in ((analysis, "liveness"), (ir.Function, "var_names"),
+                        (ir.Function, "defs"), (ssa, "all_psis")):
+        count_calls(monkeypatch, owner, name, counts)
+    func = construct_ssa(diamond_chain_source(100, copies=True))
+    assert copy_fold(func, guard_env_or_conservative(func)) == 200
+    assert counts == {}
+    assert not any(ins.opcode == "mov" for _, ins in func.instructions())
 
 
 # -- copy folding -------------------------------------------------------------
@@ -202,6 +279,106 @@ b0:
     before = ir.print_function(func)
     copy_fold(func, guard_env_or_conservative(func))
     assert ir.print_function(func) == before
+
+
+def test_fold_a_chain_of_predicated_copies():
+    """Each round of the predicated phase folds one link of the chain."""
+    func = ir.parse_module("""
+func @f(%i, %p:guard) {
+b0:
+  %p? %a = add %i, 1
+  %p? %c = mov %a
+  %p? %d = mov %c
+  %x = psi(%p ? %d)
+  ret %x
+}
+""").functions[0]
+    reference = func.clone()
+    env = guard_env_or_conservative(func)
+    assert copy_fold(func, env) == 2 == _copy_fold_reference(reference, env)
+    assert ir.print_function(func) == ir.print_function(reference)
+    assert psi_text(func, "x") == [("%p", "a")]
+
+
+def _copy_fold_reference(func, env) -> int:
+    """The reference: every phase of copy folding repeated on the whole
+    function until none changes anything."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        subst = {}
+        for block in func.blocks:
+            for ins in list(block.body):
+                if (isinstance(ins, ir.Instr) and ins.opcode == "mov"
+                        and ins.guard is None
+                        and isinstance(ins.operands[0], str)):
+                    subst[ins.dest] = ins.operands[0]
+                    block.body.remove(ins)
+                    removed += 1
+                    changed = True
+        if subst:
+            def resolve(v):
+                seen = set()
+                while v in subst and v not in seen:
+                    seen.add(v)
+                    v = subst[v]
+                return v
+            for _, ins in func.instructions():
+                ir.rename_uses(ins, resolve)
+        defs = func.defs()
+        for psi in all_psis(func):
+            for i, (q, c) in enumerate(psi.args):
+                ins = defs.get(c)
+                if not (isinstance(ins, ir.Instr) and ins.opcode == "mov"
+                        and ins.guard is not None
+                        and isinstance(ins.operands[0], str)):
+                    continue
+                a = ins.operands[0]
+                bound = env.pred_formula(ins.guard)
+                src_domain = definition_formula(a, defs, env)
+                if env.subset(env.pred_formula(q), And(bound, src_domain)):
+                    psi.args[i] = (q, a)
+                    changed = True
+        used = {v for _, ins in func.instructions() for v in ins.uses()}
+        for block in func.blocks:
+            for ins in list(block.body):
+                if (isinstance(ins, ir.Instr) and ins.opcode == "mov"
+                        and ins.guard is not None and ins.dest not in used):
+                    block.body.remove(ins)
+                    removed += 1
+                    changed = True
+    return removed
+
+
+def _fold_inputs():
+    """Generated programs after `ssa` and after `ssa,fold,ifconvert` on
+    FULL and PARTIAL, then every psi-SSA function of tests/data."""
+    for seed in range(400):
+        program = interp.gen_random_program(seed, ("tiny", "small")[seed % 2])
+        yield pipeline(program, ["ssa"])[0]
+        for machine in (FULL, PARTIAL):
+            yield pipeline(program, ["ssa", "fold", "ifconvert"], machine)[0]
+    for path in sorted(DATA.glob("*.pir")):
+        for func in load(path.name).functions:
+            if not any(d.severity == "error"
+                       for d in ir.validate(ir.Module([func]), "ssa")):
+                yield func
+
+
+def test_one_sweep_folding_matches_the_fixpoint_reference():
+    removed = guarded = 0
+    for func in _fold_inputs():
+        reference = func.clone()
+        env = guard_env_or_conservative(func)
+        had_guarded = any(ins.opcode == "mov" and ins.guard is not None
+                          for _, ins in func.instructions())
+        expected = _copy_fold_reference(reference, env)
+        assert copy_fold(func, env) == expected
+        assert ir.print_function(func) == ir.print_function(reference)
+        removed += expected
+        guarded += had_guarded and expected > 0
+    assert removed > 1000 and guarded > 20
 
 
 # -- psi transformations ------------------------------------------------------
