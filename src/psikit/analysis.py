@@ -10,7 +10,15 @@ one variable".  The rule lives here only, in three helpers that every
 module asks: `arg_deaths` (where each argument dies), `def_point` (where a
 variable is defined, through its psi chain or not) and `order_inverted`
 (whether two adjacent arguments are out of dominance order, the normalized
-form's second condition).
+form's second condition).  `synthetic_uses_of` turns `arg_deaths` into the
+uses that `liveness` and `LiveRanges` attach to instructions.
+
+Liveness is computed one way: `live_in_blocks`, a backward walk per
+variable from the blocks that read it first, through the predecessors,
+stopped by the blocks that define it (path exploration).  SSA
+construction asks it on its phi-free input, `liveness` on any function
+(the CLI's `--dump-liveness` and `--dump-interference`, multiply-defined
+output of out-of-SSA included) and `LiveRanges` per variable on SSA.
 
 `Analyses` computes the definitions, the block map, the predecessors, the
 dominator tree, the instruction positions, the guard env and the live
@@ -18,8 +26,8 @@ ranges of one function on first use and keeps them while the function
 changes.  SSA construction, SSA validation, if-conversion, psi inlining,
 out-of-SSA and `ssa.is_normalized` read their analyses from one
 `Analyses`; SSA construction hands it the predecessors and the reachable
-order that its own sweep of the input found.  A pass that mutates the function keeps them correct by one
-rule, so none is computed twice:
+order that its own sweep of the input found.  A pass that mutates the
+function keeps them correct by one rule, so none is computed twice:
 
 - if-converting a region records the folding of its arms and merge into
   the head: call `linearized()`.  The new `not`/`and` temporaries and the
@@ -53,6 +61,7 @@ rule, so none is computed twice:
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -357,9 +366,9 @@ class LivenessInfo:
 
 
 def _instr_uses(ins: Instruction, synthetic: dict[int, list[str]]) -> list[str]:
-    if isinstance(ins, PhiInstr):
-        uses = []  # phi args are uses in the predecessors
-    elif isinstance(ins, PsiInstr):
+    """What a non-phi instruction reads under the psi rule; phi arguments
+    are read at the end of their predecessors."""
+    if isinstance(ins, PsiInstr):
         # The psi itself uses only its last argument plus the predicate
         # registers; earlier arguments die at their synthetic use points.
         uses = [v for v in (p.reg for p, _ in ins.args) if v is not None]
@@ -370,82 +379,97 @@ def _instr_uses(ins: Instruction, synthetic: dict[int, list[str]]) -> list[str]:
     return uses
 
 
+def synthetic_uses_of(psi: PsiInstr, defs: dict[str, Instruction]
+                      ) -> list[tuple[str, Instruction]]:
+    """The psi rule's synthetic uses of `psi`: each argument but the last,
+    with the instruction that reads it (`arg_deaths`).  An argument that
+    dies at a parameter or at a phi has none: no instruction reads it."""
+    return [(arg, target) for arg, target in arg_deaths(psi, defs)
+            if target is not None and not isinstance(target, PhiInstr)]
+
+
 def psi_synthetic_uses(func: Function) -> dict[int, list[str]]:
+    """Every psi's synthetic uses, by id of the instruction reading them."""
     defs = func.defs()
     synthetic: dict[int, list[str]] = {}
     for _, ins in func.instructions():
         if isinstance(ins, PsiInstr):
-            for arg, target in arg_deaths(ins, defs):
-                if target is not None:  # a parameter: dies at entry scope
-                    synthetic.setdefault(id(target), []).append(arg)
+            for arg, target in synthetic_uses_of(ins, defs):
+                synthetic.setdefault(id(target), []).append(arg)
     return synthetic
 
 
+def live_in_blocks(seeds: Iterable[str], kills: Container[str],
+                   preds: dict[str, list[str]]) -> set[str]:
+    """The blocks where one variable is live-in: the `seeds`, which read
+    it before any definition in them, and each block with a path to a
+    seed through `preds` that enters no block in `kills`, the blocks that
+    define it.  Path exploration (Brandner et al., "Computing Liveness Sets
+    for SSA-Form Programs", INRIA RR-7503, 2011), live-in only: the
+    variable is live-out of the predecessors of these blocks and of the
+    blocks that pass it to a phi, which a caller that needs it derives."""
+    live = set(seeds)
+    stack = list(live)
+    while stack:
+        for pred in preds[stack.pop()]:
+            if pred not in live and pred not in kills:
+                live.add(pred)
+                stack.append(pred)
+    return live
+
+
 def liveness(func: Function) -> LivenessInfo:
-    """Backward dataflow with the psi rule and Sreedhar-style phi rule:
-    phi arguments are live-out of their predecessor, phi results start at
-    the head of their block."""
+    """Liveness of the reachable blocks with the psi rule and the
+    Sreedhar-style phi rule: phi arguments are live-out of their
+    predecessor, and a phi result that a reachable block reads is live-in
+    at its block, where its range starts.  One sweep finds, per variable,
+    the blocks that define it, read it first (synthetic uses included) or
+    pass it to a phi; one `live_in_blocks` walk per variable does the
+    rest.  Every defining block stops the walk, so a multiply-defined
+    function (after out-of-SSA) is fine too."""
     synthetic = psi_synthetic_uses(func)
     labels = reachable_blocks(func)
     blocks = func.block_map()
-
-    gen: dict[str, set[str]] = {}
-    kill: dict[str, set[str]] = {}
+    preds: dict[str, list[str]] = {l: [] for l in labels}
+    kills: dict[str, set[str]] = {}
+    exposed: dict[str, set[str]] = {}
+    phi_uses: dict[str, set[str]] = {}
+    used: set[str] = set()
     for label in labels:
-        g: set[str] = set()
-        k: set[str] = set()
         block = blocks[label]
-        for phi in block.phis:
-            k.add(phi.dest)
-        for ins in list(block.body) + ([block.term] if block.term else []):
-            for u in _instr_uses(ins, synthetic):
-                if u not in k:
-                    g.add(u)
+        for succ in block.successors():
+            preds[succ].append(label)
+            for phi in blocks[succ].phis:
+                phi_uses.setdefault(phi.arg_for(label), set()).add(label)
+        defined = {phi.dest for phi in block.phis}
+        for ins in block.body + ([block.term] if block.term else []):
+            uses = _instr_uses(ins, synthetic)
+            used.update(uses)
+            for u in uses:
+                if u not in defined:
+                    exposed.setdefault(u, set()).add(label)
             if ins.dest is not None:
-                k.add(ins.dest)
-        gen[label], kill[label] = g, k
+                defined.add(ins.dest)
+        for var in defined:
+            kills.setdefault(var, set()).add(label)
 
-    live_in = {l: set() for l in labels}
-    live_out = {l: set() for l in labels}
-    changed = True
-    while changed:
-        changed = False
-        for label in reversed(labels):
-            block = blocks[label]
-            out: set[str] = set()
-            for s in block.successors():
-                if s not in live_in:
-                    continue
-                succ = blocks[s]
-                phi_defs = {p.dest for p in succ.phis}
-                out |= live_in[s] - phi_defs
-                for phi in succ.phis:
-                    out.add(phi.arg_for(label))
-            new_in = gen[label] | (out - kill[label])
-            if out != live_out[label] or new_in != live_in[label]:
-                live_out[label] = out
-                live_in[label] = new_in
-                changed = True
-
-    # Report phi results as live-in: their range starts at the block head.
-    used = _used_vars(func, synthetic)
-    report_in = {}
+    live_in: dict[str, set[str]] = {l: set() for l in labels}
+    live_out: dict[str, set[str]] = {l: set() for l in labels}
+    for var in exposed.keys() | phi_uses.keys():
+        kill = kills.get(var, set())
+        out = phi_uses.get(var, set())
+        inside = live_in_blocks(exposed.get(var, set()) | (out - kill), kill,
+                                preds)
+        for label in inside:
+            live_in[label].add(var)
+        for label in out.union(*(preds[l] for l in inside)):
+            live_out[label].add(var)
     for label in labels:
-        extra = {p.dest for p in blocks[label].phis if p.dest in used}
-        report_in[label] = frozenset(live_in[label] | extra)
-    return LivenessInfo(report_in,
+        live_in[label].update(p.dest for p in blocks[label].phis
+                              if p.dest in used or p.dest in phi_uses)
+    return LivenessInfo({l: frozenset(v) for l, v in live_in.items()},
                         {l: frozenset(v) for l, v in live_out.items()},
                         synthetic)
-
-
-def _used_vars(func: Function, synthetic) -> set[str]:
-    used: set[str] = set()
-    for _, ins in func.instructions():
-        if isinstance(ins, PhiInstr):
-            used.update(v for _, v in ins.args)
-        else:
-            used.update(_instr_uses(ins, synthetic))
-    return used
 
 
 class InterferenceGraph:
@@ -479,10 +503,10 @@ def _guard(ins: Instruction | None) -> Pred | None:
     return ins.guard if isinstance(ins, Instr) else None
 
 
-def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
-                       refine_disjoint: bool = False) -> InterferenceGraph:
+def interference_graph(func: Function, live: LivenessInfo,
+                       env: GuardEnv | None = None) -> InterferenceGraph:
     """Edges between variables whose live ranges overlap, built at
-    definition points.  With refine_disjoint, a def under guard g adds no
+    definition points.  Given a guard env, a def under guard g adds no
     edge to a variable defined under a provably disjoint guard; each pair
     of definition guards is decided once."""
     graph = InterferenceGraph()
@@ -493,11 +517,11 @@ def interference_graph(func: Function, live: LivenessInfo, env: GuardEnv,
         return _guard(defs.get(var))
 
     def add(d, others):
-        gd = guard(d) if refine_disjoint else None
+        gd = guard(d)
         for v in others:
             if v == d:
                 continue
-            if refine_disjoint and env.preds_disjoint(gd, guard(v)):
+            if env is not None and env.preds_disjoint(gd, guard(v)):
                 continue
             graph.add_edge(d, v)
 
@@ -525,17 +549,16 @@ class LiveRanges:
     """Liveness under the psi rule, kept per variable and exact while copies
     are inserted, with interference answered on demand.
 
-    A variable's live-in and live-out blocks come from path exploration:
-    backwards from each of its use sites through the predecessors, up to
-    its definition block (Brandner et al., "Computing Liveness Sets for
-    SSA-Form Programs").  The sites include the psi rule's synthetic uses
-    and the phi arguments, which are used at the end of their predecessor.
-    `live_in` and `live_out` hold the same sets as `liveness`, and
-    `interferes(a, b, refine_disjoint)` answers exactly as an edge of
-    `interference_graph(..., refine_disjoint)` would: b is live just after
-    a's definition or a just after b's (Boissinot et al., CGO 2009).  Uses
-    are indexed per variable and block, so a query reads only the uses of
-    one variable in one block.
+    A variable's live-in blocks come from the `live_in_blocks` walk that
+    `liveness` asks too, seeded with the blocks of its upward-exposed uses
+    (synthetic uses included) and the blocks that pass it to a phi, and
+    stopped by its definition block; it is live-out of their predecessors
+    and of those phi predecessors.  `live_in` and `live_out` hold the sets
+    of `liveness`, and `interferes(a, b, refine_disjoint)` answers exactly
+    as an edge of `interference_graph(..., env if refine_disjoint else
+    None)` would: b is live just after a's definition or a just after b's
+    (Boissinot et al., CGO 2009).  Uses are indexed per variable and
+    block, so a query reads only the uses of one variable in one block.
 
     The function may change only by the copies that `update` records;
     definitions and positions are the cache's, which `Analyses.inserted`
@@ -670,11 +693,9 @@ class LiveRanges:
             self._psi_users.setdefault(var, {})[key] = psi
 
     def _attach(self, psi: PsiInstr, touched: dict[int, Instruction]) -> None:
-        """(Re)attach psi's synthetic uses (see `psi_synthetic_uses`);
-        the instructions whose uses changed go into `touched`.  A use that
-        lands on a phi counts nowhere, as in `liveness`."""
-        new = [(arg, target) for arg, target in arg_deaths(psi, self.defs)
-               if target is not None and not isinstance(target, PhiInstr)]
+        """(Re)attach psi's synthetic uses (`synthetic_uses_of`); the
+        instructions whose uses changed go into `touched`."""
+        new = synthetic_uses_of(psi, self.defs)
         old = self._synth.get(id(psi), [])
         if [(a, id(t)) for a, t in old] == [(a, id(t)) for a, t in new]:
             return
@@ -724,34 +745,25 @@ class LiveRanges:
             self.live_in[label].discard(var)
         for label in self._out_of.pop(var, ()):
             self.live_out[label].discard(var)
-        pos = self.positions
+        pos, preds = self.positions, self.preds
         ins = self._def.get(var)
         home, slot = pos[id(ins)] if ins is not None else (None, -1)
-        live_in: set[str] = set()
         live_out: set[str] = set()
-        stack = []
-        for label, uses in self._uses.get(var, {}).items():
-            if label not in self.live_in:
-                continue
-            # In the defining block only a use at or above the definition
-            # is upward-exposed; the defining instruction reads first.
-            if label == home and all(pos[u][1] > slot for u in uses):
-                continue
-            live_in.add(label)
-            stack.append(label)
+        seeds: set[str] = set()
         for label in self._phi_uses.get(var, ()):
             if label in self.live_out:
                 live_out.add(label)
-                if label != home and label not in live_in:
-                    live_in.add(label)
-                    stack.append(label)
-        while stack:
-            for pred in self.preds[stack.pop()]:
-                if pred not in live_out:
-                    live_out.add(pred)
-                    if pred != home and pred not in live_in:
-                        live_in.add(pred)
-                        stack.append(pred)
+                if label != home:
+                    seeds.add(label)
+        for label, uses in self._uses.get(var, {}).items():
+            # In the defining block only a use at or above the definition
+            # is upward-exposed; the defining instruction reads first.
+            if label in self.live_in and (
+                    label != home or any(pos[u][1] <= slot for u in uses)):
+                seeds.add(label)
+        live_in = live_in_blocks(seeds, (home,), preds) if seeds else seeds
+        for label in live_in:
+            live_out.update(preds[label])
         # As in `liveness`, a used phi result is reported live-in: its range
         # starts at the block head.
         if (isinstance(ins, PhiInstr) and home in self.live_in

@@ -17,7 +17,6 @@ import sys
 from . import analysis, interp, ir, pipeline
 from .machine import MachineModel, machine_from_flags
 from .out_of_ssa import OutOfSsaOptions, PassStats
-from .predicates import guard_env_or_conservative
 
 
 class CliError(Exception):
@@ -184,13 +183,12 @@ def cmd_run(args) -> int:
         print(ir.print_module(mod), end="")
     if args.dump_liveness or args.dump_interference:
         for func in mod.functions:
-            env = guard_env_or_conservative(func)
             live = analysis.liveness(func)
             if args.dump_liveness:
                 print(f"# liveness @{func.name}")
                 print(live.dump(), end="")
             if args.dump_interference:
-                graph = analysis.interference_graph(func, live, env)
+                graph = analysis.interference_graph(func, live)
                 print(f"# interference @{func.name}")
                 print(graph.dump(), end="")
     if args.verify:

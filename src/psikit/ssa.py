@@ -51,11 +51,15 @@ def construct_ssa(func: Function) -> Function:
     reads: the predecessors, each variable's definition blocks and
     upward-exposed uses, and the names.  The use-before-definition refusal
     and pruned placement need only the blocks where each variable is
-    live-in, which `_live_in` finds by one backward walk per variable; the
-    full psi-aware `analysis.liveness` is not built.
+    live-in: one `analysis.live_in_blocks` walk per variable, from its
+    upward-exposed uses, stopped by its definition blocks.  Nothing
+    derives live-out sets, and the full `analysis.liveness` is not built.
     """
     sweep = _sweep(func)
-    live_in = _live_in(sweep)
+    preds, def_blocks = sweep.preds, sweep.def_blocks
+    live_in = {var: analysis.live_in_blocks(sites, def_blocks.get(var, ()),
+                                            preds)
+               for var, sites in sweep.exposed.items()}
     param_names = {n for n, _ in func.params}
     undefined = {v for v, blocks in live_in.items()
                  if func.entry in blocks} - param_names
@@ -63,10 +67,9 @@ def construct_ssa(func: Function) -> Function:
         raise ValueError(f"@{func.name}: %{min(undefined)} may be used "
                          "before it is defined")
     func.blocks = sweep.blocks
-    def_blocks = sweep.def_blocks
 
     cache = analysis.Analyses(func)
-    cache.preds = preds = sweep.preds
+    cache.preds = preds
     cache.dom = dom = analysis.dominator_tree(sweep.order, preds)
     blocks = cache.blocks
     frontiers = analysis.dominance_frontiers(cache)
@@ -195,28 +198,6 @@ def _sweep(func: Function) -> _Sweep:
     # A use is upward-exposed or follows a definition in its block.
     names = {n for n, _ in func.params} | def_blocks.keys() | exposed.keys()
     return _Sweep(order, kept, preds, def_blocks, exposed, names)
-
-
-def _live_in(sweep: _Sweep) -> dict[str, set[str]]:
-    """The blocks where each variable is live-in, for a phi-free input:
-    one walk per variable, backwards from the blocks that read it before
-    defining it, through the predecessors, stopped by the blocks that
-    define it (path exploration, Brandner et al., "Computing Liveness Sets
-    for SSA-Form Programs", INRIA RR-7503, 2011).  A variable live-in
-    nowhere has no entry."""
-    preds, def_blocks = sweep.preds, sweep.def_blocks
-    live_in: dict[str, set[str]] = {}
-    for var, sites in sweep.exposed.items():
-        kills = def_blocks.get(var, ())
-        seen = set(sites)
-        stack = list(sites)
-        while stack:
-            for pred in preds[stack.pop()]:
-                if pred not in seen and pred not in kills:
-                    seen.add(pred)
-                    stack.append(pred)
-        live_in[var] = seen
-    return live_in
 
 
 # ---------------------------------------------------------------------------

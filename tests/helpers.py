@@ -7,7 +7,6 @@ from psikit import analysis, ir, out_of_ssa
 from psikit.machine import FULL, MachineModel
 from psikit.out_of_ssa import OutOfSsaOptions
 from psikit.pipeline import run as run_passes
-from psikit.predicates import guard_env_or_conservative
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,9 +103,8 @@ def random_psi_function(seed: int) -> ir.Function:
 def value_interference_edges(func: ir.Function) -> set[frozenset]:
     """Interference edges between value-kind variables, as a set of pairs."""
     kinds = ir.infer_kinds(func)
-    env = guard_env_or_conservative(func)
     live = analysis.liveness(func)
-    graph = analysis.interference_graph(func, live, env)
+    graph = analysis.interference_graph(func, live)
     values = {v for v in func.var_names() if kinds.get(v) == "value"}
     return {frozenset((a, b)) for a in values
             for b in graph.neighbors(a) & values}

@@ -212,10 +212,8 @@ def test_criterion_5_oracle_equivalence():
         kinds = ir.infer_kinds(func)
         common = {v for v in func.var_names() & sel.var_names()
                   if kinds.get(v) == "value"}
-        ea, eb = (guard_env_or_conservative(func),
-                  guard_env_or_conservative(sel))
-        ga = analysis.interference_graph(func, analysis.liveness(func), ea)
-        gb = analysis.interference_graph(sel, analysis.liveness(sel), eb)
+        ga = analysis.interference_graph(func, analysis.liveness(func))
+        gb = analysis.interference_graph(sel, analysis.liveness(sel))
         for v in common:
             if ga.neighbors(v) & common != gb.neighbors(v) & common:
                 live_ok = False

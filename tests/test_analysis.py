@@ -3,10 +3,13 @@ from pathlib import Path
 
 from psikit import analysis, ir
 from psikit.interp import gen_random_program
+from psikit.machine import FULL, PARTIAL
+from psikit.pipeline import STANDARD
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import rewrite_psis_to_selects
 
-from helpers import load_func, pipeline
+import liveness_oracle
+from helpers import DATA, load, load_func, pipeline
 
 
 def build_cfg(edges: dict[str, list[str]], entry: str = "b0") -> ir.Function:
@@ -171,9 +174,8 @@ b0:
 
 def test_interference_matches_live_overlap_example():
     func = load_func("live_overlap.pir")
-    env = guard_env_or_conservative(func)
     live = analysis.liveness(func)
-    graph = analysis.interference_graph(func, live, env)
+    graph = analysis.interference_graph(func, live)
     assert graph.interferes("b", "c")
     assert graph.interferes("b", "x")
     assert not graph.interferes("c", "x")
@@ -196,8 +198,8 @@ b0:
 """).functions[0]
     env = guard_env_or_conservative(func)
     live = analysis.liveness(func)
-    plain = analysis.interference_graph(func, live, env, refine_disjoint=False)
-    refined = analysis.interference_graph(func, live, env, refine_disjoint=True)
+    plain = analysis.interference_graph(func, live, None)
+    refined = analysis.interference_graph(func, live, env)
     assert plain.interferes("a", "b")
     assert not refined.interferes("a", "b")
 
@@ -217,19 +219,80 @@ def test_refined_interference_decides_each_guard_pair_once(monkeypatch):
             ins = defs.get(var)
             return ins.guard if isinstance(ins, ir.Instr) else None
 
-        plain = analysis.interference_graph(func, live, env)
+        plain = analysis.interference_graph(func, live)
         calls = []
         disjoint = env.disjoint
         monkeypatch.setattr(env, "disjoint",
                             lambda a, b: calls.append((a, b)) or disjoint(a, b))
-        refined = analysis.interference_graph(func, live, env,
-                                              refine_disjoint=True)
+        refined = analysis.interference_graph(func, live, env)
         guards = {guard(v) for v in func.var_names()}
         assert 0 < len(calls) <= len(guards) ** 2
         expected = {(a, b) for a in plain.adj for b in plain.adj[a]
                     if not disjoint(env.pred_formula(guard(a)),
                                     env.pred_formula(guard(b)))}
         assert {(a, b) for a in refined.adj for b in refined.adj[a]} == expected
+
+
+def _oracle_inputs():
+    """Every tests/data function as given (two are multiply defined), in
+    SSA after `fold,ifconvert,psi-promote` and after `out-of-ssa`, and
+    generator seeds 0-99 after the standard pipeline, on FULL and
+    PARTIAL."""
+    for path in sorted(DATA.glob("*.pir")):
+        mod = load(path.name)
+        in_ssa = not [d for d in ir.validate(mod, "ssa")
+                      if d.severity == "error"]
+        front = [] if in_ssa else ["ssa"]
+        for func in mod.functions:
+            yield func
+            for machine in (FULL, PARTIAL):
+                try:
+                    work, _ = pipeline(func, front + ["fold", "ifconvert",
+                                                      "psi-promote"], machine)
+                except ValueError:  # not SSA, and construction refuses it
+                    continue
+                yield work
+                yield pipeline(work, ["out-of-ssa"], machine)[0]
+    for seed in range(100):
+        func = gen_random_program(seed, "tiny" if seed % 2 == 0 else "small")
+        for machine in (FULL, PARTIAL):
+            yield pipeline(func, STANDARD, machine)[0]
+
+
+def test_liveness_equals_the_oracle():
+    """The per-variable walk gives the live sets of the iterative dataflow,
+    multiply-defined output of out-of-SSA included."""
+    count = 0
+    for func in _oracle_inputs():
+        assert analysis.liveness(func).dump() \
+            == liveness_oracle.liveness(func).dump(), func.name
+        count += 1
+    # Two data functions are neither SSA nor accepted by construction.
+    assert count == 26 + 24 * 2 * 2 + 100 * 2
+
+
+def test_a_phi_result_read_only_by_dead_code_is_not_live():
+    """Unreachable blocks have no live sets, and their reads keep nothing
+    live; the oracle still reports such a phi result live-in at its
+    block."""
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %c = cmp_lt %a, 10
+  br %c, b1, b2
+b1:
+  goto b2
+b2:
+  %x = phi(b0: %a, b1: %a, b3: %x)
+  ret %a
+b3:
+  %y = add %x, 1
+  goto b2
+}
+""").functions[0]
+    assert analysis.liveness(func).dump() == (
+        "b0: in[a] out[a]\nb1: in[a] out[a]\nb2: in[a] out[]\n")
+    assert "x" in liveness_oracle.liveness(func).live_in["b2"]
 
 
 def test_liveness_is_a_fixpoint():
@@ -253,12 +316,8 @@ def test_psi_rule_matches_select_form_liveness():
         kinds = ir.infer_kinds(func)
         common = {v for v in func.var_names() & sel.var_names()
                   if kinds.get(v) == "value"}
-        env_a = guard_env_or_conservative(func)
-        env_b = guard_env_or_conservative(sel)
-        ga = analysis.interference_graph(
-            func, analysis.liveness(func), env_a)
-        gb = analysis.interference_graph(
-            sel, analysis.liveness(sel), env_b)
+        ga = analysis.interference_graph(func, analysis.liveness(func))
+        gb = analysis.interference_graph(sel, analysis.liveness(sel))
         edges_a = {frozenset((a, b)) for a in common
                    for b in ga.neighbors(a) & common}
         edges_b = {frozenset((a, b)) for a in common
@@ -268,9 +327,8 @@ def test_psi_rule_matches_select_form_liveness():
 
 def test_dump_output_is_sorted_and_deterministic():
     func = load_func("live_overlap.pir")
-    env = guard_env_or_conservative(func)
     live = analysis.liveness(func)
-    graph = analysis.interference_graph(func, live, env)
+    graph = analysis.interference_graph(func, live)
     assert live.dump() == live.dump()
     lines = graph.dump().strip().splitlines()
     assert lines == sorted(lines)

@@ -5,6 +5,7 @@ from psikit.out_of_ssa import (CongruenceClasses, OutOfSsaOptions, count_movs,
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import all_psis, is_normalized
 
+import liveness_oracle
 from helpers import ALL_OFF, assert_no_errors, load_func, pipeline, to_cssa
 
 
@@ -331,14 +332,15 @@ def test_copy_accounting_matches_mov_delta():
 # -- live ranges carried through the conversion --------------------------------
 
 def assert_matches_fresh(live: analysis.LiveRanges, refine: bool):
-    """The carried live ranges equal a fresh `liveness`, and `interferes`
-    equals a fresh `interference_graph` on every pair of variables."""
+    """The carried live ranges equal the oracle's fresh liveness, and
+    `interferes` equals an `interference_graph` built on it on every pair
+    of variables."""
     func = live.func
-    fresh = analysis.liveness(func)
+    fresh = liveness_oracle.liveness(func)
     assert {l: frozenset(s) for l, s in live.live_in.items()} == fresh.live_in
     assert {l: frozenset(s) for l, s in live.live_out.items()} == fresh.live_out
-    graph = analysis.interference_graph(
-        func, fresh, guard_env_or_conservative(func), refine_disjoint=refine)
+    env = guard_env_or_conservative(func)
+    graph = analysis.interference_graph(func, fresh, env if refine else None)
     names = sorted(func.var_names())
     for i, a in enumerate(names):
         for b in names[i + 1:]:

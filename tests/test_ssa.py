@@ -9,6 +9,7 @@ from psikit.ssa import (ConditionViolated, EmptyProjection, NotPsiDefined,
                         psi_inline, psi_inline_all, psi_project, psi_promote,
                         psi_promote_pass, psi_reduce, rewrite_psis_to_selects)
 
+import liveness_oracle
 from helpers import (DATA, assert_no_errors, count_calls,
                      diamond_chain_source, load, load_func, pipeline)
 
@@ -206,11 +207,12 @@ def _accepted(func) -> bool:
 
 
 def test_sparse_live_in_equals_liveness():
-    """The per-variable walk that construction asks finds the live-in sets
-    of the full dataflow, block by block, on every input construction
-    accepts: the phi-free tests/data functions without psis or guarded
-    definitions, and generated programs.  The sweep's predecessors and
-    names are those of the reachable blocks."""
+    """The per-variable walk that construction asks, on the sweep's
+    upward-exposed uses and definition blocks, finds the live-in sets of
+    the oracle's full dataflow, block by block, on every input
+    construction accepts: the phi-free tests/data functions without psis
+    or guarded definitions, and generated programs.  The sweep's
+    predecessors and names are those of the reachable blocks."""
     data = [func for path in sorted(DATA.glob("*.pir"))
             for func in load(path.name).functions if _accepted(func)]
     assert len(data) == 4
@@ -219,8 +221,10 @@ def test_sparse_live_in_equals_liveness():
         reachable = ir.Function(func.name, func.params, sweep.blocks)
         assert sweep.preds == reachable.predecessors()
         assert sweep.names == reachable.var_names()
-        walked = ssa._live_in(sweep)
-        expected = analysis.liveness(func).live_in
+        walked = {var: analysis.live_in_blocks(
+                      sites, sweep.def_blocks.get(var, ()), sweep.preds)
+                  for var, sites in sweep.exposed.items()}
+        expected = liveness_oracle.liveness(func).live_in
         assert expected.keys() == {b.label for b in sweep.blocks}
         for label, live in expected.items():
             assert {v for v, blocks in walked.items() if label in blocks} \
