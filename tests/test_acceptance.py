@@ -10,7 +10,8 @@ import time
 
 from psikit import analysis, interp, ir
 from psikit.machine import FULL, PARTIAL
-from psikit.out_of_ssa import count_movs, psi_normalize, run_out_of_ssa
+from psikit.out_of_ssa import (OutOfSsaOptions, count_movs, psi_normalize,
+                               run_out_of_ssa)
 from psikit.pipeline import STANDARD
 from psikit.predicates import GuardEnv, guard_env_or_conservative
 from psikit.ssa import all_psis, copy_fold, rewrite_psis_to_selects
@@ -284,15 +285,47 @@ PINNED_PIPELINE = {
 }
 
 
-def test_pipeline_output_is_pinned():
+def _pipeline_digest(machine, opts=None):
     passes = ["ssa", "fold", "ifconvert", "psi-promote", "out-of-ssa"]
+    digest = hashlib.sha256()
+    movs = 0
+    for seed in range(200):
+        func = interp.gen_random_program(
+            seed, "tiny" if seed % 2 == 0 else "small")
+        work, _ = pipeline(func, passes, machine, opts)
+        digest.update(ir.print_module(ir.Module([work])).encode() + b"\0")
+        movs += count_movs(work)
+    return digest.hexdigest(), movs
+
+
+def test_pipeline_output_is_pinned():
     for machine in (FULL, PARTIAL):
-        digest = hashlib.sha256()
-        movs = 0
-        for seed in range(200):
-            func = interp.gen_random_program(
-                seed, "tiny" if seed % 2 == 0 else "small")
-            work, _ = pipeline(func, passes, machine)
-            digest.update(ir.print_module(ir.Module([work])).encode() + b"\0")
-            movs += count_movs(work)
-        assert (digest.hexdigest(), movs) == PINNED_PIPELINE[machine.name]
+        assert _pipeline_digest(machine) == PINNED_PIPELINE[machine.name]
+
+
+# The same digests under options that default runs never use: with every
+# refinement off (psi result copies, which `ignore_result` otherwise
+# suppresses), and with phi-congruence copying every phi resource.
+PINNED_PIPELINE_OPTIONS = {
+    ("all_off", "full"): (
+        "856635447870c44320d420f76f6273b7dab9dbc506085ca47196a2fa041808c8",
+        1880),
+    ("all_off", "partial"): (
+        "d57c611f936d886283b66a7fa528d3d8889f5617299ea38d3bbe0ab40ca4e5db",
+        2425),
+    ("phi_naive", "full"): (
+        "9da9b2d9ae8b28410eabab4a0ff9b151413df82f539700348393299b03543923",
+        5151),
+    ("phi_naive", "partial"): (
+        "8cb8f820910191d13088bfcbc2eedb8bdaa5fc38dd35e8bb9caa981538bc95a6",
+        5959),
+}
+
+
+def test_pipeline_output_is_pinned_under_other_options():
+    options = {"all_off": ALL_OFF,
+               "phi_naive": OutOfSsaOptions(phi_naive=True)}
+    for (name, machine_name), pinned in PINNED_PIPELINE_OPTIONS.items():
+        machine = FULL if machine_name == "full" else PARTIAL
+        assert _pipeline_digest(machine, options[name]) == pinned, \
+            (name, machine_name)
