@@ -18,7 +18,8 @@ variable from the blocks that read it first, through the predecessors,
 stopped by the blocks that define it (path exploration).  SSA
 construction asks it on its phi-free input, `liveness` on any function
 (the CLI's `--dump-liveness` and `--dump-interference`, multiply-defined
-output of out-of-SSA included) and `LiveRanges` per variable on SSA.
+output of out-of-SSA included) and `LiveRanges` per variable on SSA, over
+every block, reachable or not.
 
 `Analyses` computes the definitions, the block map, the predecessors, the
 dominator tree, the instruction positions, the guard env and the live
@@ -48,11 +49,12 @@ function keeps them correct by one rule, so none is computed twice:
   valid, and so does the guard env: a copy defines a fresh name and
   changes the formula of no existing guard register, and no copy is used
   as a guard before the final renaming.  The live ranges are updated by
-  `live.update()`, which names the new copy, the phi or psi whose argument
-  or result it replaced, and a result now defined elsewhere.  It
+  `live.update()`, which takes the new copies and the phis and psis whose
+  arguments or results they replaced; a changed one that it does not yet
+  know as its result's definition had its result renamed.  It
   re-explores only the variables whose uses or definition changed: the
-  copied source and the new name, a renamed result, and each earlier psi
-  argument whose synthetic use point moved, in the changed psi and in
+  copied sources and the new names, a renamed result, and each earlier psi
+  argument whose synthetic use point moved, in the changed psis and in
   every psi whose argument chain runs through a variable defined anew
   (an index maps each variable to the psis that use it);
 - splicing psi arguments changes nothing computed: no definition, no
@@ -560,9 +562,10 @@ class LiveRanges:
     (Boissinot et al., CGO 2009).  Uses are indexed per variable and
     block, so a query reads only the uses of one variable in one block.
 
-    The function may change only by the copies that `update` records;
-    definitions and positions are the cache's, which `Analyses.inserted`
-    keeps current.
+    The sets cover every block, unreachable ones too (`to_cssa` removes
+    them first).  The function may change only by the copies that
+    `update` records; definitions and positions are the cache's, which
+    `Analyses.inserted` keeps current.
     """
 
     def __init__(self, cache: Analyses):
@@ -573,10 +576,9 @@ class LiveRanges:
         self.env = cache.env
         self.entry = func.entry
         self.params = {n for n, _ in func.params}
-        self.live_in: dict[str, set[str]] = {l: set() for l in cache.dom.depth}
-        self.live_out: dict[str, set[str]] = {l: set() for l in self.live_in}
-        self.preds = {l: [p for p in ps if p in self.live_in]
-                      for l, ps in cache.preds.items()}
+        self.live_in: dict[str, set[str]] = {l: set() for l in cache.blocks}
+        self.live_out: dict[str, set[str]] = {l: set() for l in cache.blocks}
+        self.preds = cache.preds
         self._def: dict[str, Instruction] = dict(self.defs)
         # var -> block -> id -> instruction using var there (synthetic
         # uses included); var -> predecessor -> ids of phis using var there.
@@ -615,10 +617,8 @@ class LiveRanges:
     def _live_after_def(self, a: str, b: str) -> bool:
         """Is b live just after a's definition?  Phis define at slot 0."""
         ins = self._def.get(a)
-        if ins is None:
-            return False
-        label, slot = self.positions[id(ins)]
-        return label in self.live_out and self._live_after(b, label, slot)
+        return (ins is not None
+                and self._live_after(b, *self.positions[id(ins)]))
 
     def _live_after(self, var: str, label: str, slot: int) -> bool:
         """Is var live just after slot `slot` of block `label`?  Its next
@@ -641,15 +641,11 @@ class LiveRanges:
 
     # -- updates ------------------------------------------------------------
 
-    def update(self, inserted=(), changed=(), redefined=()) -> None:
+    def update(self, inserted=(), changed=()) -> None:
         """Record copies: `inserted` instructions are new, already in the
-        cache; `changed` phis and psis have new arguments or a new result;
-        `redefined` variables now have a different defining instruction.
+        cache; `changed` phis and psis have new arguments or a new result.
         Re-explores only the variables whose uses or definition changed."""
-        defs = self.defs
-        dirty: set[str] = set(redefined)
-        for var in redefined:
-            self._def[var] = defs[var]
+        dirty: set[str] = set()
         for ins in inserted:
             self._def[ins.dest] = ins
             dirty.add(ins.dest)
@@ -659,6 +655,9 @@ class LiveRanges:
         psis: dict[int, PsiInstr] = {}
         for ins in changed:
             touched[id(ins)] = ins
+            if self._def.get(ins.dest) is not ins:  # a renamed result
+                self._def[ins.dest] = ins
+                dirty.add(ins.dest)
             if isinstance(ins, PsiInstr):
                 self._index_psi(ins)
                 psis[id(ins)] = ins
@@ -751,23 +750,21 @@ class LiveRanges:
         live_out: set[str] = set()
         seeds: set[str] = set()
         for label in self._phi_uses.get(var, ()):
-            if label in self.live_out:
-                live_out.add(label)
-                if label != home:
-                    seeds.add(label)
+            live_out.add(label)
+            if label != home:
+                seeds.add(label)
         for label, uses in self._uses.get(var, {}).items():
             # In the defining block only a use at or above the definition
             # is upward-exposed; the defining instruction reads first.
-            if label in self.live_in and (
-                    label != home or any(pos[u][1] <= slot for u in uses)):
+            if label != home or any(pos[u][1] <= slot for u in uses):
                 seeds.add(label)
         live_in = live_in_blocks(seeds, (home,), preds) if seeds else seeds
         for label in live_in:
             live_out.update(preds[label])
         # As in `liveness`, a used phi result is reported live-in: its range
         # starts at the block head.
-        if (isinstance(ins, PhiInstr) and home in self.live_in
-                and (var in self._uses or var in self._phi_uses)):
+        if isinstance(ins, PhiInstr) and (var in self._uses
+                                          or var in self._phi_uses):
             live_in.add(home)
         for label in live_in:
             self.live_in[label].add(var)

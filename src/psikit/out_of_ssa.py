@@ -17,15 +17,18 @@ is what the repairs establish and what the differential tests check.
 
 The phases share one `analysis.Analyses`, so a run builds one guard env,
 and one set of live ranges (`Analyses.live`), built after psi-normalize.
-Psi-congruence records each copy in it at once and asks exact
-interference queries.  Phi-congruence decides on the liveness and
-interference of the function as the phase starts, plus the edges it adds
-itself for its copies, and records its copies when it ends; that keeps its
-decisions those of a graph built once per phase (exact queries after each
-of its copies would change 6 of 400 generated outputs per machine, not
-all for the better: one gains 2 copies with every refinement off).
-`rename_and_strip` checks the pairs inside each class on the same live
-ranges.
+Both congruence phases work one way: decide which resources of a psi or
+phi need a copy (`_conflicts` lists the interfering pairs of two
+classes), insert the copies, then record them in one `live.update()`.
+Psi-congruence records each psi's copies before it decides the next psi,
+so its interference queries are exact.  Phi-congruence decides on the
+liveness and interference of the function as the phase starts, plus the
+edges it adds itself for its copies, and records its copies when it
+ends; that keeps its decisions those of a graph built once per phase
+(exact queries after each of its copies would change 6 of 400 generated
+outputs per machine, not all for the better: one gains 2 copies with
+every refinement off).  `rename_and_strip` checks the pairs inside each
+class on the same live ranges.
 
 All four copy-reducing refinements are flag-gated: reordering disjoint
 arguments instead of copying, dropping interference edges between defs on
@@ -197,6 +200,15 @@ def _defined_at(cache: Analyses, var: str, block, idx: int) -> bool:
     return cache.dom.dominates_pos(dpos, (block.label, idx), strict=False)
 
 
+def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, block,
+                   at: int, alloc: NameAllocator) -> Instr:
+    """Rename `ins`'s result; returns `old = mov new`, put at body[at]."""
+    old = ins.dest
+    ins.dest = new = alloc.fresh(old)
+    cache.defs[new] = ins
+    return _insert_copy(cache, block, at, old, new)
+
+
 # ---------------------------------------------------------------------------
 # Phase 1: psi-normalize
 
@@ -281,34 +293,47 @@ def psi_congruence(cache: Analyses, classes: CongruenceClasses,
                    opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
     """Merge psi-referenced variables into congruence classes, repairing
     interferences with predicated copies; returns copies inserted.  Each
-    copy is recorded in `cache.live`, so every query is exact."""
+    psi's copies are recorded in `cache.live` before the next psi is
+    decided, so every query is exact."""
     copies = 0
     for label in cache.dom.preorder():
         for ins in list(cache.blocks[label].body):
             if not isinstance(ins, PsiInstr):
                 continue
-            copies += _psi_congruence_one(cache, ins, classes, opts, alloc)
+            made = _psi_congruence_one(cache, ins, classes, opts, alloc)
+            if made:
+                cache.live.update(made, [ins])
+                copies += len(made)
     return copies
 
 
-def _interference_witnesses(cache: Analyses, classes, a, b, refine: bool):
-    if classes.find(a) == classes.find(b):
-        return []
-    interferes = cache.live.interferes
-    return [(x, y) for x in classes.members(a) for y in classes.members(b)
-            if interferes(x, y, refine)]
+def _conflicts(classes: CongruenceClasses, a: str, b: str, interferes):
+    """The pairs (x, y) of a member x of a's class and a member y of b's
+    that interfere; none when a and b share a class."""
+    if classes.find(a) != classes.find(b):
+        members_b = classes.members(b)
+        for x in classes.members(a):
+            for y in members_b:
+                if interferes(x, y):
+                    yield x, y
 
 
 def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
-                        alloc) -> int:
-    refine = opts.disjoint_interference
+                        alloc) -> list[Instr]:
+    """Decide which arguments of `psi` (and whether its result) need a
+    copy, insert the copies and merge the classes; returns the copies."""
+    live, refine = cache.live, opts.disjoint_interference
+
+    def interferes(x: str, y: str) -> bool:
+        return live.interferes(x, y, refine)
+
     n = len(psi.args)
     marked_args: set[int] = set()
     mark_result = False
     for i in range(n):
         for j in range(i + 1, n):
-            hits = _interference_witnesses(cache, classes, psi.args[i][1],
-                                           psi.args[j][1], refine)
+            hits = list(_conflicts(classes, psi.args[i][1], psi.args[j][1],
+                                   interferes))
             if not hits:
                 continue
             marked_args.add(i)
@@ -322,8 +347,8 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
                 marked_args.add(j)
     arg_values = {v for _, v in psi.args}
     for i in range(n):
-        hits = _interference_witnesses(cache, classes, psi.args[i][1],
-                                       psi.dest, refine)
+        hits = list(_conflicts(classes, psi.args[i][1], psi.dest,
+                               interferes))
         if not hits:
             continue
         own = any(x == psi.args[i][1] for x, _ in hits)
@@ -336,27 +361,17 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
             marked_args.add(i)
             mark_result = True
 
-    live = cache.live
-    copies = 0
+    copies: list[Instr] = []
     made: dict[tuple[Pred, str], str] = {}
     for i in sorted(marked_args):
         q, v = psi.args[i]
-        inserted = []
         if (q, v) not in made:
             made[q, v] = _place_arg_copy(cache, psi, i, v, q, alloc)
-            inserted.append(cache.defs[made[q, v]])
-            copies += 1
+            copies.append(cache.defs[made[q, v]])
         psi.args[i] = (q, made[q, v])
-        live.update(inserted=inserted, changed=[psi])
     if mark_result:
-        old = psi.dest
-        new = alloc.fresh(old)
-        psi.dest = new
-        cache.defs[new] = psi
-        block, idx = cache.locate(psi)
-        mov = _insert_copy(cache, block, idx, old, new)
-        live.update(inserted=[mov], changed=[psi], redefined=[new])
-        copies += 1
+        block, slot = cache.locate(psi)
+        copies.append(_rename_result(cache, psi, block, slot, alloc))
 
     for _, v in psi.args:
         classes.union(psi.args[0][1], v)
@@ -367,14 +382,6 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
 # ---------------------------------------------------------------------------
 # Phase 3: phi-congruence
 
-@dataclass
-class _PhiCopies:
-    """What phi-congruence changed, for `LiveRanges.update`."""
-    inserted: list[Instruction]
-    changed: list[PhiInstr]
-    redefined: list[str]
-
-
 def phi_congruence(cache: Analyses, classes: CongruenceClasses,
                    opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
     """Extend congruence classes over phis, Sreedhar-style; classes are the
@@ -384,16 +391,16 @@ def phi_congruence(cache: Analyses, classes: CongruenceClasses,
     function as the phase starts (psi rule still in force), plus the edges
     the phase adds itself for its copies; `cache.live` records the copies
     when the phase ends."""
-    live = cache.live
     added: dict[str, set[str]] = {}
-    done = _PhiCopies([], [], [])
-    copies = 0
+    copies: list[Instr] = []
+    changed: list[PhiInstr] = []
     for label in cache.dom.preorder():
         for phi in list(cache.blocks[label].phis):
-            copies += _phi_congruence_one(cache, phi, label, added, done,
-                                          classes, opts, alloc)
-    live.update(done.inserted, done.changed, done.redefined)
-    return copies
+            if _phi_congruence_one(cache, phi, label, added, copies,
+                                   classes, opts, alloc):
+                changed.append(phi)
+    cache.live.update(copies, changed)
+    return len(copies)
 
 
 def _result_copy_slot(block, var: str, own: list[Instruction]) -> int:
@@ -419,8 +426,10 @@ def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
 
 
 def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
-                        added: dict[str, set[str]], done: _PhiCopies,
-                        classes, opts, alloc) -> int:
+                        added: dict[str, set[str]], copies: list[Instr],
+                        classes, opts, alloc) -> bool:
+    """Decide and insert `phi`'s copies, appending them to the phase's
+    `copies`, and merge the classes; returns whether `phi` changed."""
     live = cache.live
     refine = opts.disjoint_interference
 
@@ -445,12 +454,9 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
             for b in range(a + 1, len(resources)):
                 ka, ia, va = resources[a]
                 kb, ib, vb = resources[b]
-                if classes.find(va) == classes.find(vb):
+                if not any(_conflicts(classes, va, vb, interferes)):
                     continue
                 members_a, members_b = classes.members(va), classes.members(vb)
-                if not any(interferes(x, y)
-                           for y in members_b for x in members_a):
-                    continue
                 in_b = any(m in zone(kb, ib) for m in members_a)
                 in_a = any(m in zone(ka, ia) for m in members_b)
                 if in_b:
@@ -462,35 +468,29 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
                     # one resource is enough; prefer the argument copy.
                     marked.add(b if ka == "res" else a)
 
-    copies = 0
     for r in sorted(marked):
         kind, idx, var = resources[r]
         if kind == "res":
-            new = alloc.fresh(var)
-            phi.dest = new
-            cache.defs[new] = phi
             block = cache.blocks[label]
-            at = _result_copy_slot(block, var, done.inserted)
-            done.inserted.append(_insert_copy(cache, block, at, var, new))
-            done.redefined.append(new)
+            at = _result_copy_slot(block, var, copies)
+            copies.append(_rename_result(cache, phi, block, at, alloc))
+            new = phi.dest
             _add_edges(added, new, live.live_in[label] | {var})
         else:
             plbl, v = phi.args[idx]
             new = alloc.fresh(v)
             pred_block = cache.blocks[plbl]
-            done.inserted.append(_insert_copy(cache, pred_block,
-                                              len(pred_block.body), new, v))
+            copies.append(_insert_copy(cache, pred_block,
+                                       len(pred_block.body), new, v))
             phi.args[idx] = (plbl, new)
             _add_edges(added, new, live.live_out[plbl] | {v})
             _add_edges(added, v, live.live_out[plbl])
-        done.changed.append(phi)
         resources[r] = (kind, idx, new)
-        copies += 1
 
     first = resources[0][2]
     for _, _, var in resources[1:]:
         classes.union(first, var)
-    return copies
+    return bool(marked)
 
 
 # ---------------------------------------------------------------------------

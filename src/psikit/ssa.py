@@ -264,7 +264,8 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
                 v = subst[v]
             return v
         for _, ins in func.instructions():
-            rename_uses(ins, resolve)
+            if not subst.keys().isdisjoint(ins.uses()):
+                rename_uses(ins, resolve)
 
     while changed:
         changed = False

@@ -124,6 +124,39 @@ b0:
     assert ir.alpha_equivalent(work, func)
 
 
+def test_rename_and_strip_runs_on_a_function_with_dead_blocks():
+    """Without `to_cssa`, nothing removes the unreachable b1; its live
+    ranges are built over every block, and renaming keeps it."""
+    func = ir.parse_module("""
+func @f(%a) {
+b0:
+  %x = add %a, 1
+  goto b2
+b1:
+  %y = add %x, 2
+  goto b2
+b2:
+  %z = phi(b0: %x, b1: %y)
+  ret %z
+}
+""").functions[0]
+    classes = CongruenceClasses()
+    classes.union("x", "z")
+    classes.union("y", "z")
+    rename_and_strip(func, classes)
+    assert ir.print_function(func) == """func @f(%a) {
+b0:
+  %x = add %a, 1
+  goto b2
+b1:
+  %x = add %x, 2
+  goto b2
+b2:
+  ret %x
+}
+"""
+
+
 # -- phi-congruence -----------------------------------------------------------
 
 def test_clean_phi_merges_without_copies():
@@ -350,8 +383,9 @@ def assert_matches_fresh(live: analysis.LiveRanges, refine: bool):
 
 def stepped_to_cssa(monkeypatch, func: ir.Function, opts: OutOfSsaOptions):
     """to_cssa on `func`, comparing the carried live ranges with fresh ones
-    after each update (each psi-congruence copy, the end of phi-congruence)
-    and at the end; returns the cache and the number of comparisons."""
+    after each update (the copies of each psi in psi-congruence, the end of
+    phi-congruence) and at the end; returns the cache and the number of
+    comparisons."""
     steps = []
     update = analysis.LiveRanges.update
 
@@ -405,7 +439,7 @@ def test_psi_argument_copy_moves_a_synthetic_use_in_a_later_psi(monkeypatch):
     stepped_to_cssa(monkeypatch, func.clone(), ALL_OFF)
     work = func.clone()
     cache, steps = stepped_to_cssa(monkeypatch, work, OutOfSsaOptions())
-    assert steps == 2  # the copy, then the end of phi-congruence
+    assert steps == 2  # the copied psi, then the end of phi-congruence
     mov = cache.defs["a.1"]
     assert mov.opcode == "mov" and mov.operands == ["a"]
     assert analysis.liveness(work).synthetic_uses[id(mov)] == ["u"]
@@ -450,9 +484,31 @@ def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):
         count(out_of_ssa, "guard_env_or_conservative")
         count(analysis, "liveness")
         count(analysis, "interference_graph")
+        count(analysis.LiveRanges, "__init__")
         stats = run_out_of_ssa(work)
         assert stats.copies_psi_congruence and stats.copies_phi_congruence
         assert counts.get("guard_env_or_conservative", 0) <= 1
         assert counts.get("liveness", 0) <= 1
         assert counts.get("interference_graph", 0) == 0
+        assert counts.get("__init__", 0) == 1
     monkeypatch.undo()
+
+
+def test_each_psi_records_its_copies_in_one_update(monkeypatch):
+    """With every refinement off, the psi of live_overlap.pir gets two
+    argument copies and a result copy; psi-congruence records all three in
+    one `LiveRanges.update`, and phi-congruence its (no) copies in one more
+    when it ends."""
+    calls = []
+    update = analysis.LiveRanges.update
+
+    def recording(self, inserted=(), changed=()):
+        calls.append((sorted(ins.dest for ins in inserted), list(changed)))
+        update(self, inserted, changed)
+
+    monkeypatch.setattr(analysis.LiveRanges, "update", recording)
+    work, _, counts = to_cssa(load_func("live_overlap.pir"), ALL_OFF)
+    assert counts == (0, 3, 0)
+    psi, = all_psis(work)
+    copied = sorted([v for _, v in psi.args[1:]] + ["x"])
+    assert calls == [(copied, [psi]), ([], [])]
