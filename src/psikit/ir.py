@@ -30,8 +30,8 @@ compare and boolean connectives over guards are inferred.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 OPCODES = {
     "const", "mov", "add", "sub", "mul", "neg",
@@ -311,27 +311,32 @@ def infer_kinds(func: Function) -> dict[str, str]:
     Guard-ness is seeded by `:guard` declarations and compare results, then
     propagated through mov/and/or/not/select/phi/psi until stable.  Only
     those instructions can derive it, so only they are swept again.
+    Terminators define nothing and are not visited.
     """
     kinds = {name: kind for name, kind in func.params}
     candidates: list[Instruction] = []
-    for _, ins in func.instructions():
-        dest = ins.dest
-        if dest is None:
-            continue
-        if isinstance(ins, Instr) and ins.opcode in CMP_OPS:
-            kinds[dest] = "guard"
-            continue
-        kinds.setdefault(dest, "value")
-        if not isinstance(ins, Instr) or ins.opcode in BOOL_OPS \
-                or ins.opcode == "select" \
-                or (ins.opcode == "mov" and isinstance(ins.operands[0], str)):
-            candidates.append(ins)
+    for block in func.blocks:
+        for seq in (block.phis, block.body):
+            for ins in seq:
+                dest = ins.dest
+                if dest is None:
+                    continue
+                carrier = True
+                if type(ins) is Instr:
+                    op = ins.opcode
+                    if op in CMP_OPS:
+                        kinds[dest] = "guard"
+                        continue
+                    carrier = op in BOOL_OPS or op == "select" or (
+                        op == "mov" and type(ins.operands[0]) is str)
+                if dest not in kinds:
+                    kinds[dest] = "value"
+                if carrier:
+                    candidates.append(ins)
     for name in func.guard_decls:
         kinds[name] = "guard"
 
-    def is_guard(v) -> bool:
-        return kinds.get(v) == "guard"
-
+    get = kinds.get
     changed = True
     while changed:
         changed = False
@@ -339,20 +344,26 @@ def infer_kinds(func: Function) -> dict[str, str]:
         for ins in candidates:
             if kinds[ins.dest] == "guard":
                 continue
-            if isinstance(ins, Instr):
-                if ins.opcode in BOOL_OPS:
-                    vars_ = [o for o in ins.operands if isinstance(o, str)]
-                    derived = bool(vars_) and all(map(is_guard, vars_))
-                elif ins.opcode == "mov":
-                    derived = is_guard(ins.operands[0])
-                else:  # select
-                    tv, ev = ins.operands[1], ins.operands[2]
-                    derived = (isinstance(tv, str) and isinstance(ev, str)
-                               and is_guard(tv) and is_guard(ev))
-            elif isinstance(ins, PhiInstr):
-                derived = all(is_guard(v) for _, v in ins.args)
-            else:
-                derived = all(map(is_guard, ins.values()))
+            if type(ins) is Instr:
+                ops = ins.operands
+                if ins.opcode == "mov":
+                    derived = get(ops[0]) == "guard"
+                elif ins.opcode == "select":
+                    derived = get(ops[1]) == "guard" and get(ops[2]) == "guard"
+                else:  # and/or/not: a guard operand, and no value operand
+                    derived = False
+                    for o in ops:
+                        if get(o) == "guard":
+                            derived = True
+                        elif type(o) is str:
+                            derived = False
+                            break
+            else:  # phi or psi: every argument's value
+                derived = True
+                for _, v in ins.args:
+                    if get(v) != "guard":
+                        derived = False
+                        break
             if derived:
                 kinds[ins.dest] = "guard"
                 changed = True
@@ -365,301 +376,306 @@ def infer_kinds(func: Function) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<var>%[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<fname>@[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<int>-?[0-9]+)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<punct>[(){},:=?!])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
-
-
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    """One scan of `text`: the matches cover it, and a character that
-    starts no token is the `bad` group."""
-    toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        col = m.start() - line_start + 1
-        if kind == "nl":
-            toks.append(_Tok("nl", "\n", line, col))
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        else:
-            toks.append(_Tok(kind, m.group(), line, col))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
-    return toks
+# Each match is one token, the group, after the blanks and the comment
+# before it.  Its first character gives its kind: `%` a variable, `@` a
+# function name, `-` or a digit an integer, a letter or `_` a word (block
+# labels, opcodes and keywords), else punctuation or a newline.  The empty
+# token ends the text.  A character that starts no token ends the scan: the
+# match before the end holds it and the rest of the text.
+_TOKEN = (r"%[A-Za-z_][A-Za-z0-9_.]*|@[A-Za-z_][A-Za-z0-9_.]*|-?[0-9]+"
+          r"|[A-Za-z_][A-Za-z0-9_.]*|[(){},:=?!\n]")
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:#[^\n]*)?(" + _TOKEN + r"|\Z|[\s\S]+)")
+_GOOD_TOKEN_RE = re.compile(_TOKEN)
+_WORD_START = frozenset(string.ascii_letters + "_")
+_INT_START = frozenset("-0123456789")
+_PRED_START = _INT_START | {"%"}
 
 
 class _Parser:
+    """Recursive descent over the token list.  A grammar method takes the
+    index of its first token and returns the index after its last (with
+    what it built, if anything); it reads at most one token past one it
+    has checked, so one token of padding after the end suffices."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        toks = _TOKEN_RE.findall(text)
+        last = toks[-2] if len(toks) > 1 else ""
+        if last and not _GOOD_TOKEN_RE.fullmatch(last):
+            self.error(f"unexpected character {last[0]!r}", len(toks) - 2)
+        toks.append("")
+        self.toks = toks
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def error(self, message: str, i: int):
+        """Raise at token `i`, located by scanning the text again."""
+        text = self.text
+        for k, m in enumerate(_TOKEN_RE.finditer(text)):
+            start = m.start(1)
+            if k == i:
+                break
+        raise ParseError(message, text.count("\n", 0, start) + 1,
+                         start - text.rfind("\n", 0, start))
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def expected(self, want: str, i: int):
+        self.error(f"expected {want!r}, found {self.toks[i] or 'eof'!r}", i)
 
-    def error(self, message: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {tok.text or tok.kind!r}")
-        return self.next()
-
-    def skip_newlines(self):
-        while self.peek().kind == "nl":
-            self.next()
-
-    def at_punct(self, text: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "punct" and tok.text == text
+    def newlines(self, i: int) -> int:
+        toks = self.toks
+        while toks[i] == "\n":
+            i += 1
+        return i
 
     # -- grammar ---------------------------------------------------------
 
     def module(self) -> Module:
         mod = Module()
-        self.skip_newlines()
-        while self.peek().kind != "eof":
-            mod.functions.append(self.function())
-            self.skip_newlines()
+        i = self.newlines(0)
+        while self.toks[i]:
+            func, i = self.function(i)
+            mod.functions.append(func)
+            i = self.newlines(i)
         return mod
 
-    def function(self) -> Function:
-        self.expect("word", "func")
-        name_tok = self.expect("fname")
-        func = Function(name=name_tok.text[1:], params=[])
+    def function(self, i: int) -> tuple[Function, int]:
+        toks = self.toks
+        if toks[i] != "func":
+            self.expected("func", i)
+        if toks[i + 1][:1] != "@":
+            self.expected("fname", i + 1)
+        func = Function(name=toks[i + 1][1:], params=[])
         self.labels: set[str] = set()
-        self.label_refs: list[tuple[_Tok, str]] = []
-        self.expect("punct", "(")
+        self.label_refs: list[tuple[int, str]] = []
+        if toks[i + 2] != "(":
+            self.expected("(", i + 2)
+        i += 3
         seen = set()
-        while not self.at_punct(")"):
-            var = self.expect("var").text[1:]
+        while toks[i] != ")":
+            var = toks[i][1:]
+            if toks[i][:1] != "%":
+                self.expected("var", i)
             kind = "value"
-            if self.at_punct(":"):
-                self.next()
-                self.expect("word", "guard")
+            i += 1
+            if toks[i] == ":":
+                if toks[i + 1] != "guard":
+                    self.expected("guard", i + 1)
                 kind = "guard"
+                i += 2
             if var in seen:
-                self.error(f"duplicate parameter %{var}")
+                self.error(f"duplicate parameter %{var}", i)
             seen.add(var)
             func.params.append((var, kind))
             if kind == "guard":
                 func.guard_decls.add(var)
-            if self.at_punct(","):
-                self.next()
-            elif not self.at_punct(")"):
-                self.error("expected ',' or ')' in parameter list")
-        self.next()  # ')'
-        self.expect("punct", "{")
-        self.skip_newlines()
-        while not self.at_punct("}"):
-            self.block(func)
-        self.next()  # '}'
+            if toks[i] == ",":
+                i += 1
+            elif toks[i] != ")":
+                self.error("expected ',' or ')' in parameter list", i)
+        if toks[i + 1] != "{":
+            self.expected("{", i + 1)
+        i = self.newlines(i + 2)
+        while toks[i] != "}":
+            i = self.block(func, i)
+        i += 1
         self.check_targets()
         if not func.blocks:
-            self.error(f"function @{func.name} has no blocks")
-        return func
+            self.error(f"function @{func.name} has no blocks", i)
+        return func, i
 
-    def block(self, func: Function):
-        tok = self.peek()
-        if tok.kind != "word" or not self.at_punct(":", 1):
-            self.error("expected block label")
-        label = self.next().text
-        self.next()  # ':'
+    def block(self, func: Function, i: int) -> int:
+        toks = self.toks
+        label = toks[i]
+        if label[:1] not in _WORD_START or toks[i + 1] != ":":
+            self.error("expected block label", i)
         if label in self.labels:
-            self.error(f"duplicate block label {label}", tok)
+            self.error(f"duplicate block label {label}", i)
         self.labels.add(label)
         block = Block(label)
         func.blocks.append(block)
-        self.skip_newlines()
+        i = self.newlines(i + 2)
         while True:
-            tok = self.peek()
-            if tok.kind == "eof" or self.at_punct("}"):
+            tok = toks[i]
+            if not tok or tok == "}":
                 break
-            if tok.kind == "word" and self.at_punct(":", 1):
+            if tok[0] in _WORD_START and toks[i + 1] == ":":
                 break  # next block
-            self.instruction(func, block)
-            self.skip_newlines()
+            i = self.instruction(func, block, i)
+            while toks[i] == "\n":
+                i += 1
         if block.term is None:
-            self.error(f"block {label} has no terminator", tok)
+            self.error(f"block {label} has no terminator", i)
+        return i
 
-    def pred(self) -> Pred:
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text != "1":
-                self.error("predicate literal must be 1")
-            self.next()
-            return TRUE
-        positive = True
-        if self.at_punct("!"):
-            self.next()
-            positive = False
-        reg = self.expect("var").text[1:]
-        return Pred(reg, positive)
+    def pred(self, i: int) -> tuple[Pred, int]:
+        tok = self.toks[i]
+        if tok[:1] in _INT_START:
+            if tok != "1":
+                self.error("predicate literal must be 1", i)
+            return TRUE, i + 1
+        positive = tok != "!"
+        if not positive:
+            i += 1
+            tok = self.toks[i]
+        if tok[:1] != "%":
+            self.expected("var", i)
+        return Pred(tok[1:], positive), i + 1
 
-    def instruction(self, func: Function, block: Block):
-        start = self.peek()
+    def instruction(self, func: Function, block: Block, i: int) -> int:
+        toks = self.toks
+        start = i
         if block.term is not None:
-            self.error(f"instruction after terminator in block {block.label}")
+            self.error(f"instruction after terminator in block {block.label}",
+                       i)
         guard = None
         # A guard prefix is a pred followed by '?' before any '='.
-        if (self.at_punct("!")
-                or (self.peek().kind == "int" and self.at_punct("?", 1))
-                or (self.peek().kind == "var" and self.at_punct("?", 1))):
-            guard = self.pred()
-            self.expect("punct", "?")
+        tok = toks[i]
+        if tok == "!" or (toks[i + 1] == "?" and tok[:1] in _PRED_START):
+            guard, i = self.pred(i)
+            if toks[i] != "?":
+                self.expected("?", i)
+            i += 1
             if guard.is_true():
                 guard = None
-        tok = self.peek()
-        if tok.kind == "word" and tok.text in TERMINATORS:
-            ins = self.terminator(guard)
-            block.term = ins
-            return
-        if tok.kind == "word" and tok.text == "store":
-            self.next()
-            operands = self.operands()
+            tok = toks[i]
+        if tok in TERMINATORS:
+            block.term, i = self.terminator(guard, i)
+            return i
+        if tok == "store":
+            operands, end = self.operands(i + 1)
             if len(operands) != 2:
-                self.error("store takes 2 operands", tok)
+                self.error("store takes 2 operands", i)
             block.body.append(Instr("store", None, operands, guard))
-            return
-        dest_tok = self.expect("var")
-        dest = dest_tok.text[1:]
-        if self.at_punct(":"):
-            self.next()
-            self.expect("word", "guard")
+            return end
+        if tok[:1] != "%":
+            self.expected("var", i)
+        dest = tok[1:]
+        i += 1
+        if toks[i] == ":":
+            if toks[i + 1] != "guard":
+                self.expected("guard", i + 1)
             func.guard_decls.add(dest)
-        self.expect("punct", "=")
-        op_tok = self.expect("word")
-        op = op_tok.text
+            i += 2
+        if toks[i] != "=":
+            self.expected("=", i)
+        i += 1
+        op = toks[i]
         if op not in OPCODES:
-            self.error(f"unknown opcode {op!r}", op_tok)
+            if op[:1] not in _WORD_START:
+                self.expected("word", i)
+            self.error(f"unknown opcode {op!r}", i)
         if op in TERMINATORS:
-            self.error(f"{op} does not produce a result", op_tok)
+            self.error(f"{op} does not produce a result", i)
         if op == "phi":
             if guard is not None:
                 self.error("phi cannot be guarded", start)
             if block.body:
                 self.error("phi must precede non-phi instructions", start)
-            block.phis.append(self.phi(dest))
-            return
+            phi, i = self.phi(dest, i + 1)
+            block.phis.append(phi)
+            return i
         if op == "psi":
             if guard is not None:
                 self.error("psi results are not guarded", start)
-            block.body.append(self.psi(dest))
-            return
-        operands = self.operands()
+            psi, i = self.psi(dest, i + 1)
+            block.body.append(psi)
+            return i
+        operands, end = self.operands(i + 1)
         arity = ARITY.get(op)
         if arity is not None and len(operands) != arity:
             self.error(f"{op} takes {arity} operand(s), got {len(operands)}",
-                       op_tok)
+                       i)
         if op == "const" and not isinstance(operands[0], int):
-            self.error("const takes an integer literal", op_tok)
+            self.error("const takes an integer literal", i)
         block.body.append(Instr(op, dest, operands, guard))
+        return end
 
-    def phi(self, dest: str) -> PhiInstr:
-        self.expect("punct", "(")
+    def phi(self, dest: str, i: int) -> tuple[PhiInstr, int]:
+        toks = self.toks
+        if toks[i] != "(":
+            self.expected("(", i)
         args = []
         while True:
-            lbl = self.label_ref("phi references undefined block")
-            self.expect("punct", ":")
-            var = self.expect("var").text[1:]
-            args.append((lbl, var))
-            if self.at_punct(","):
-                self.next()
-            else:
+            lbl, i = self.label_ref(i + 1, "phi references undefined block")
+            if toks[i] != ":":
+                self.expected(":", i)
+            if toks[i + 1][:1] != "%":
+                self.expected("var", i + 1)
+            args.append((lbl, toks[i + 1][1:]))
+            i += 2
+            if toks[i] != ",":
                 break
-        self.expect("punct", ")")
-        return PhiInstr(dest, args)
+        if toks[i] != ")":
+            self.expected(")", i)
+        return PhiInstr(dest, args), i + 1
 
-    def psi(self, dest: str) -> PsiInstr:
-        self.expect("punct", "(")
+    def psi(self, dest: str, i: int) -> tuple[PsiInstr, int]:
+        toks = self.toks
+        if toks[i] != "(":
+            self.expected("(", i)
         args = []
         while True:
-            p = self.pred()
-            self.expect("punct", "?")
-            var = self.expect("var").text[1:]
-            args.append((p, var))
-            if self.at_punct(","):
-                self.next()
-            else:
+            p, i = self.pred(i + 1)
+            if toks[i] != "?":
+                self.expected("?", i)
+            if toks[i + 1][:1] != "%":
+                self.expected("var", i + 1)
+            args.append((p, toks[i + 1][1:]))
+            i += 2
+            if toks[i] != ",":
                 break
-        self.expect("punct", ")")
-        return PsiInstr(dest, args)
+        if toks[i] != ")":
+            self.expected(")", i)
+        return PsiInstr(dest, args), i + 1
 
-    def operands(self) -> list:
+    def operands(self, i: int) -> tuple[list, int]:
+        toks = self.toks
         out = []
         while True:
-            tok = self.peek()
-            if tok.kind == "var":
-                out.append(self.next().text[1:])
-            elif tok.kind == "int":
-                out.append(int(self.next().text))
+            tok = toks[i]
+            if tok[:1] == "%":
+                out.append(tok[1:])
+            elif tok[:1] in _INT_START:
+                out.append(int(tok))
             else:
-                self.error(f"expected operand, found {tok.text or tok.kind!r}")
-            if self.at_punct(","):
-                self.next()
-            else:
-                return out
+                self.error(f"expected operand, found {tok or 'eof'!r}", i)
+            if toks[i + 1] != ",":
+                return out, i + 1
+            i += 2
 
-    def terminator(self, guard: Pred | None) -> Instr:
-        tok = self.next()
+    def terminator(self, guard: Pred | None, i: int) -> tuple[Instr, int]:
+        toks = self.toks
+        tok = toks[i]
         if guard is not None:
-            self.error(f"{tok.text} cannot be guarded", tok)
-        if tok.text == "goto":
-            target = self.label_ref("undefined block")
-            return Instr("goto", None, [target])
-        if tok.text == "br":
-            cond = self.expect("var").text[1:]
-            self.expect("punct", ",")
-            t1 = self.label_ref("undefined block")
-            self.expect("punct", ",")
-            t2 = self.label_ref("undefined block")
-            return Instr("br", None, [cond, t1, t2])
+            self.error(f"{tok} cannot be guarded", i)
+        if tok == "goto":
+            target, i = self.label_ref(i + 1, "undefined block")
+            return Instr("goto", None, [target]), i
+        if tok == "br":
+            if toks[i + 1][:1] != "%":
+                self.expected("var", i + 1)
+            if toks[i + 2] != ",":
+                self.expected(",", i + 2)
+            t1, j = self.label_ref(i + 3, "undefined block")
+            if toks[j] != ",":
+                self.expected(",", j)
+            t2, j = self.label_ref(j + 1, "undefined block")
+            return Instr("br", None, [toks[i + 1][1:], t1, t2]), j
         # ret
-        if self.peek().kind == "var":
-            return Instr("ret", None, [self.next().text[1:]])
-        return Instr("ret", None, [])
+        if toks[i + 1][:1] == "%":
+            return Instr("ret", None, [toks[i + 1][1:]]), i + 2
+        return Instr("ret", None, []), i + 1
 
-    def label_ref(self, what: str) -> str:
+    def label_ref(self, i: int, what: str) -> tuple[str, int]:
         """Read a block label that must name a block of the function;
         `check_targets` reports it as `what` if it does not."""
-        tok = self.expect("word")
-        self.label_refs.append((tok, what))
-        return tok.text
+        if self.toks[i][:1] not in _WORD_START:
+            self.expected("word", i)
+        self.label_refs.append((i, what))
+        return self.toks[i], i + 1
 
     def check_targets(self):
-        for tok, what in self.label_refs:
-            if tok.text not in self.labels:
-                self.error(f"{what} {tok.text}", tok)
+        for i, what in self.label_refs:
+            if self.toks[i] not in self.labels:
+                self.error(f"{what} {self.toks[i]}", i)
 
 
 def parse_module(text: str) -> Module:

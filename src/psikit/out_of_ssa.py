@@ -106,6 +106,11 @@ class CongruenceClasses:
             self.parent[high] = low
             self._members[low].extend(self._members.pop(high))
 
+    def representative(self, name: str) -> str:
+        """`find` for a name that may never have joined: such a name is its
+        own representative, and stays out of the structure."""
+        return self.find(name) if name in self.parent else name
+
     def members(self, name: str) -> list[str]:
         return sorted(self._members[self.find(name)])
 
@@ -517,7 +522,8 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
             ins = defs.get(v)
             if (isinstance(ins, Instr) and ins.opcode == "mov"
                     and isinstance(ins.operands[0], str)
-                    and (cls is None or classes.find(ins.operands[0]) == cls)):
+                    and (cls is None
+                         or classes.representative(ins.operands[0]) == cls)):
                 v = ins.operands[0]
             else:
                 break
@@ -547,7 +553,7 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
                     f"@{func.name}: %{a} and %{b} share a class but "
                     "interfere")
 
-    rep = classes.find
+    rep = classes.representative
     func.params = [(rep(n), k) for n, k in func.params]
     func.guard_decls = {rep(n) for n in func.guard_decls}
     for block in func.blocks:

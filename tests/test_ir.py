@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikit import ir, pipeline
-from psikit.interp import gen_random_program
+from psikit.interp import SizeProfile, gen_random_program
 from psikit.ir import (ParseError, Pred, PsiInstr, parse_module, print_module,
                        rename_uses)
 from psikit.machine import FULL, PARTIAL
 
 from helpers import DATA, assert_no_errors, load_func
+from kinds_oracle import infer_kinds as oracle_kinds
 
 
 def parse_one(text: str) -> ir.Function:
@@ -60,7 +61,84 @@ def test_undefined_branch_target_is_an_error():
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_module("func @f() {\nb0:\n  %x = bogus 1\n  ret\n}")
-    assert exc.value.line == 3
+    assert (exc.value.line, exc.value.col) == (3, 8)
+
+
+_HEAD = "func @f(%a, %p:guard) {\nb0:\n"
+
+# One malformed text per place the parser raises, with the message and the
+# position it reports: the token in question, or the end of the file.
+PARSE_ERRORS = [
+    ('unexpected_character', _HEAD + '  %x = add %a, $1\n  ret %x\n}',
+     "unexpected character '$'", 3, 16),
+    ('unexpected_character_after_a_syntax_error', 'func f() {\nb0:\n  ret ~\n}',
+     "unexpected character '~'", 3, 7),
+    ('expected_token', 'func f() {\nb0:\n  ret\n}',
+     "expected 'fname', found 'f'", 1, 6),
+    ('expected_token_at_end_of_file', 'func @f(%a,  ',
+     "expected 'var', found 'eof'", 1, 14),
+    ('block_label_at_end_of_file', _HEAD + '  %x = add %a, 1\n  ret %x\n',
+     'expected block label', 5, 1),
+    ('expected_token_at_a_newline', _HEAD + '  %x = phi(\nb0: %a)\n  ret %x\n}',
+     "expected 'word', found '\\n'", 3, 12),
+    ('duplicate_parameter', 'func @f(%a, %a:guard) {\nb0:\n  ret\n}',
+     'duplicate parameter %a', 1, 21),
+    ('parameter_list_separator', 'func @f(%a %b) {\nb0:\n  ret\n}',
+     "expected ',' or ')' in parameter list", 1, 12),
+    ('function_without_blocks', 'func @f() {\n}\nfunc @g() {}',
+     'function @f has no blocks', 2, 2),
+    ('block_label', 'func @f() {\n  ret\n}',
+     'expected block label', 2, 3),
+    ('duplicate_block_label', _HEAD + '  goto b0\n  b0:\n  ret\n}',
+     'duplicate block label b0', 4, 3),
+    ('block_without_terminator', _HEAD + '  %x = add %a, 1\nb1:\n  ret\n}',
+     'block b0 has no terminator', 4, 1),
+    ('predicate_literal', _HEAD + '  %x = psi(%p ? %a, 0 ? %a)\n  ret %x\n}',
+     'predicate literal must be 1', 3, 21),
+    ('instruction_after_terminator', _HEAD + '  ret %a %a\n}',
+     'instruction after terminator in block b0', 3, 10),
+    ('store_arity', _HEAD + '  store %a\n  ret\n}',
+     'store takes 2 operands', 3, 3),
+    ('unknown_opcode', _HEAD + '  %x = bogus 1\n  ret\n}',
+     "unknown opcode 'bogus'", 3, 8),
+    ('terminator_with_a_result', _HEAD + '  %x = goto b0\n  ret\n}',
+     'goto does not produce a result', 3, 8),
+    ('guarded_phi', _HEAD + '  goto b1\nb1:\n  %p? %x = phi(b0: %a)\n  ret\n}',
+     'phi cannot be guarded', 5, 3),
+    ('phi_after_body', _HEAD + '  goto b1\nb1:\n  %y = mov %a\n  %x = phi(b0: %a)\n  ret\n}',
+     'phi must precede non-phi instructions', 6, 3),
+    ('guarded_psi', _HEAD + '  !%p? %x = psi(%p ? %a)\n  ret\n}',
+     'psi results are not guarded', 3, 3),
+    ('operand_count', _HEAD + '  %x = add %a\n  ret\n}',
+     'add takes 2 operand(s), got 1', 3, 8),
+    ('const_operand', _HEAD + '  %x = const %a\n  ret\n}',
+     'const takes an integer literal', 3, 8),
+    ('operand', _HEAD + '  %x = add %a, =\n  ret\n}',
+     "expected operand, found '='", 3, 16),
+    ('guarded_terminator', _HEAD + '  %p? ret %a\n}',
+     'ret cannot be guarded', 3, 7),
+    ('undefined_block', _HEAD + '  br %p, b0, b7\n}',
+     'undefined block b7', 3, 14),
+    ('phi_undefined_block', _HEAD + '  goto b1\nb1:\n  %x = phi(b0: %a, b5: %a)\n  ret %x\n}',
+     'phi references undefined block b5', 5, 20),
+    ('free_form_layout', 'func @f(%a){ b0: %x = add %a,\n 1 ret %x }',
+     "expected operand, found '\\n'", 1, 30),
+    ('comment_before_error', '# head\nfunc @f() { # open\nb0: # label\n  ret 1 # tail\n}',
+     'instruction after terminator in block b0', 4, 7),
+    ('crlf_and_tabs', 'func @f(%a) {\r\nb0:\r\n\t%x = add\t%a, 1,\r\n\tret %x\r\n}',
+     "expected operand, found '\\n'", 3, 18),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col",
+                         [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        message, line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -124,6 +202,44 @@ def test_roundtrip_fixpoint_on_generated_corpus():
         once = print_module(mod)
         assert parse_module(once) == mod
         assert print_module(parse_module(once)) == once
+
+
+# The generator profiles of the benchmark ladder's rungs (about 100, 160,
+# 290 and 520 instructions).
+RUNG_PROFILES = [SizeProfile(f"rung{target}", statements, 3, 2, True)
+                 for target, statements in ((100, 16), (160, 28), (290, 56),
+                                            (520, 104))]
+
+
+def _rung_programs(per_rung: int):
+    for profile in RUNG_PROFILES:
+        for seed in range(per_rung):
+            yield gen_random_program(seed, profile)
+
+
+def test_printed_text_parses_back_to_itself():
+    for func in _rung_programs(3):
+        text = print_module(ir.Module([func]))
+        assert print_module(parse_module(text)) == text
+    for path in sorted(DATA.glob("*.pir")):
+        mod = parse_module(path.read_text())
+        text = print_module(mod)
+        assert parse_module(text) == mod, path.name
+        assert print_module(parse_module(text)) == text, path.name
+
+
+def test_infer_kinds_matches_the_oracle():
+    funcs = [f for path in sorted(DATA.glob("*.pir"))
+             for f in parse_module(path.read_text()).functions]
+    funcs += [gen_random_program(seed, "tiny" if seed % 2 else "small")
+              for seed in range(60)]
+    funcs += list(_rung_programs(1))
+    checked = 0
+    for func in funcs:
+        for state in _standard_states(func):
+            assert ir.infer_kinds(state) == oracle_kinds(state), func.name
+            checked += 1
+    assert checked > 6 * 60  # the standard pipeline ran on every program
 
 
 # Characters of .pir text, plus a few it never contains.

@@ -111,6 +111,18 @@ def test_rename_and_strip_matches_reference_outputs():
         assert not report.mismatches, src
 
 
+def test_rename_and_strip_adds_no_names_to_the_classes():
+    for seed in range(20):
+        func = interp.gen_random_program(seed, "small")
+        work, _ = pipeline(func, ["ssa", "fold", "ifconvert"])
+        work, classes, _ = to_cssa(work)
+        names, groups = set(classes.parent), classes.classes()
+        rename_and_strip(work, classes)
+        assert set(classes.parent) == names, seed
+        assert classes.classes() == groups, seed
+        assert not interp.differential_check(func, work, 8, seed).mismatches
+
+
 def test_rename_and_strip_without_merges_is_identity():
     func = ir.parse_module("""
 func @f(%a) {
