@@ -273,6 +273,17 @@ class Analyses:
         label, slot = self.positions[id(ins)]
         return self.blocks[label], slot
 
+    def defined_at(self, var: str, point: tuple[str, int],
+                   strict: bool = False) -> bool:
+        """Does `var`'s definition dominate program point `point`, a
+        (label, slot) of `positions`, itself included unless `strict`?  A
+        parameter is defined everywhere.  Body index i of a block is the
+        slot of body[i - 1], so `(label, i)` asks for the point where an
+        instruction inserted at body[i] would read `var`."""
+        ins = self.defs.get(var)
+        return ins is None or self.dom.dominates_pos(
+            self.positions[id(ins)], point, strict)
+
     def inserted(self, block: Block, ins: Instruction) -> None:
         """Record `ins`, just inserted into `block`, in what is computed."""
         computed = self.__dict__

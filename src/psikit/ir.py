@@ -468,6 +468,8 @@ class _Parser:
                 func.guard_decls.add(var)
             if toks[i] == ",":
                 i += 1
+                if toks[i] == ")":
+                    self.expected("var", i)
             elif toks[i] != ")":
                 self.error("expected ',' or ')' in parameter list", i)
         if toks[i + 1] != "{":
@@ -662,6 +664,8 @@ class _Parser:
         # ret
         if toks[i + 1][:1] == "%":
             return Instr("ret", None, [toks[i + 1][1:]]), i + 2
+        if toks[i + 1][:1] in _INT_START:
+            self.expected("var", i + 1)
         return Instr("ret", None, []), i + 1
 
     def label_ref(self, i: int, what: str) -> tuple[str, int]:
@@ -872,43 +876,34 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
 
 
 def _check_ssa_dominance(cache) -> list[Diagnostic]:
-    """Dominance of every use, read from the function's `analysis.Analyses`."""
-    from .analysis import def_point  # deferred: analysis imports ir
-
+    """Dominance of every use, asked of `analysis.Analyses.defined_at`."""
     diags: list[Diagnostic] = []
-    func, blocks = cache.func, cache.blocks
-    dom, pos, defs = cache.dom, cache.positions, cache.defs
-
-    def dominates_use(var, use_pos, strict_before=True,
-                      resolved=False) -> bool:
-        dpos = def_point(var, defs, pos, resolved)
-        if dpos is None:
-            return True  # a parameter dominates everything
-        return dom.dominates_pos(dpos, use_pos, strict=strict_before)
+    func, blocks, pos = cache.func, cache.blocks, cache.positions
+    defined_at = cache.defined_at
 
     for block in func.blocks:
         for ins in block.instructions():
             upos = pos[id(ins)]
             if isinstance(ins, PhiInstr):
                 for lbl, v in ins.args:
-                    edge_pos = pos[id(blocks[lbl].term)]
-                    if not dominates_use(v, edge_pos, strict_before=False):
+                    if not defined_at(v, pos[id(blocks[lbl].term)]):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",
                             f"phi arg %{v} does not dominate edge from {lbl}"))
             elif isinstance(ins, PsiInstr):
                 for p, v in ins.args:
-                    if not dominates_use(v, upos, resolved=True):
+                    if not defined_at(v, upos, strict=True):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",
                             f"psi arg %{v} definition does not dominate the psi"))
-                    if p.reg is not None and not dominates_use(p.reg, upos):
+                    if p.reg is not None and not defined_at(p.reg, upos,
+                                                            strict=True):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",
                             f"psi predicate %{p.reg} does not dominate the psi"))
             else:
                 for v in ins.uses():
-                    if not dominates_use(v, upos):
+                    if not defined_at(v, upos, strict=True):
                         diags.append(Diagnostic(
                             "error", f"@{func.name}/{block.label}",
                             f"use of %{v} not dominated by its definition"))

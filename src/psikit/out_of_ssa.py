@@ -140,69 +140,52 @@ def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
 
 
 def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
-                    pred: Pred, alloc: NameAllocator,
-                    anchor=None) -> str:
+                    pred: Pred, alloc: NameAllocator, start=None) -> str:
     """Insert `pred? new = mov src` to stand in for psi argument idx.
 
-    The natural spot is just below the anchor (default: src's definition;
-    phi definitions and parameters anchor at the head of their block).
-    When the anchor lies in a different block than the point where the
-    argument dies, a copy there would stay live across the intervening
-    control flow (around a back edge, for a loop), defeating the repair,
-    so the copy moves just above the death point.  If the predicate
-    register is not available at the chosen spot the copy falls back to
-    just above the psi, where psi operands are always available.
+    The copy goes to the program point `start`, a (block, body index)
+    pair, by default just below src's definition (the head of its block
+    for a phi, of the entry for a parameter), and below the definition of
+    the predicate register if that is in the same block.  When the
+    argument dies in a block that the start dominates, a copy there would
+    stay live across the intervening control flow (around a back edge, for
+    a loop), defeating the repair, so the copy moves just above the death
+    point.  If the predicate register is not defined at the chosen point,
+    the copy falls back to just above the psi, where psi operands are
+    always defined.
     """
     defs = cache.defs
-    if anchor is None:
-        anchor = defs.get(src)
+    if start is None:
+        ins = defs.get(src)
+        start = (cache.func.blocks[0], 0) if ins is None else cache.locate(ins)
+    block, at = start
+    reg = pred.reg
+    if reg in defs:
+        pins_block, pins_at = cache.locate(defs[reg])
+        if pins_block is block:
+            at = max(at, pins_at)
     # The last argument, and one followed by a parameter, dies at the psi.
     deaths = analysis.arg_deaths(psi, defs)
     death = deaths[idx][1] if idx < len(deaths) else None
     death = psi if death is None else death
-    if anchor is None:
-        block, at = cache.func.blocks[0], 0
-    else:
-        block, at = cache.locate(anchor)
-    if pred.reg is not None:
-        pins = defs.get(pred.reg)
-        if pins is not None and not isinstance(pins, PhiInstr):
-            pins_block, pins_at = cache.locate(pins)
-            if pins_block is block and pins_at > at:
-                at = pins_at
     death_block, death_at = cache.locate(death)
-    anchor_pos = ((block.label, 0) if anchor is None
-                  else cache.positions[id(anchor)])
-    death_pos = (death_block.label, death_at)
-    # Only meaningful when the argument actually dies below its anchor; an
-    # order-violated psi can resolve the next argument above it, and the
-    # order repair that follows will re-anchor the range anyway.
-    if (death_block.label != block.label
-            and cache.dom.dominates_pos(anchor_pos, death_pos)):
+    # Only when the argument dies below the start: an order-violated psi
+    # can resolve the next argument above it, and the order repair that
+    # follows moves the copy's range anyway.
+    if (death_block is not block
+            and cache.dom.dominates_block(block.label, death_block.label)):
         if isinstance(death, PhiInstr):
-            # Cannot slot a copy above a phi; the end of the anchor block
-            # still precedes every path into the phi's block.
+            # No copy goes above a phi; the end of the start block still
+            # precedes every path from it into the phi's block.
             at = len(block.body)
         else:
             block, at = death_block, death_at - 1
-    if pred.reg is not None and not _defined_at(cache, pred.reg, block, at):
+    if reg is not None and not cache.defined_at(reg, (block.label, at)):
         block, at = cache.locate(psi)
         at -= 1
     new = alloc.fresh(src)
     _insert_copy(cache, block, at, new, src, pred)
     return new
-
-
-def _defined_at(cache: Analyses, var: str, block, idx: int) -> bool:
-    """Does var's definition dominate the program point just before
-    block.body[idx]?"""
-    ins = cache.defs.get(var)
-    if ins is None:
-        return True  # parameter
-    dpos = cache.positions.get(id(ins))
-    if dpos is None:
-        return False
-    return cache.dom.dominates_pos(dpos, (block.label, idx), strict=False)
 
 
 def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, block,
@@ -267,28 +250,14 @@ def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
 
 def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
                     nxt: str, pred: Pred, alloc: NameAllocator) -> str:
-    """Copy `nxt` anchored at the lower of the two definitions (or just
-    above the psi when they are incomparable) so the copy follows `cur`'s
-    definition."""
-    defs, dom, pos = cache.defs, cache.dom, cache.positions
-    cur_pos = analysis.def_point(cur, defs, pos)
-    nxt_pos = analysis.def_point(nxt, defs, pos)
-    anchor = None
-    if cur_pos is not None and (
-            nxt_pos is None or dom.dominates_pos(nxt_pos, cur_pos)):
-        anchor = defs[cur]
-    elif nxt_pos is not None and (
-            cur_pos is None or dom.dominates_pos(cur_pos, nxt_pos)):
-        anchor = defs[nxt]
-    if anchor is not None:
-        return _place_arg_copy(cache, psi, arg_index, nxt, pred, alloc,
-                               anchor=anchor)
-    # Incomparable definitions: both dominate the psi itself, so a copy
-    # immediately above it follows both.
-    block, at = cache.locate(psi)
-    new = alloc.fresh(nxt)
-    _insert_copy(cache, block, at - 1, new, nxt, pred)
-    return new
+    """Copy `nxt` from just below the lower of the two definitions, so the
+    copy follows `cur`'s.  Both dominate the psi, so one dominates the
+    other, and `cur` is no parameter (`analysis.order_inverted`)."""
+    defs = cache.defs
+    lower = (cur if cache.defined_at(nxt, cache.positions[id(defs[cur])])
+             else nxt)
+    return _place_arg_copy(cache, psi, arg_index, nxt, pred, alloc,
+                           cache.locate(defs[lower]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +410,23 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
     def interferes(x: str, y: str) -> bool:
         return (y in added.get(x, ()) or live.interferes(x, y, refine))
 
-    # Resources: ('res', None) plus ('arg', index) entries.
-    resources: list[tuple[str, int | None, str]] = [("res", None, phi.dest)]
-    for idx, (plbl, v) in enumerate(phi.args):
-        resources.append(("arg", idx, v))
-
-    def zone(kind, idx) -> set[str]:
-        if kind == "res":
-            return live.live_in[label]
-        return live.live_out[phi.args[idx][0]]
-
-    marked: set[int] = set()  # indexes into `resources`
+    # The phi's resources: index 0 is the result, index i argument i - 1,
+    # each with the set it merges at (its zone).
+    names = [phi.dest] + [v for _, v in phi.args]
+    zones = [live.live_in[label]] + [live.live_out[p] for p, _ in phi.args]
+    marked: set[int] = set()
     if opts.phi_naive:
-        marked = set(range(len(resources)))
+        marked = set(range(len(names)))
     else:
-        for a in range(len(resources)):
-            for b in range(a + 1, len(resources)):
-                ka, ia, va = resources[a]
-                kb, ib, vb = resources[b]
-                if not any(_conflicts(classes, va, vb, interferes)):
+        for a in range(len(names)):
+            for b in range(a + 1, len(names)):
+                if not any(_conflicts(classes, names[a], names[b],
+                                      interferes)):
                     continue
-                members_a, members_b = classes.members(va), classes.members(vb)
-                in_b = any(m in zone(kb, ib) for m in members_a)
-                in_a = any(m in zone(ka, ia) for m in members_b)
+                members_a = classes.members(names[a])
+                members_b = classes.members(names[b])
+                in_b = any(m in zones[b] for m in members_a)
+                in_a = any(m in zones[a] for m in members_b)
                 if in_b:
                     marked.add(a)
                 if in_a:
@@ -471,30 +434,28 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
                 if not in_a and not in_b:
                     # Interference away from both merge points: isolating
                     # one resource is enough; prefer the argument copy.
-                    marked.add(b if ka == "res" else a)
+                    marked.add(b if a == 0 else a)
 
     for r in sorted(marked):
-        kind, idx, var = resources[r]
-        if kind == "res":
+        var = names[r]
+        if r == 0:
             block = cache.blocks[label]
             at = _result_copy_slot(block, var, copies)
             copies.append(_rename_result(cache, phi, block, at, alloc))
-            new = phi.dest
-            _add_edges(added, new, live.live_in[label] | {var})
+            names[0] = phi.dest
+            _add_edges(added, phi.dest, zones[0] | {var})
         else:
-            plbl, v = phi.args[idx]
-            new = alloc.fresh(v)
+            plbl = phi.args[r - 1][0]
+            names[r] = new = alloc.fresh(var)
             pred_block = cache.blocks[plbl]
             copies.append(_insert_copy(cache, pred_block,
-                                       len(pred_block.body), new, v))
-            phi.args[idx] = (plbl, new)
-            _add_edges(added, new, live.live_out[plbl] | {v})
-            _add_edges(added, v, live.live_out[plbl])
-        resources[r] = (kind, idx, new)
+                                       len(pred_block.body), new, var))
+            phi.args[r - 1] = (plbl, new)
+            _add_edges(added, new, zones[r] | {var})
+            _add_edges(added, var, zones[r])
 
-    first = resources[0][2]
-    for _, _, var in resources[1:]:
-        classes.union(first, var)
+    for var in names[1:]:
+        classes.union(names[0], var)
     return bool(marked)
 
 

@@ -234,6 +234,17 @@ b0:
   ret %x
 }
 """,
+    # %y's psi chain starts above the psi that reads %y, but %y itself is
+    # defined below it: evaluating %x reads %y undefined.
+    "arg_defined_below_psi": """
+func @f(%a, %p:guard) {
+b0:
+  %b = add %a, 1
+  %x = psi(1 ? %a, %p ? %y)
+  %y = psi(1 ? %b, %p ? %b)
+  ret %x
+}
+""",
     "guard_below_use": """
 func @f(%a) {
 b0:
@@ -260,6 +271,8 @@ def test_in_ssa_input_that_is_not_ssa_is_a_diagnostic(tmp_path):
     expected = {"twice_defined": ["multiple definitions of %w"],
                 "args_below_psi": ["psi arg %u definition does not dominate",
                                    "psi arg %v definition does not dominate"],
+                "arg_defined_below_psi": [
+                    "psi arg %y definition does not dominate"],
                 "guard_below_use": ["use of %q not dominated by its definition"],
                 "ret_not_dominated": [
                     "use of %x not dominated by its definition"]}

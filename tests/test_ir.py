@@ -85,6 +85,8 @@ PARSE_ERRORS = [
      'duplicate parameter %a', 1, 21),
     ('parameter_list_separator', 'func @f(%a %b) {\nb0:\n  ret\n}',
      "expected ',' or ')' in parameter list", 1, 12),
+    ('parameter_list_trailing_comma', 'func @f(%a,) {\nb0:\n  ret\n}',
+     "expected 'var', found ')'", 1, 12),
     ('function_without_blocks', 'func @f() {\n}\nfunc @g() {}',
      'function @f has no blocks', 2, 2),
     ('block_label', 'func @f() {\n  ret\n}',
@@ -124,7 +126,7 @@ PARSE_ERRORS = [
     ('free_form_layout', 'func @f(%a){ b0: %x = add %a,\n 1 ret %x }',
      "expected operand, found '\\n'", 1, 30),
     ('comment_before_error', '# head\nfunc @f() { # open\nb0: # label\n  ret 1 # tail\n}',
-     'instruction after terminator in block b0', 4, 7),
+     "expected 'var', found '1'", 4, 7),
     ('crlf_and_tabs', 'func @f(%a) {\r\nb0:\r\n\t%x = add\t%a, 1,\r\n\tret %x\r\n}',
      "expected operand, found '\\n'", 3, 18),
 ]

@@ -476,6 +476,27 @@ def test_phi_result_copy_goes_below_a_psi_argument_copy_at_the_head():
         assert report.ok and report.compared > 0, opts
 
 
+def test_argument_dying_at_a_phi_is_copied_at_the_end_of_its_start_block():
+    """%a dies at the loop phi %h in b1; its copy cannot go above the phi,
+    so it goes at the end of b0, which every path into b1 from b0 ends."""
+    func = load_func("arg_dies_at_phi.pir")
+    work = func.clone()
+    cache = analysis.Analyses(work)
+    alloc = ir.NameAllocator(work)
+    psi_normalize(cache, alloc=alloc)
+    out_of_ssa.psi_congruence(cache, CongruenceClasses(), OutOfSsaOptions(),
+                              alloc)
+    [psi] = all_psis(work)
+    copy = cache.blocks["b0"].body[-1]
+    assert (copy.dest, copy.opcode, copy.operands) == (psi.args[0][1], "mov",
+                                                       ["a"])
+    final, _ = pipeline(func, ["out-of-ssa"])
+    assert_no_errors(ir.Module([final]))
+    report = interp.differential_check(func, final, trials=32, seed=9,
+                                       budget=5000)
+    assert report.ok and report.compared > 0
+
+
 def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):
     counts: dict[str, int] = {}
 
