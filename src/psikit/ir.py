@@ -24,7 +24,9 @@ Textual form (one instruction per line, `#` starts a comment):
 
 The `:guard` marker is required only where the kind of a definition cannot
 be recovered from its opcode (`const`/`load` results used as guards);
-compare and boolean connectives over guards are inferred.
+compare and boolean connectives over guards are inferred.  A `:guard`
+marker or a declared guard parameter must agree with what each definition
+of the name yields, or the printed text would lose the kind.
 """
 
 from __future__ import annotations
@@ -698,22 +700,15 @@ def _format_instr(ins: Instruction, kinds: dict[str, str]) -> str:
         args = ", ".join(f"{p} ? %{v}" for p, v in ins.args)
         return f"%{ins.dest} = psi({args})"
     prefix = f"{ins.guard}? " if ins.guard is not None else ""
-    if ins.opcode == "goto":
-        return f"{prefix}goto {ins.operands[0]}"
-    if ins.opcode == "br":
-        c, t1, t2 = ins.operands
-        return f"{prefix}br %{c}, {t1}, {t2}"
-    if ins.opcode == "ret":
-        return f"{prefix}ret" + (f" %{ins.operands[0]}" if ins.operands else "")
-    ops = ", ".join(f"%{o}" if isinstance(o, str) else str(o)
-                    for o in ins.operands)
-    if ins.opcode == "store":
-        return f"{prefix}store {ops}"
-    dest = f"%{ins.dest}"
-    if (kinds.get(ins.dest) == "guard"
-            and ins.opcode in ("const", "load")):
-        dest += ":guard"
-    return f"{prefix}{dest} = {ins.opcode} {ops}"
+    ops = [f"%{o}" if isinstance(o, str) else str(o) for o in ins.operands]
+    if ins.opcode in FIRST_LABEL:
+        ops[FIRST_LABEL[ins.opcode]:] = ins.labels()
+    text = f"{ins.opcode} {', '.join(ops)}" if ops else ins.opcode
+    if ins.dest is None:
+        return prefix + text
+    marker = (":guard" if ins.opcode in ("const", "load")
+              and kinds.get(ins.dest) == "guard" else "")
+    return f"{prefix}%{ins.dest}{marker} = {text}"
 
 
 def print_function(func: Function) -> str:
@@ -755,6 +750,9 @@ def _check_kind_uses(func: Function, kinds, diags: list[Diagnostic]):
         for ins in block.instructions():
             if ins.guard is not None and kinds.get(ins.guard.reg) != "guard":
                 err(block, f"guard %{ins.guard.reg} is not guard-kind")
+            if ins.dest in func.guard_decls and not _yields_guard(ins, kinds):
+                err(block, f"guard-kind %{ins.dest} is defined by "
+                           f"{ins.opcode}, which yields a value")
             if isinstance(ins, PsiInstr):
                 for p, v in ins.args:
                     if p.reg is not None and kinds.get(p.reg) != "guard":
@@ -789,6 +787,19 @@ def _check_kind_uses(func: Function, kinds, diags: list[Diagnostic]):
                 for o in ins.operands:
                     if isinstance(o, str) and kinds.get(o) == "guard":
                         err(block, f"guard %{o} used as a value in {ins.opcode}")
+
+
+def _yields_guard(ins: Instruction, kinds) -> bool:
+    """Whether the printed text keeps a guard result of `ins`: the `:guard`
+    marker of const and load, or the operands `infer_kinds` derives it from
+    (arithmetic derives none)."""
+    op = ins.opcode
+    if op in ("phi", "psi"):
+        return all(kinds.get(v) == "guard" for _, v in ins.args)
+    if op in ("mov", "select") or op in BOOL_OPS:
+        sources = ins.operands[1:] if op == "select" else ins.operands
+        return all(kinds.get(o) == "guard" for o in sources)
+    return op not in ("add", "sub", "mul", "neg")
 
 
 def validate(mod: Module, mode: str = "non_ssa") -> list[Diagnostic]:
@@ -915,97 +926,41 @@ def _check_ssa_dominance(cache) -> list[Diagnostic]:
 
 def alpha_equivalent(a: Module | Function, b: Module | Function) -> bool:
     """True if the two programs are identical up to a bijective renaming of
-    variables and block labels."""
+    variables and block labels: their canonical texts are equal."""
     if isinstance(a, Module) and isinstance(b, Module):
         if len(a.functions) != len(b.functions):
             return False
         return all(alpha_equivalent(x, y)
                    for x, y in zip(a.functions, b.functions))
     assert isinstance(a, Function) and isinstance(b, Function)
-    if a.name != b.name or len(a.params) != len(b.params):
-        return False
-    if len(a.blocks) != len(b.blocks):
-        return False
-    fwd: dict[str, str] = {}
-    bwd: dict[str, str] = {}
-    lfwd: dict[str, str] = {}
-    lbwd: dict[str, str] = {}
-
-    def match_var(x, y) -> bool:
-        if (x in fwd) != (y in bwd):
-            return False
-        if x in fwd:
-            return fwd[x] == y and bwd[y] == x
-        fwd[x] = y
-        bwd[y] = x
-        return True
-
-    def match_label(x, y) -> bool:
-        if (x in lfwd) != (y in lbwd):
-            return False
-        if x in lfwd:
-            return lfwd[x] == y and lbwd[y] == x
-        lfwd[x] = y
-        lbwd[y] = x
-        return True
-
-    for (pa, ka), (pb, kb) in zip(a.params, b.params):
-        if ka != kb or not match_var(pa, pb):
-            return False
-    for ba, bb in zip(a.blocks, b.blocks):
-        if not match_label(ba.label, bb.label):
-            return False
-    for ba, bb in zip(a.blocks, b.blocks):
-        ia, ib = list(ba.instructions()), list(bb.instructions())
-        if len(ia) != len(ib):
-            return False
-        for x, y in zip(ia, ib):
-            if not _match_instr(x, y, match_var, match_label):
-                return False
-    return True
+    return _canonical_text(a) == _canonical_text(b)
 
 
-def _match_pred(p: Pred, q: Pred, match_var) -> bool:
-    if p.is_true() or q.is_true():
-        return p.is_true() and q.is_true()
-    return p.positive == q.positive and match_var(p.reg, q.reg)
+def _canonical_text(func: Function) -> str:
+    """`func` printed with its variables renamed v0, v1, ... and its block
+    labels L0, L1, ... in the order they first appear: parameters, block
+    labels, then per instruction its uses, its destination and its labels."""
+    names: dict[str, str] = {}
+    labels: dict[str, str] = {}
 
+    def var(v: str) -> str:
+        return names.setdefault(v, f"v{len(names)}")
 
-def _match_instr(x, y, match_var, match_label) -> bool:
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, PhiInstr):
-        if len(x.args) != len(y.args):
-            return False
-        if not match_var(x.dest, y.dest):
-            return False
-        return all(match_label(l1, l2) and match_var(v1, v2)
-                   for (l1, v1), (l2, v2) in zip(x.args, y.args))
-    if isinstance(x, PsiInstr):
-        if len(x.args) != len(y.args) or not match_var(x.dest, y.dest):
-            return False
-        return all(_match_pred(p1, p2, match_var) and match_var(v1, v2)
-                   for (p1, v1), (p2, v2) in zip(x.args, y.args))
-    if x.opcode != y.opcode:
-        return False
-    if (x.guard is None) != (y.guard is None):
-        return False
-    if x.guard is not None and not _match_pred(x.guard, y.guard, match_var):
-        return False
-    if (x.dest is None) != (y.dest is None):
-        return False
-    if x.dest is not None and not match_var(x.dest, y.dest):
-        return False
-    if len(x.operands) != len(y.operands):
-        return False
-    first_label = len(x.operands) - len(x.labels())
-    for i, (ox, oy) in enumerate(zip(x.operands, y.operands)):
-        if i >= first_label:
-            if not match_label(ox, oy):
-                return False
-        elif isinstance(ox, int) or isinstance(oy, int):
-            if ox != oy:
-                return False
-        elif not match_var(ox, oy):
-            return False
-    return True
+    def label(lbl: str) -> str:
+        return labels.setdefault(lbl, f"L{len(labels)}")
+
+    func = func.clone()
+    func.params = [(var(n), kind) for n, kind in func.params]
+    for block in func.blocks:
+        block.label = label(block.label)
+    for _, ins in func.instructions():
+        rename_uses(ins, var)
+        if ins.dest is not None:
+            ins.dest = var(ins.dest)
+        first = FIRST_LABEL.get(ins.opcode)
+        if isinstance(ins, PhiInstr):
+            ins.args = [(label(lbl), v) for lbl, v in ins.args]
+        elif first is not None:
+            ins.operands[first:] = map(label, ins.operands[first:])
+    func.guard_decls = {names[n] for n in func.guard_decls if n in names}
+    return print_function(func)

@@ -321,6 +321,21 @@ def test_a_phi_in_the_entry_block_is_a_diagnostic(tmp_path, capsys, flags):
         "enter it by no edge\n")
 
 
+def test_redefining_a_guard_parameter_by_a_value_is_a_diagnostic(tmp_path,
+                                                                 capsys):
+    """SSA construction would rename the definition to `%p.1` and print it
+    without a kind, so its output would not validate."""
+    path = tmp_path / "guard_param.pir"
+    path.write_text("func @f(%a, %p:guard) {\nb0:\n  %p = add %a, 1\n"
+                    "  br %p, b1, b2\nb1:\n  goto b2\nb2:\n  ret %a\n}\n")
+    assert cli.main(["run", str(path), "--passes=ssa"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: @f/b0: guard-kind %p is defined by add, which yields a "
+        "value\n")
+
+
 def test_loop_exit_psi_over_two_phis_leaves_ssa():
     proc = run_cli("run", str(DATA / "loop_exit_psi_over_phis.pir"),
                    "--in-ssa", "--passes=out-of-ssa", "--verify")

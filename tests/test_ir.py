@@ -220,14 +220,31 @@ def _rung_programs(per_rung: int):
 
 
 def test_printed_text_parses_back_to_itself():
+    """Inputs and every state of the standard pipeline: the reparsed text
+    prints identically and validates with the same diagnostics, so the
+    text keeps every guard kind."""
     for func in _rung_programs(3):
         text = print_module(ir.Module([func]))
         assert print_module(parse_module(text)) == text
+    funcs = []
     for path in sorted(DATA.glob("*.pir")):
         mod = parse_module(path.read_text())
         text = print_module(mod)
         assert parse_module(text) == mod, path.name
         assert print_module(parse_module(text)) == text, path.name
+        funcs += mod.functions
+    funcs += [gen_random_program(seed, "tiny" if seed % 2 else "small")
+              for seed in range(60)]
+    checked = 0
+    for func in funcs:
+        for state in _standard_states(func):
+            text = ir.print_function(state)
+            again = parse_module(text)
+            assert print_module(again) == text, func.name
+            assert (ir.validate(again, "non_ssa")
+                    == ir.validate(ir.Module([state]), "non_ssa")), text
+            checked += 1
+    assert checked > 6 * 60  # the standard pipeline ran on every program
 
 
 def test_infer_kinds_matches_the_oracle():
@@ -463,6 +480,56 @@ def test_validate_rejects_value_branch_condition():
     assert any("br condition" in d.message for d in diags)
 
 
+# Guard kinds that only a declaration gives and that the printed text
+# would drop: the printer writes `:guard` on const and load only.
+LOST_GUARD_KINDS = [
+    ('mov_of_a_value',
+     'func @f(%a) {\nb0:\n  %x:guard = mov %a\n  br %x, b1, b1\nb1:\n'
+     '  ret %a\n}', "guard-kind %x is defined by mov, which yields a value"),
+    ('add',
+     'func @f(%a) {\nb0:\n  %x:guard = add %a, 1\n  br %x, b1, b1\nb1:\n'
+     '  ret %a\n}', "guard-kind %x is defined by add, which yields a value"),
+    ('redefined_guard_parameter',
+     'func @f(%a, %p:guard) {\nb0:\n  %p = add %a, 1\n  br %p, b1, b2\n'
+     'b1:\n  goto b2\nb2:\n  ret %a\n}',
+     "guard-kind %p is defined by add, which yields a value"),
+]
+
+
+@pytest.mark.parametrize("text, message",
+                         [case[1:] for case in LOST_GUARD_KINDS],
+                         ids=[case[0] for case in LOST_GUARD_KINDS])
+def test_validate_rejects_a_guard_kind_the_printed_text_would_lose(text,
+                                                                   message):
+    diags = ir.validate(parse_module(text), "non_ssa")
+    assert [d.message for d in diags if d.severity == "error"] == [message]
+
+
+def test_declared_guards_the_printed_text_keeps_validate_clean():
+    func = parse_one("""
+        func @f(%a, %p:guard, %q:guard) {
+        b0:
+          %c:guard = const 1
+          %l:guard = load %a
+          %t:guard = cmp_lt %a, 2
+          %m:guard = mov %p
+          %s:guard = select %c, %p, %q
+          %n:guard = and %m, %l
+          br %n, b1, b2
+        b1:
+          goto b2
+        b2:
+          %x:guard = phi(b0: %s, b1: %t)
+          %y:guard = psi(%p ? %x, %q ? %n)
+          %y? %r = add %a, 1
+          ret %r
+        }
+    """)
+    assert_no_errors(ir.Module([func]), "non_ssa")
+    again = parse_module(ir.print_function(func)).functions[0]
+    assert ir.infer_kinds(again) == ir.infer_kinds(func)
+
+
 def test_validate_phi_arity_matches_predecessors():
     func = parse_one("""
         func @f(%a, %p:guard) {
@@ -537,6 +604,26 @@ def test_alpha_equivalence_compares_phi_arity():
     b.blocks[1].phis[0].args.clear()
     assert not ir.alpha_equivalent(a, b)
     assert not ir.alpha_equivalent(b, a)
+
+
+def test_alpha_equivalence_compares_guard_declarations():
+    """`%g:guard = const 5` reads as 1, `%g = const 5` as 5."""
+    guard = parse_one("func @f() {\nb0:\n  %g:guard = const 5\n  ret %g\n}")
+    value = parse_one("func @f() {\nb0:\n  %g = const 5\n  ret %g\n}")
+    assert not ir.alpha_equivalent(guard, value)
+    assert not ir.alpha_equivalent(value, guard)
+
+
+def test_alpha_equivalence_rejects_non_injective_renamings():
+    two = parse_one("func @f(%a, %b) {\nb0:\n  %x = add %a, %b\n  ret %x\n}")
+    one = parse_one("func @f(%u, %w) {\nb0:\n  %x = add %u, %u\n  ret %x\n}")
+    assert not ir.alpha_equivalent(two, one)
+    assert not ir.alpha_equivalent(one, two)
+    text = "func @f(%p:guard) {\nb0:\n  br %p, b1, B\nb1:\n  ret\nb2:\n  ret\n}"
+    two_labels = parse_one(text.replace("B", "b2"))
+    one_label = parse_one(text.replace("B", "b1"))
+    assert not ir.alpha_equivalent(two_labels, one_label)
+    assert not ir.alpha_equivalent(one_label, two_labels)
 
 
 def test_name_allocator_resumes_where_probing_would_stop():
