@@ -552,7 +552,7 @@ def interference_graph(func: Function, live: LivenessInfo,
         for phi in block.phis:
             add(phi.dest, current - {phi.dest})
         if label == func.entry:
-            live_params = [n for n, _ in func.params if n in current]
+            live_params = [n for n in func.params if n in current]
             for i, p in enumerate(live_params):
                 add(p, live_params[i + 1:])
     return graph
@@ -586,7 +586,7 @@ class LiveRanges:
         self.defs, self.positions = cache.defs, cache.positions
         self.env = cache.env
         self.entry = func.entry
-        self.params = {n for n, _ in func.params}
+        self.params = set(func.params)
         self.live_in: dict[str, set[str]] = {l: set() for l in cache.blocks}
         self.live_out: dict[str, set[str]] = {l: set() for l in cache.blocks}
         self.preds = cache.preds

@@ -305,6 +305,7 @@ def if_convert(cache: Analyses, region: Region,
         for phi in blocks[label].phis:
             phi.args = [(region.head if lbl == region.merge else lbl, v)
                         for lbl, v in phi.args]
+    func.guards.update(t.dest for t in temps)
     cache.linearized(head, region.merge, removed, dropped, temps + new_psis)
     return func
 

@@ -15,7 +15,7 @@ A function is decoded once per check (`decode`) and then run on each input
 vector (`run`).  Decoding resolves everything that does not depend on the
 input: each block becomes a tuple of per-instruction closures with the
 opcode, operand kinds, guard polarity and the destination's kind (from
-`ir.infer_kinds`) bound in, a phi table keyed by predecessor and a
+`Function.guards`) bound in, a phi table keyed by predecessor and a
 terminator.  A block is decoded the first time a run enters it, so a check
 pays only for the blocks its vectors reach.  Immediates are wrapped to 64
 bits into a constant table that seeds each run's environment, so every
@@ -106,13 +106,13 @@ class _Blocks(dict):
     """Decoded blocks by label.  A block is decoded the first time a run
     enters it, so a check pays only for the blocks its vectors reach."""
 
-    def __init__(self, func: Function, kinds: dict[str, str]):
+    def __init__(self, func: Function):
         super().__init__()
         self.source = func.block_map()
-        self.kinds = kinds
+        self.guards = func.guards
 
     def __missing__(self, label: str) -> _Block:
-        block = self[label] = _decode_block(self.source[label], self.kinds)
+        block = self[label] = _decode_block(self.source[label], self.guards)
         return block
 
 
@@ -126,9 +126,9 @@ def decode(func: Function) -> DecodedFunction:
                 for operand in ins.operands:
                     if not isinstance(operand, str):
                         constants[operand] = wrap64(operand)
-    params = tuple((name, kind == "guard") for name, kind in func.params)
+    params = tuple((name, name in func.guards) for name in func.params)
     return DecodedFunction(func.name, params, constants, func.entry,
-                           _Blocks(func, infer_kinds(func)))
+                           _Blocks(func))
 
 
 def _reg(operand):
@@ -136,11 +136,11 @@ def _reg(operand):
     return operand if isinstance(operand, str) else _UNBOUND
 
 
-def _decode_block(block: Block, kinds) -> _Block:
+def _decode_block(block: Block, guards) -> _Block:
     # reversed: the first argument for a label wins, as in PhiInstr.arg_for.
     phis = tuple((phi.dest, dict(reversed(phi.args))) for phi in block.phis)
     body = tuple([_decode_psi(ins) if isinstance(ins, PsiInstr)
-                  else _decode_plain(ins, kinds) for ins in block.body])
+                  else _decode_plain(ins, guards) for ins in block.body])
     op, ops = block.term.opcode, block.term.operands
     if op == "ret":
         term = (_RET, ops[0] if ops else None, None, None)
@@ -173,11 +173,11 @@ _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "neg": operator.neg, "not": operator.invert}
 
 
-def _decode_plain(ins: Instr, kinds) -> Step:
+def _decode_plain(ins: Instr, guards) -> Step:
     # An operand read as an integer is its own key: a variable, or an
     # immediate in the constant table.
     op, dest, ops = ins.opcode, ins.dest, ins.operands
-    if op in BOOL_OPS and kinds.get(dest) == "guard":
+    if op in BOOL_OPS and dest in guards:
         a, b = _reg(ops[0]), _reg(ops[-1])
         if op == "not":
             def step(env, memory):
@@ -188,8 +188,7 @@ def _decode_plain(ins: Instr, kinds) -> Step:
             def step(env, memory):
                 env[dest] = fn(bool(env[a]), bool(env[b]))
     elif op == "const":
-        result = (bool(ops[0]) if kinds.get(dest) == "guard"
-                  else wrap64(ops[0]))
+        result = bool(ops[0]) if dest in guards else wrap64(ops[0])
 
         def step(env, memory):
             env[dest] = result
@@ -369,14 +368,12 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
     if len(f1.params) != len(f2.params):
         raise ValueError("functions have different signatures")
     rng = random.Random(seed)
-    param_kinds = dict(f1.params)
     code1, code2 = decode(f1), decode(f2)
     mismatches: list[Mismatch] = []
     compared = skipped = 0
     for _ in range(trials):
-        args = [rng.choice([0, 1]) if param_kinds[name] == "guard"
-                else rng.randint(-4, 12)
-                for name, _ in f1.params]
+        args = [rng.choice([0, 1]) if name in f1.guards
+                else rng.randint(-4, 12) for name in f1.params]
         mem = [rng.randint(-8, 8) for _ in range(mem_size)]
         r1 = run(code1, args, mem, budget)
         if r1.trap in (UNDEFINED_READ, PSI_NONE_TRUE):
@@ -442,8 +439,7 @@ def gen_random_program(seed: int, profile: str | SizeProfile = "tiny",
     rng = random.Random(seed)
     nvars = rng.randint(2, 4)
     variables = [f"v{i}" for i in range(nvars)]
-    params = [("a0", "value"), ("a1", "value")]
-    b = _Builder(name, params)
+    b = _Builder(name, ["a0", "a1"])
     for v in variables:
         if rng.random() < 0.5:
             b.emit("const", v, [rng.randint(-6, 6)])
@@ -528,4 +524,6 @@ def gen_random_program(seed: int, profile: str | SizeProfile = "tiny",
 
     stmts(prof.statements, 0, prof.max_loops)
     b.finish("ret", [rng.choice(variables)])
+    b.func.guards = {n for n, kind in infer_kinds(b.func).items()
+                     if kind == "guard"}
     return b.func

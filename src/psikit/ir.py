@@ -22,11 +22,18 @@ Textual form (one instruction per line, `#` starts a comment):
               | "br" "%"ident "," ident "," ident | "goto" ident | "ret" ["%"ident]
     operand  := "%"ident | integer
 
-The `:guard` marker is required only where the kind of a definition cannot
-be recovered from its opcode (`const`/`load` results used as guards);
-compare and boolean connectives over guards are inferred.  A `:guard`
-marker or a declared guard parameter must agree with what each definition
-of the name yields, or the printed text would lose the kind.
+Kinds are held by `Function.guards`, the set of the function's guard-kind
+variables, which the printer, `validate`, the guard env and the
+interpreter read.  `infer_kinds` fills it once, where a function enters
+psikit (the parser, the program generator), and each pass records the
+kind of every name it creates.  The inference is a greatest fixpoint:
+guard parameters, `:guard` markers and compare results are guards; a name
+defined only by mov, and/or/not, select, phi and psi is a guard unless one
+of its definitions does not derive one, so a guard that a loop carries
+through a phi stays a guard.  The printer writes `:guard` on parameters
+and on `const`/`load` results only, where the opcode cannot tell.  A
+marker or a guard parameter must agree with what each definition of the
+name yields, or the printed text would lose the kind.
 """
 
 from __future__ import annotations
@@ -206,10 +213,15 @@ class Block:
 
 @dataclass
 class Function:
+    """A CFG of blocks over virtual registers.  `params` names the inputs in
+    order.  `guards` holds every variable's kind: the guard-kind names the
+    function takes or defines (a name no longer defined may stay); every
+    other name is a value."""
+
     name: str
-    params: list[tuple[str, str]]  # (name, kind)
+    params: list[str]
     blocks: list[Block] = field(default_factory=list)
-    guard_decls: set[str] = field(default_factory=set)
+    guards: set[str] = field(default_factory=set)
 
     @property
     def entry(self) -> str:
@@ -243,7 +255,7 @@ class Function:
     def var_names(self) -> set[str]:
         """Every name the function mentions: its parameters, and each
         instruction's destination and `uses()`."""
-        names = [n for n, _ in self.params]
+        names = list(self.params)
         for block in self.blocks:
             for phi in block.phis:
                 names.append(phi.dest)
@@ -262,7 +274,7 @@ class Function:
         cannot change in place (names, `Pred`s, argument tuples) is shared."""
         return Function(self.name, list(self.params),
                         [b.clone() for b in self.blocks],
-                        set(self.guard_decls))
+                        set(self.guards))
 
 
 @dataclass
@@ -284,95 +296,73 @@ class NameAllocator:
     `root.i` with the smallest unused i.  Names are only ever added, so
     that i never decreases; the search for a root resumes where its last
     one stopped.  `names`, when given, are the function's names
-    (`Function.var_names()`), already collected; the allocator owns them."""
+    (`Function.var_names()`), already collected; the allocator owns them.
+    A fresh name starts as a value: it leaves `func.guards`, which may
+    still hold it from a definition a pass removed."""
 
     def __init__(self, func: Function, names: set[str] | None = None):
         self.used = func.var_names() if names is None else names
+        self.guards = func.guards
         self._next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
-        root = base.split(".")[0] or "t"
-        if root not in self.used:
-            self.used.add(root)
-            return root
-        i = self._next.get(root, 1)
-        while f"{root}.{i}" in self.used:
-            i += 1
-        self._next[root] = i + 1
-        name = f"{root}.{i}"
+        name = root = base.split(".")[0] or "t"
+        if root in self.used:
+            i = self._next.get(root, 1)
+            while f"{root}.{i}" in self.used:
+                i += 1
+            self._next[root] = i + 1
+            name = f"{root}.{i}"
         self.used.add(name)
+        self.guards.discard(name)
         return name
 
 
 # ---------------------------------------------------------------------------
 # Kind inference
 
-def infer_kinds(func: Function) -> dict[str, str]:
-    """Map every variable to 'value' or 'guard'.
+# The opcodes whose result is a guard when their operands are guards.
+_CARRIERS = BOOL_OPS | {"mov", "select", "phi", "psi"}
 
-    Guard-ness is seeded by `:guard` declarations and compare results, then
-    propagated through mov/and/or/not/select/phi/psi until stable.  Only
-    those instructions can derive it, so only they are swept again.
-    Terminators define nothing and are not visited.
+
+def infer_kinds(func: Function) -> dict[str, str]:
+    """Map every parameter and defined variable to 'value' or 'guard'.
+
+    `func.guards` holds the declared guards (guard parameters and `:guard`
+    markers); they and compare results are guards.  Every other name that
+    is no parameter and is defined by `_CARRIERS` alone starts as a guard
+    and becomes a value as soon as one of its definitions does not derive
+    one (`_yields_guard`): the greatest fixpoint, which keeps a guard that
+    a loop carries through a phi.  Everything else is a value.
     """
-    kinds = {name: kind for name, kind in func.params}
-    candidates: list[Instruction] = []
+    guards = set(func.guards)
+    blocked = set(func.params)  # names with a definition that is no carrier
+    carried: dict[str, list[Instruction]] = {}
     for block in func.blocks:
         for seq in (block.phis, block.body):
             for ins in seq:
                 dest = ins.dest
                 if dest is None:
                     continue
-                carrier = True
-                if type(ins) is Instr:
-                    op = ins.opcode
-                    if op in CMP_OPS:
-                        kinds[dest] = "guard"
-                        continue
-                    carrier = op in BOOL_OPS or op == "select" or (
-                        op == "mov" and type(ins.operands[0]) is str)
-                if dest not in kinds:
-                    kinds[dest] = "value"
-                if carrier:
-                    candidates.append(ins)
-    for name in func.guard_decls:
-        kinds[name] = "guard"
-
-    get = kinds.get
+                if ins.opcode in CMP_OPS:
+                    guards.add(dest)
+                elif ins.opcode in _CARRIERS:
+                    carried.setdefault(dest, []).append(ins)
+                else:
+                    blocked.add(dest)
+    pending = [name for name in carried
+               if name not in blocked and name not in guards]
+    guards.update(pending)
     changed = True
     while changed:
         changed = False
-        pending = []
-        for ins in candidates:
-            if kinds[ins.dest] == "guard":
-                continue
-            if type(ins) is Instr:
-                ops = ins.operands
-                if ins.opcode == "mov":
-                    derived = get(ops[0]) == "guard"
-                elif ins.opcode == "select":
-                    derived = get(ops[1]) == "guard" and get(ops[2]) == "guard"
-                else:  # and/or/not: a guard operand, and no value operand
-                    derived = False
-                    for o in ops:
-                        if get(o) == "guard":
-                            derived = True
-                        elif type(o) is str:
-                            derived = False
-                            break
-            else:  # phi or psi: every argument's value
-                derived = True
-                for _, v in ins.args:
-                    if get(v) != "guard":
-                        derived = False
-                        break
-            if derived:
-                kinds[ins.dest] = "guard"
+        for name in pending:
+            if name in guards and not all(_yields_guard(ins, guards)
+                                          for ins in carried[name]):
+                guards.discard(name)
                 changed = True
-            else:
-                pending.append(ins)
-        candidates = pending
-    return kinds
+    return (dict.fromkeys([*blocked, *carried], "value")
+            | dict.fromkeys(guards, "guard"))
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +445,16 @@ class _Parser:
             var = toks[i][1:]
             if toks[i][:1] != "%":
                 self.expected("var", i)
-            kind = "value"
             i += 1
             if toks[i] == ":":
                 if toks[i + 1] != "guard":
                     self.expected("guard", i + 1)
-                kind = "guard"
+                func.guards.add(var)
                 i += 2
             if var in seen:
                 self.error(f"duplicate parameter %{var}", i)
             seen.add(var)
-            func.params.append((var, kind))
-            if kind == "guard":
-                func.guard_decls.add(var)
+            func.params.append(var)
             if toks[i] == ",":
                 i += 1
                 if toks[i] == ")":
@@ -483,6 +470,8 @@ class _Parser:
         self.check_targets()
         if not func.blocks:
             self.error(f"function @{func.name} has no blocks", i)
+        func.guards = {n for n, kind in infer_kinds(func).items()
+                       if kind == "guard"}
         return func, i
 
     def block(self, func: Function, i: int) -> int:
@@ -556,7 +545,7 @@ class _Parser:
         if toks[i] == ":":
             if toks[i + 1] != "guard":
                 self.expected("guard", i + 1)
-            func.guard_decls.add(dest)
+            func.guards.add(dest)
             i += 2
         if toks[i] != "=":
             self.expected("=", i)
@@ -692,7 +681,7 @@ def parse_module(text: str) -> Module:
 # ---------------------------------------------------------------------------
 # Printing
 
-def _format_instr(ins: Instruction, kinds: dict[str, str]) -> str:
+def _format_instr(ins: Instruction, guards: set[str]) -> str:
     if isinstance(ins, PhiInstr):
         args = ", ".join(f"{lbl}: %{v}" for lbl, v in ins.args)
         return f"%{ins.dest} = phi({args})"
@@ -707,19 +696,19 @@ def _format_instr(ins: Instruction, kinds: dict[str, str]) -> str:
     if ins.dest is None:
         return prefix + text
     marker = (":guard" if ins.opcode in ("const", "load")
-              and kinds.get(ins.dest) == "guard" else "")
+              and ins.dest in guards else "")
     return f"{prefix}%{ins.dest}{marker} = {text}"
 
 
 def print_function(func: Function) -> str:
-    kinds = infer_kinds(func)
+    guards = func.guards
     params = ", ".join(
-        f"%{n}:guard" if k == "guard" else f"%{n}" for n, k in func.params)
+        f"%{n}:guard" if n in guards else f"%{n}" for n in func.params)
     lines = [f"func @{func.name}({params}) {{"]
     for b in func.blocks:
         lines.append(f"{b.label}:")
         for ins in b.instructions():
-            lines.append("  " + _format_instr(ins, kinds))
+            lines.append("  " + _format_instr(ins, guards))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -742,63 +731,72 @@ class Diagnostic:
         return f"{self.severity}: {self.where}: {self.message}"
 
 
-def _check_kind_uses(func: Function, kinds, diags: list[Diagnostic]):
+def _check_kind_uses(func: Function, defined, diags: list[Diagnostic]):
+    """Kind errors, read from `func.guards`.  An argument that is not among
+    the `defined` names has no kind to mix: it is reported as undefined."""
+    guards = func.guards
+
     def err(block, msg):
         diags.append(Diagnostic("error", f"@{func.name}/{block.label}", msg))
 
     for block in func.blocks:
         for ins in block.instructions():
-            if ins.guard is not None and kinds.get(ins.guard.reg) != "guard":
+            if ins.guard is not None and ins.guard.reg not in guards:
                 err(block, f"guard %{ins.guard.reg} is not guard-kind")
-            if ins.dest in func.guard_decls and not _yields_guard(ins, kinds):
+            if ins.dest in guards and not _yields_guard(ins, guards):
                 err(block, f"guard-kind %{ins.dest} is defined by "
                            f"{ins.opcode}, which yields a value")
+            elif (ins.opcode in _CARRIERS and ins.dest not in guards
+                  and _yields_guard(ins, guards)):
+                err(block, f"value-kind %{ins.dest} is defined by "
+                           f"{ins.opcode}, which yields a guard")
             if isinstance(ins, PsiInstr):
-                for p, v in ins.args:
-                    if p.reg is not None and kinds.get(p.reg) != "guard":
+                for p, _ in ins.args:
+                    if p.reg is not None and p.reg not in guards:
                         err(block, f"psi predicate %{p.reg} is not guard-kind")
-                vk = {kinds.get(v) for v in ins.values()}
-                if len(vk) > 1:
-                    err(block, f"psi %{ins.dest} mixes value and guard args")
+            if isinstance(ins, (PhiInstr, PsiInstr)):
+                if len({v in guards for _, v in ins.args if v in defined}) > 1:
+                    err(block, f"{ins.opcode} %{ins.dest} mixes value and "
+                               "guard args")
                 continue
-            if isinstance(ins, PhiInstr):
-                ak = {kinds.get(v) for _, v in ins.args}
-                if len(ak) > 1:
-                    err(block, f"phi %{ins.dest} mixes value and guard args")
-                continue
-            if ins.opcode == "br" and kinds.get(ins.operands[0]) != "guard":
+            if ins.opcode == "br" and ins.operands[0] not in guards:
                 err(block, f"br condition %{ins.operands[0]} is not guard-kind")
             elif ins.opcode == "select":
-                cond = ins.operands[0]
-                if not isinstance(cond, str) or kinds.get(cond) != "guard":
+                if ins.operands[0] not in guards:
                     err(block, "select condition must be a guard register")
             elif ins.opcode in CMP_OPS:
                 for o in ins.operands:
-                    if isinstance(o, str) and kinds.get(o) == "guard":
+                    if o in guards:
                         err(block, f"{ins.opcode} operand %{o} must be value-kind")
             elif ins.opcode in BOOL_OPS:
-                ks = {kinds.get(o) for o in ins.operands if isinstance(o, str)}
-                if "guard" in ks and (len(ks) > 1 or any(
+                ks = {o in guards for o in ins.operands if isinstance(o, str)}
+                if True in ks and (len(ks) > 1 or any(
                         isinstance(o, int) for o in ins.operands)):
                     err(block, f"{ins.opcode} mixes guard and value operands")
             elif ins.opcode in ("add", "sub", "mul", "neg", "load", "store",
                                 "ret"):
                 # Operands only: the guard is read as a guard (above).
                 for o in ins.operands:
-                    if isinstance(o, str) and kinds.get(o) == "guard":
+                    if o in guards:
                         err(block, f"guard %{o} used as a value in {ins.opcode}")
 
 
-def _yields_guard(ins: Instruction, kinds) -> bool:
-    """Whether the printed text keeps a guard result of `ins`: the `:guard`
-    marker of const and load, or the operands `infer_kinds` derives it from
-    (arithmetic derives none)."""
+def _yields_guard(ins: Instruction, guards: set[str]) -> bool:
+    """Whether `ins` yields a guard, `guards` being the guard-kind names:
+    a phi or psi of guards, a mov of one, a select between two, an
+    and/or/not with a guard operand and no value register, a compare, and
+    a const or load, whose `:guard` marker the printer writes.
+    `infer_kinds` derives guards by it; `validate` checks by it that the
+    printed text keeps every variable's kind."""
     op = ins.opcode
     if op in ("phi", "psi"):
-        return all(kinds.get(v) == "guard" for _, v in ins.args)
-    if op in ("mov", "select") or op in BOOL_OPS:
+        return all(v in guards for _, v in ins.args)
+    if op in BOOL_OPS:
+        regs = [o for o in ins.operands if isinstance(o, str)]
+        return bool(regs) and all(o in guards for o in regs)
+    if op in ("mov", "select"):
         sources = ins.operands[1:] if op == "select" else ins.operands
-        return all(kinds.get(o) == "guard" for o in sources)
+        return all(o in guards for o in sources)
     return op not in ("add", "sub", "mul", "neg")
 
 
@@ -852,23 +850,22 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
             if isinstance(ins, PsiInstr) and not ins.args:
                 err(block.label, f"psi %{ins.dest} has no arguments")
 
-    kinds = infer_kinds(func)
-    _check_kind_uses(func, kinds, diags)
-
     defs = {}
-    param_names = {n for n, _ in func.params}
+    params = set(func.params)
     multi = set()
     for block in func.blocks:
         for ins in block.instructions():
             if ins.dest is not None:
-                if ins.dest in defs or ins.dest in param_names:
+                if ins.dest in defs or ins.dest in params:
                     multi.add(ins.dest)
                 defs[ins.dest] = ins
-    for _, ins in func.instructions():
-        for v in ins.uses():
-            if v not in defs and v not in param_names:
-                diags.append(Diagnostic("error", f"@{func.name}",
-                                        f"use of undefined variable %{v}"))
+    defined = defs.keys() | params
+    _check_kind_uses(func, defined, diags)
+    undefined = dict.fromkeys(v for _, ins in func.instructions()
+                              for v in ins.uses() if v not in defined)
+    for v in undefined:
+        diags.append(Diagnostic("error", f"@{func.name}",
+                                f"use of undefined variable %{v}"))
 
     # Unreachable blocks are legal but analyses drop them.
     seen = set(reachable_blocks(func))
@@ -950,7 +947,7 @@ def _canonical_text(func: Function) -> str:
         return labels.setdefault(lbl, f"L{len(labels)}")
 
     func = func.clone()
-    func.params = [(var(n), kind) for n, kind in func.params]
+    func.params = [var(n) for n in func.params]
     for block in func.blocks:
         block.label = label(block.label)
     for _, ins in func.instructions():
@@ -962,5 +959,5 @@ def _canonical_text(func: Function) -> str:
             ins.args = [(label(lbl), v) for lbl, v in ins.args]
         elif first is not None:
             ins.operands[first:] = map(label, ins.operands[first:])
-    func.guard_decls = {names[n] for n in func.guard_decls if n in names}
+    func.guards = {names[n] for n in func.guards if n in names}
     return print_function(func)

@@ -130,8 +130,10 @@ def count_movs(func: Function) -> int:
 
 def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
                  pred: Pred | None = None) -> Instr:
-    """Insert `pred? dest = mov src` at block.body[at] and record it in the
-    cache's definitions and positions; returns the copy."""
+    """Insert `pred? dest = mov src`, the two of one kind, at block.body[at]
+    and record it in the cache's definitions and positions; returns it."""
+    if src in cache.func.guards or dest in cache.func.guards:
+        cache.func.guards |= {src, dest}
     guard = None if pred is None or pred.is_true() else pred
     mov = Instr("mov", dest, [src], guard)
     block.body.insert(at, mov)
@@ -515,8 +517,8 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
                     "interfere")
 
     rep = classes.representative
-    func.params = [(rep(n), k) for n, k in func.params]
-    func.guard_decls = {rep(n) for n in func.guard_decls}
+    func.params = [rep(n) for n in func.params]
+    func.guards = {rep(n) for n in func.guards}
     for block in func.blocks:
         block.phis = []
         new_body = []

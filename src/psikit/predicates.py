@@ -237,17 +237,15 @@ def guard_env_or_conservative(func: Function) -> GuardEnv:
     There is no limit on the number of symbols: only a query over more
     than QUERY_SYMBOL_CAP of them falls back to syntactic answers.
     """
-    from .ir import infer_kinds
-
-    kinds = infer_kinds(func)
+    guards = func.guards
     env = GuardEnv({}, 0)
-    for name, kind in func.params:
-        if kind == "guard":
+    for name in func.params:
+        if name in guards:
             env.formulas[name] = env.fresh()
 
     # Definitions are visited in block order; a forward reference (loop phi)
     # falls back to a fresh symbol anyway, so one pass suffices.
     for _, ins in func.instructions():
-        if kinds.get(ins.dest) == "guard" and ins.dest not in env.formulas:
+        if ins.dest in guards and ins.dest not in env.formulas:
             env.define(ins)
     return env

@@ -60,7 +60,7 @@ def construct_ssa(func: Function) -> Function:
     live_in = {var: analysis.live_in_blocks(sites, def_blocks.get(var, ()),
                                             preds)
                for var, sites in sweep.exposed.items()}
-    param_names = {n for n, _ in func.params}
+    param_names = set(func.params)
     undefined = {v for v, blocks in live_in.items()
                  if func.entry in blocks} - param_names
     if undefined:
@@ -97,14 +97,14 @@ def construct_ssa(func: Function) -> Function:
             block.phis.append(PhiInstr(var, [(p, var) for p in preds[label]]))
 
     alloc = NameAllocator(func, sweep.names)
-    stacks: dict[str, list[str]] = {n: [n] for n, _ in func.params}
+    stacks: dict[str, list[str]] = {n: [n] for n in func.params}
     named_once = set(param_names)
 
     def push(root: str) -> str:
         if root in named_once:
             new = alloc.fresh(root)
-            if root in func.guard_decls:
-                func.guard_decls.add(new)
+            if root in func.guards:
+                func.guards.add(new)
         else:
             new = root
             named_once.add(root)
@@ -196,7 +196,7 @@ def _sweep(func: Function) -> _Sweep:
                 defined.add(dest)
                 def_blocks.setdefault(dest, set()).add(label)
     # A use is upward-exposed or follows a definition in its block.
-    names = {n for n, _ in func.params} | def_blocks.keys() | exposed.keys()
+    names = set(func.params) | def_blocks.keys() | exposed.keys()
     return _Sweep(order, kept, preds, def_blocks, exposed, names)
 
 
@@ -392,6 +392,8 @@ def psi_project(func: Function, psi: PsiInstr, onto, env: GuardEnv) -> str:
         raise EmptyProjection("projection removes every argument")
     alloc = NameAllocator(func)
     new = alloc.fresh(psi.dest)
+    if psi.dest in func.guards:
+        func.guards.add(new)
     block, idx = _find_psi(func, psi)
     block.body.insert(idx + 1, PsiInstr(new, list(kept)))
     return new
@@ -493,6 +495,8 @@ def rewrite_psis_to_selects(func: Function) -> Function:
                     and p.positive == ins.guard.positive):
                 raise ValueError("psi argument shape unsupported for rewrite")
             tmp = alloc.fresh(v)
+            if v in func.guards:
+                func.guards.add(tmp)
             block = next(b for b in func.blocks if ins in b.body)
             idx = block.body.index(ins)
             cond = ins.guard

@@ -77,9 +77,8 @@ def random_psi_function(seed: int) -> ir.Function:
     definitions, the shape the select-form rewrite covers."""
     rng = random.Random(seed)
     nguards = rng.randint(1, 4)
-    params = [("i", "value")] + [(f"g{k}", "guard") for k in range(nguards)]
-    func = ir.Function("f", params,
-                       guard_decls={f"g{k}" for k in range(nguards)})
+    guards = [f"g{k}" for k in range(nguards)]
+    func = ir.Function("f", ["i", *guards], guards=set(guards))
     block = ir.Block("b0")
     func.blocks.append(block)
     block.body.append(ir.Instr("add", "v0", ["i", rng.randint(-3, 3)]))

@@ -14,7 +14,7 @@ from helpers import DATA, load, load_func, pipeline
 
 def build_cfg(edges: dict[str, list[str]], entry: str = "b0") -> ir.Function:
     """A function whose only content is its control flow."""
-    func = ir.Function("g", [("p", "guard")])
+    func = ir.Function("g", ["p"], guards={"p"})
     labels = [entry] + sorted(l for l in edges if l != entry)
     for label in labels:
         block = ir.Block(label)
@@ -268,7 +268,7 @@ def test_liveness_equals_the_oracle():
             == liveness_oracle.liveness(func).dump(), func.name
         count += 1
     # Two data functions are neither SSA nor accepted by construction.
-    assert count == 27 + 25 * 2 * 2 + 100 * 2
+    assert count == 30 + 28 * 2 * 2 + 100 * 2
 
 
 def test_a_phi_result_read_only_by_dead_code_is_not_live():

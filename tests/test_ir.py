@@ -219,10 +219,26 @@ def _rung_programs(per_rung: int):
             yield gen_random_program(seed, profile)
 
 
+def _held_guards(func: ir.Function) -> set[str]:
+    """`func.guards` restricted to the names `func` takes or defines."""
+    return func.guards & (set(func.params) | func.defs().keys())
+
+
+def _printed_declarations(func: ir.Function) -> ir.Function:
+    """A copy of `func` that declares only the guards its printed text
+    marks: the guard parameters and the `const`/`load` guards."""
+    marked = func.clone()
+    defs = func.defs()
+    marked.guards = {
+        name for name in func.guards if name in func.params
+        or (name in defs and defs[name].opcode in ("const", "load"))}
+    return marked
+
+
 def test_printed_text_parses_back_to_itself():
     """Inputs and every state of the standard pipeline: the reparsed text
-    prints identically and validates with the same diagnostics, so the
-    text keeps every guard kind."""
+    prints identically, validates with the same diagnostics and holds the
+    same guards, so the text keeps every guard kind."""
     for func in _rung_programs(3):
         text = print_module(ir.Module([func]))
         assert print_module(parse_module(text)) == text
@@ -241,6 +257,7 @@ def test_printed_text_parses_back_to_itself():
             text = ir.print_function(state)
             again = parse_module(text)
             assert print_module(again) == text, func.name
+            assert again.functions[0].guards == _held_guards(state), text
             assert (ir.validate(again, "non_ssa")
                     == ir.validate(ir.Module([state]), "non_ssa")), text
             checked += 1
@@ -248,6 +265,9 @@ def test_printed_text_parses_back_to_itself():
 
 
 def test_infer_kinds_matches_the_oracle():
+    """On every state of the standard pipeline, as declared and as its
+    printed text declares it; the guards the state holds are the ones
+    inferred from the printed declarations."""
     funcs = [f for path in sorted(DATA.glob("*.pir"))
              for f in parse_module(path.read_text()).functions]
     funcs += [gen_random_program(seed, "tiny" if seed % 2 else "small")
@@ -257,6 +277,11 @@ def test_infer_kinds_matches_the_oracle():
     for func in funcs:
         for state in _standard_states(func):
             assert ir.infer_kinds(state) == oracle_kinds(state), func.name
+            declared = _printed_declarations(state)
+            kinds = oracle_kinds(declared)
+            assert ir.infer_kinds(declared) == kinds, func.name
+            assert _held_guards(state) == {
+                name for name, kind in kinds.items() if kind == "guard"}
             checked += 1
     assert checked > 6 * 60  # the standard pipeline ran on every program
 
@@ -297,7 +322,7 @@ def test_mutated_text_raises_parse_error_or_round_trips(text):
 
 def _mutable_parts(func: ir.Function):
     """Every list, set, block and instruction object reachable from `func`."""
-    yield from (func, func.params, func.guard_decls, func.blocks)
+    yield from (func, func.params, func.guards, func.blocks)
     for block in func.blocks:
         yield from (block, block.phis, block.body)
         for ins in block.instructions():
@@ -316,8 +341,8 @@ def _assert_clone_is_independent(func: ir.Function):
     assert not shared
     # Grow every container of the clone; the original must not see it.
     names = clone.var_names()
-    clone.params.append(("zz", "value"))
-    clone.guard_decls.update(names)
+    clone.params.append("zz")
+    clone.guards.update(names)
     for block in clone.blocks:
         for ins in block.instructions():
             if isinstance(ins, ir.PhiInstr):
@@ -467,6 +492,24 @@ def test_validate_rejects_value_used_as_guard():
             assert any(d.message == message for d in diags), guard
 
 
+@pytest.mark.parametrize("text, messages", [
+    # A psi or phi argument that is never defined has no kind to mix.
+    ("func @f(%a, %p:guard) {b0: %x = add %a, 1\n"
+     "  %y = psi(1 ? %x, %p ? %zz)\n  ret %y}",
+     ["use of undefined variable %zz"]),
+    ("func @f(%a, %p:guard) {b0: br %p, b1, b2\nb1: %c = add %a, 1\n"
+     "  goto b2\nb2: %y = phi(b0: %zz, b1: %c)\n  ret %y}",
+     ["use of undefined variable %zz"]),
+    # Read twice, reported once.
+    ("func @f(%a, %p:guard) {b0: %x = add %a, 1\n  %y = and %zz, %x\n"
+     "  br %zz, b1, b1\nb1: ret %a}",
+     ["br condition %zz is not guard-kind", "use of undefined variable %zz"]),
+], ids=["psi", "phi", "read_twice"])
+def test_an_undefined_variable_is_reported_once_as_undefined(text, messages):
+    diags = ir.validate(parse_module(text), "non_ssa")
+    assert [d.message for d in diags if d.severity == "error"] == messages
+
+
 def test_validate_rejects_value_branch_condition():
     func = parse_one("""
         func @f(%a) {
@@ -493,6 +536,11 @@ LOST_GUARD_KINDS = [
      'func @f(%a, %p:guard) {\nb0:\n  %p = add %a, 1\n  br %p, b1, b2\n'
      'b1:\n  goto b2\nb2:\n  ret %a\n}',
      "guard-kind %p is defined by add, which yields a value"),
+    # The mirror case: %x is a value, as `add` defines it too, but SSA
+    # renaming gives its copy of a guard a name that would print as one.
+    ('value_copy_of_a_guard',
+     'func @f(%a, %p:guard) {\nb0:\n  %x = mov %p\n  %x = add %x, 1\n'
+     '  ret %x\n}', "value-kind %x is defined by mov, which yields a guard"),
 ]
 
 
@@ -652,3 +700,21 @@ def test_name_allocator_resumes_where_probing_would_stop():
     got = [alloc.fresh(b) for b in bases]
     assert got == [probe(b) for b in bases]
     assert got == ["x.2", "x.4", "y", "x.5", "y.1", "x.6", "t", "t.1", "x.7"]
+
+
+def test_a_fresh_name_starts_as_a_value():
+    """A name whose guard definition a pass removed stays in
+    `Function.guards`; when the allocator hands it out again, it leaves."""
+    func = parse_one("""
+        func @f(%a) {
+        b0:
+          %x = cmp_lt %a, 1
+          %x.1 = mov %x
+          ret %a
+        }
+        """)
+    del func.blocks[0].body[1]
+    assert "x.1" in func.guards
+    assert ir.NameAllocator(func).fresh("x") == "x.1"
+    assert "x.1" not in func.guards
+    assert "x" in func.guards

@@ -9,7 +9,7 @@ from psikit.out_of_ssa import (ClassInterferenceDetected, PassStats,
                                run_out_of_ssa)
 from psikit.pipeline import PASSES, STANDARD, PipelineError, check, run
 
-from helpers import load_func
+from helpers import assert_no_errors, count_calls, load_func
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -84,3 +84,52 @@ def test_large_and_deep_programs_compile_and_keep_their_semantics(
         run(work, STANDARD, machine)
         report = interp.differential_check(func, work, trials=8, seed=seed)
         assert report.ok, (seed, report.mismatches[:1])
+
+
+# Guards that a loop carries through a phi: a declared guard parameter
+# redefined in the loop, the same without a declaration, and the latter
+# guarding a diamond inside the loop.
+GUARD_CYCLES = ["guard_cycle_declared.pir", "guard_cycle_inferred.pir",
+                "guard_cycle_diamond.pir"]
+
+
+@pytest.mark.parametrize("name", GUARD_CYCLES)
+def test_loop_carried_guards_compile_and_keep_their_semantics(name):
+    func = load_func(name)
+    for machine in (FULL, PARTIAL):
+        work = func.clone()
+        run(work, STANDARD, machine)
+        report = interp.differential_check(func, work, trials=32, seed=0)
+        assert report.compared > 0
+        assert not report.mismatches, (machine.name, report.mismatches[:1])
+
+
+@pytest.mark.parametrize("name", GUARD_CYCLES)
+def test_loop_carried_guards_stay_guards_in_the_printed_text(name):
+    """The printed `ssa` and `ssa,ifconvert` states parse back with the
+    guards they hold, and validate clean as SSA."""
+    func = load_func(name)
+    for passes in (["ssa"], ["ssa", "ifconvert"]):
+        work = func.clone()
+        run(work, passes)
+        again = ir.parse_module(ir.print_function(work))
+        assert_no_errors(again, "ssa")
+        assert again.functions[0].guards == work.guards & (
+            set(work.params) | work.defs().keys()), passes
+
+
+def test_kinds_are_inferred_only_where_a_function_enters(monkeypatch):
+    """A compile and its check read the guards the function holds; only
+    parsing infers them, once per function."""
+    func = interp.gen_random_program(7, "small")
+    text = ir.print_function(func)
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, ir, "infer_kinds", counts)
+    count_calls(monkeypatch, interp, "infer_kinds", counts)
+    for machine in (FULL, PARTIAL):
+        work = func.clone()
+        run(work, STANDARD, machine)
+        assert interp.differential_check(func, work, trials=32).compared > 0
+    assert counts == {}
+    assert ir.parse_module(text).functions[0] == func
+    assert counts == {"infer_kinds": 1}
