@@ -37,15 +37,16 @@ function keeps them correct by one rule, so none is computed twice:
   merge's successors, now the head's, name the head as their predecessor
   instead of the merge, and the merge's dominator children become the
   head's, one level shallower; the removed instructions (phis, the head's
-  branch, the arms' gotos) leave the positions and the head's are
-  re-derived.  The guard env
+  branch, the arms' gotos) leave the positions.  The merge's block
+  object, under the head's label, keeps its keys; the head's, the arms'
+  and the new instructions take keys below them.  The guard env
   defines the temporaries by its one rule, `GuardEnv.define`, as `Not(f)`
   and `And(f, g)`; a psi keeps its phi's formula, a fresh symbol either
   way, and moving or re-guarding an instruction changes no formula.
   Queries are exact truth tables, so the numbering of symbols cannot
   change an answer;
-- inserting a copy records its definition and re-derives the positions of
-  the block it went into: call `inserted()`.  The dominator tree stays
+- a copy goes in by `insert()`, which records its definition and gives it
+  a key between its neighbours'.  The dominator tree stays
   valid, and so does the guard env: a copy defines a fresh name and
   changes the formula of no existing guard register, and no copy is used
   as a guard before the final renaming.  The live ranges are updated by
@@ -63,6 +64,7 @@ function keeps them correct by one rule, so none is computed twice:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,13 +129,12 @@ class DomTree:
             b = self.idom[b]
         return a == b
 
-    def dominates_pos(self, a: tuple[str, int], b: tuple[str, int],
-                      strict: bool = False) -> bool:
-        """Does program point a dominate point b?  Points are (block, slot);
-        within one block the earlier instruction dominates the later."""
-        if a[0] == b[0]:
+    def dominates_pos(self, a: Point, b: Point, strict: bool = False) -> bool:
+        """Does program point a dominate point b?  Within one block the
+        lower key dominates the higher."""
+        if a[0] is b[0]:
             return a[1] < b[1] if strict else a[1] <= b[1]
-        return self.dominates_block(a[0], b[0])
+        return self.dominates_block(a[0].label, b[0].label)
 
     def fold(self, head: str, merge: str, removed: list[str]) -> None:
         """Drop the labels `removed` (a region's arms and its merge, which
@@ -210,24 +211,40 @@ def dominance_frontiers(cache: Analyses) -> dict[str, set[str]]:
     return df
 
 
-def instr_positions(func: Function) -> dict[int, tuple[str, int]]:
-    """Map id(instruction) -> (block label, slot).  Phis share slot 0 of
-    their block: they define in parallel at the block head."""
-    pos: dict[int, tuple[str, int]] = {}
+Point = tuple[Block, float]
+GAP = 1 << 16
+PHI_KEY = float("-inf")
+
+
+def instr_positions(func: Function) -> dict[int, Point]:
+    """Map id(instruction) -> its position, a `Point`: its block and an
+    order key with gaps (Dietz & Sleator, STOC 1987; Bender et al., ESA
+    2002), `GAP` apart along the block, phis sharing `PHI_KEY` below the
+    rest.  Only keys in one block are compared.  A point is also the place
+    just below every instruction of its block keyed at most its key;
+    `Analyses.insert` renumbers a block only when a gap there closes."""
+    pos: dict[int, Point] = {}
     for block in func.blocks:
-        _block_positions(block, pos)
+        for phi in block.phis:
+            pos[id(phi)] = (block, PHI_KEY)
+        number_block(block, pos)
     return pos
 
 
-def _block_positions(block: Block, pos: dict[int, tuple[str, int]]) -> None:
-    for phi in block.phis:
-        pos[id(phi)] = (block.label, 0)
-    slot = 1
-    for ins in block.body:
-        pos[id(ins)] = (block.label, slot)
-        slot += 1
-    if block.term is not None:
-        pos[id(block.term)] = (block.label, slot)
+def number_block(block: Block, pos: dict[int, Point],
+                 prefix: int | None = None) -> None:
+    """Key the block's body and terminator `GAP` apart from 0 up, or only
+    the first `prefix` instructions, down to just below the next one's
+    key."""
+    body, key = block.body, 0
+    if prefix is not None:
+        after = body[prefix] if prefix < len(body) else block.term
+        key = pos[id(after)][1] - GAP * (prefix + 1)
+    for ins in body[:prefix]:
+        key += GAP
+        pos[id(ins)] = (block, key)
+    if prefix is None and block.term is not None:
+        pos[id(block.term)] = (block, key + GAP)
 
 
 class Analyses:
@@ -256,7 +273,7 @@ class Analyses:
         return dominator_tree(reachable_blocks(self.func), self.preds)
 
     @cached_property
-    def positions(self) -> dict[int, tuple[str, int]]:
+    def positions(self) -> dict[int, Point]:
         return instr_positions(self.func)
 
     @cached_property
@@ -267,50 +284,62 @@ class Analyses:
     def live(self) -> "LiveRanges":
         return LiveRanges(self)
 
-    def locate(self, ins: Instruction) -> tuple[Block, int]:
-        """The block holding `ins` and its slot (body index + 1; 0 for a
-        phi)."""
-        label, slot = self.positions[id(ins)]
-        return self.blocks[label], slot
+    def locate(self, ins: Instruction) -> Point:
+        """The position of `ins`; as a point, just below it."""
+        return self.positions[id(ins)]
 
-    def defined_at(self, var: str, point: tuple[str, int],
+    def defined_at(self, var: str, point: Point,
                    strict: bool = False) -> bool:
-        """Does `var`'s definition dominate program point `point`, a
-        (label, slot) of `positions`, itself included unless `strict`?  A
-        parameter is defined everywhere.  Body index i of a block is the
-        slot of body[i - 1], so `(label, i)` asks for the point where an
-        instruction inserted at body[i] would read `var`."""
+        """Does `var`'s definition dominate program point `point`: may an
+        instruction inserted there read `var`?  With `strict`, may the
+        instruction at `point` itself read it?  A parameter is defined
+        everywhere."""
         ins = self.defs.get(var)
         return ins is None or self.dom.dominates_pos(
             self.positions[id(ins)], point, strict)
 
-    def inserted(self, block: Block, ins: Instruction) -> None:
-        """Record `ins`, just inserted into `block`, in what is computed."""
-        computed = self.__dict__
-        if ins.dest is not None and "defs" in computed:
-            computed["defs"][ins.dest] = ins
-        if "positions" in computed:
-            _block_positions(block, computed["positions"])
+    def insert(self, point: Point, ins: Instruction) -> None:
+        """Insert `ins` at program point `point`, above the terminator, and
+        record it.  It takes the key halfway between its neighbours'; only
+        when theirs are adjacent is the block renumbered."""
+        pos, (block, bound) = self.positions, point
+        body = block.body
+        at = bisect_right(body, bound, key=lambda i: pos[id(i)][1])
+        body.insert(at, ins)
+        if ins.dest is not None and "defs" in self.__dict__:
+            self.defs[ins.dest] = ins
+        high = pos[id(body[at + 1] if at + 1 < len(body) else block.term)][1]
+        low = pos[id(body[at - 1])][1] if at else high - 2 * GAP
+        if high - low > 1:
+            pos[id(ins)] = (block, (low + high) // 2)
+        else:
+            number_block(block, pos)
 
-    def linearized(self, head: Block, merge: str, removed: list[str],
-                   dropped: list[Instruction],
+    def linearized(self, head: Block, prefix: int, merge: str,
+                   removed: list[str], dropped: list[Instruction],
                    added: list[Instruction]) -> None:
         """Record an if-conversion: the blocks `removed` (the arms and the
         merge `merge`) now live in `head`, the instructions `dropped` are
-        gone, and `added` (in order) are new definitions."""
+        gone, and `added` (in order) are new definitions.  `head`, the
+        merge's block object, keeps its keys but for its phis and the
+        first `prefix` instructions of its body."""
         computed = self.__dict__
         if "defs" in computed:
             defs = computed["defs"]
             for ins in added:
                 defs[ins.dest] = ins
         if "blocks" in computed:
+            blocks = computed["blocks"]
             for label in removed:
-                del computed["blocks"][label]
+                del blocks[label]
+            blocks[head.label] = head
         if "positions" in computed:
             pos = computed["positions"]
             for ins in dropped:
                 del pos[id(ins)]
-            _block_positions(head, pos)
+            for phi in head.phis:
+                pos[id(phi)] = (head, PHI_KEY)
+            number_block(head, pos, prefix)
         if "preds" in computed:
             preds = computed["preds"]
             for label in removed:
@@ -336,8 +365,8 @@ def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:
 
 
 def def_point(var: str, defs: dict[str, Instruction],
-              positions: dict[int, tuple[str, int]],
-              resolved: bool = False) -> tuple[str, int] | None:
+              positions: dict[int, Point],
+              resolved: bool = False) -> Point | None:
     """Where `var` is defined (through its psi chain if `resolved`); None
     for a parameter, which is defined before everything."""
     ins = defs.get(resolve_psi_chain(var, defs) if resolved else var)
@@ -353,8 +382,8 @@ def arg_deaths(psi: PsiInstr, defs: dict[str, Instruction]
             for (_, arg), (_, nxt) in zip(psi.args, psi.args[1:])]
 
 
-def order_inverted(dom: DomTree, cur: tuple[str, int] | None,
-                   nxt: tuple[str, int] | None) -> bool:
+def order_inverted(dom: DomTree, cur: Point | None,
+                   nxt: Point | None) -> bool:
     """Are adjacent psi arguments out of dominance order?  `cur` is the
     left argument's own definition point and `nxt` the right argument's
     chain-resolved one (`def_point`)."""
@@ -576,7 +605,8 @@ class LiveRanges:
     The sets cover every block, unreachable ones too (`to_cssa` removes
     them first).  The function may change only by the copies that
     `update` records; definitions and positions are the cache's, which
-    `Analyses.inserted` keeps current.
+    `Analyses.insert` keeps current.  No key is stored here: positions
+    are read at query time, so renumbering a block makes nothing stale.
     """
 
     def __init__(self, cache: Analyses):
@@ -585,7 +615,7 @@ class LiveRanges:
         self.func = func = cache.func
         self.defs, self.positions = cache.defs, cache.positions
         self.env = cache.env
-        self.entry = func.entry
+        self.entry = func.blocks[0]
         self.params = set(func.params)
         self.live_in: dict[str, set[str]] = {l: set() for l in cache.blocks}
         self.live_out: dict[str, set[str]] = {l: set() for l in cache.blocks}
@@ -619,34 +649,34 @@ class LiveRanges:
             return False
         if not (self._live_after_def(a, b) or self._live_after_def(b, a)
                 or (a in self.params and b in self.params
-                    and self._live_after(a, self.entry, 0)
-                    and self._live_after(b, self.entry, 0))):
+                    and self._live_after(a, self.entry, PHI_KEY)
+                    and self._live_after(b, self.entry, PHI_KEY))):
             return False
         return not (refine_disjoint and self.env.preds_disjoint(
             _guard(self._def.get(a)), _guard(self._def.get(b))))
 
     def _live_after_def(self, a: str, b: str) -> bool:
-        """Is b live just after a's definition?  Phis define at slot 0."""
+        """Is b live just after a's definition?"""
         ins = self._def.get(a)
         return (ins is not None
                 and self._live_after(b, *self.positions[id(ins)]))
 
-    def _live_after(self, var: str, label: str, slot: int) -> bool:
-        """Is var live just after slot `slot` of block `label`?  Its next
-        event there decides: a use keeps it live, its definition ends the
-        range; without either, it is live iff live-out."""
-        pos = self.positions
+    def _live_after(self, var: str, block: Block, at: float) -> bool:
+        """Is var live just after key `at` of `block`?  Its next event
+        there decides: a use keeps it live, its definition ends the range;
+        without either, it is live iff live-out."""
+        pos, label = self.positions, block.label
         end = None
         ins = self._def.get(var)
         if ins is not None:
-            dlabel, dslot = pos[id(ins)]
-            if dlabel == label and dslot > slot:
-                end = dslot
+            dblock, dkey = pos[id(ins)]
+            if dblock is block and dkey > at:
+                end = dkey
         uses = self._uses.get(var)
         if uses is not None and label in uses:
             for key in uses[label]:
-                uslot = pos[key][1]
-                if uslot > slot and (end is None or uslot <= end):
+                ukey = pos[key][1]
+                if ukey > at and (end is None or ukey <= end):
                     return True
         return end is None and var in self.live_out[label]
 
@@ -737,7 +767,7 @@ class LiveRanges:
             dirty.update(var for _, var in old ^ new)
         else:
             new = frozenset(_instr_uses(ins, {}) + self._synth_at.get(key, []))
-            label = self.positions[key][0]
+            label = self.positions[key][0].label
             for var in old - new:
                 by_block = self._uses[var]
                 del by_block[label][key]
@@ -757,7 +787,8 @@ class LiveRanges:
             self.live_out[label].discard(var)
         pos, preds = self.positions, self.preds
         ins = self._def.get(var)
-        home, slot = pos[id(ins)] if ins is not None else (None, -1)
+        home, at = (None, PHI_KEY) if ins is None else pos[id(ins)]
+        home = home and home.label
         live_out: set[str] = set()
         seeds: set[str] = set()
         for label in self._phi_uses.get(var, ()):
@@ -767,7 +798,7 @@ class LiveRanges:
         for label, uses in self._uses.get(var, {}).items():
             # In the defining block only a use at or above the definition
             # is upward-exposed; the defining instruction reads first.
-            if label != home or any(pos[u][1] <= slot for u in uses):
+            if label != home or any(pos[u][1] <= at for u in uses):
                 seeds.add(label)
         live_in = live_in_blocks(seeds, (home,), preds) if seeds else seeds
         for label in live_in:

@@ -19,8 +19,9 @@ see h instead of the merge.  If h now ends with the merge's branch, its
 region, if any, is the merge's, which was deeper and so has failed.  A
 failed plan stays failed, since a conversion only narrows plannability: it
 guards arm definitions and turns phis into psis, so an outside variable
-defined on every path may stop being one, never the reverse.  The pass
-inlines chained psis once, after its last region.
+defined on every path may stop being one, never the reverse.  After its
+last region the pass drops the folded blocks from `func.blocks`, in one
+sweep, and inlines chained psis once.
 
 Any value feeding a psi that stays in the linearized code must be defined
 whenever the psi executes, so definitions feeding arm psis (and the guard
@@ -200,12 +201,11 @@ def if_convert(cache: Analyses, region: Region,
     """Linearize one region in place, as its plan says, and record the
     change in `cache`; returns the function.  The region must be planned
     (`_planned`) on the function as it stands.  Fresh names come from
-    `alloc`."""
+    `alloc`.  `func.blocks` is stale, holding the folded blocks, until
+    `drop_folded`, which a caller runs before it reads the list again."""
     func, blocks, defs = cache.func, cache.blocks, cache.defs
-    head = blocks[region.head]
-    merge = blocks[region.merge]
-    pos = cache.positions
-    dom = cache.dom
+    head, merge = blocks[region.head], blocks[region.merge]
+    pos, dom = cache.positions, cache.dom
 
     new_body: list[Instruction] = []
     temps: list[Instr] = []  # the not/and instructions made here
@@ -267,7 +267,8 @@ def if_convert(cache: Analyses, region: Region,
         if v in arm_pred:
             return (1, body_rank[v])
         p = def_point(v, defs, pos)
-        return (0, (-1, -1) if p is None else (dom.depth.get(p[0], 0), p[1]))
+        return (0, (-1, -1) if p is None
+                else (dom.depth.get(p[0].label, 0), p[1]))
 
     def psi_arg(path: Pred, v: str, last: bool) -> tuple[Pred, str]:
         """The merge psi's argument for `v`, which reaches the merge along
@@ -290,24 +291,29 @@ def if_convert(cache: Analyses, region: Region,
         new_psis.append(PsiInstr(phi.dest, [psi_arg(*first, last=False),
                                             psi_arg(*second, last=True)]))
 
-    head.body.extend(new_body)
-    head.body.extend(new_psis)
-    head.body.extend(merge.body)
     dropped = [*merge.phis, head.term,
                *(blocks[label].term for label in region.arm_labels())]
-    head.term = merge.term
+    # The merge's block object, whose body is the one that grows along a
+    # chain of folds, keeps its keys and takes the head's label and phis.
+    linear = head.body + new_body + new_psis
+    merge.label, merge.phis, merge.body[:0] = head.label, head.phis, linear
+    head = merge
 
     removed = region.arm_labels() + [region.merge]
-    gone = set(removed)
-    func.blocks = [b for b in func.blocks if b.label not in gone]
     # Only the merge's successors, now the head's, can name the merge.
     for label in head.successors():
         for phi in blocks[label].phis:
             phi.args = [(region.head if lbl == region.merge else lbl, v)
                         for lbl, v in phi.args]
     func.guards.update(t.dest for t in temps)
-    cache.linearized(head, region.merge, removed, dropped, temps + new_psis)
+    cache.linearized(head, len(linear), region.merge, removed, dropped,
+                     temps + new_psis)
     return func
+
+
+def drop_folded(cache: Analyses) -> None:
+    """Set `func.blocks` from the cache's block map (`if_convert`)."""
+    cache.func.blocks = list(cache.blocks.values())
 
 
 def if_convert_pass(func: Function, machine: MachineModel) -> int:
@@ -341,5 +347,6 @@ def if_convert_pass(func: Function, machine: MachineModel) -> int:
         if above is not None:
             push(above)
     if converted:
+        drop_folded(cache)
         psi_inline_all(cache)
     return converted

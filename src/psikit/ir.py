@@ -162,9 +162,6 @@ class PsiInstr:
             out.append(v)
         return out
 
-    def values(self) -> list[str]:
-        return [v for _, v in self.args]
-
     def clone(self) -> "PsiInstr":
         return PsiInstr(self.dest, list(self.args))
 
@@ -886,35 +883,25 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
 def _check_ssa_dominance(cache) -> list[Diagnostic]:
     """Dominance of every use, asked of `analysis.Analyses.defined_at`."""
     diags: list[Diagnostic] = []
-    func, blocks, pos = cache.func, cache.blocks, cache.positions
-    defined_at = cache.defined_at
-
+    func, blocks, defined_at = cache.func, cache.blocks, cache.defined_at
     for block in func.blocks:
         for ins in block.instructions():
-            upos = pos[id(ins)]
+            at = cache.locate(ins)
             if isinstance(ins, PhiInstr):
-                for lbl, v in ins.args:
-                    if not defined_at(v, pos[id(blocks[lbl].term)]):
-                        diags.append(Diagnostic(
-                            "error", f"@{func.name}/{block.label}",
-                            f"phi arg %{v} does not dominate edge from {lbl}"))
+                bad = [f"phi arg %{v} does not dominate edge from {lbl}"
+                       for lbl, v in ins.args
+                       if not defined_at(v, cache.locate(blocks[lbl].term))]
             elif isinstance(ins, PsiInstr):
-                for p, v in ins.args:
-                    if not defined_at(v, upos, strict=True):
-                        diags.append(Diagnostic(
-                            "error", f"@{func.name}/{block.label}",
-                            f"psi arg %{v} definition does not dominate the psi"))
-                    if p.reg is not None and not defined_at(p.reg, upos,
-                                                            strict=True):
-                        diags.append(Diagnostic(
-                            "error", f"@{func.name}/{block.label}",
-                            f"psi predicate %{p.reg} does not dominate the psi"))
+                bad = [f"psi {kind} %{var}{tail} does not dominate the psi"
+                       for p, v in ins.args
+                       for kind, var, tail in (("arg", v, " definition"),
+                                               ("predicate", p.reg, ""))
+                       if var is not None and not defined_at(var, at, True)]
             else:
-                for v in ins.uses():
-                    if not defined_at(v, upos, strict=True):
-                        diags.append(Diagnostic(
-                            "error", f"@{func.name}/{block.label}",
-                            f"use of %{v} not dominated by its definition"))
+                bad = [f"use of %{v} not dominated by its definition"
+                       for v in ins.uses() if not defined_at(v, at, True)]
+            diags.extend(Diagnostic("error", f"@{func.name}/{block.label}", m)
+                         for m in bad)
     return diags
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analysis
-from .analysis import Analyses
+from .analysis import PHI_KEY, Analyses, Point
 from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
                  PsiInstr, rename_uses)
 from .predicates import guard_env_or_conservative  # noqa: F401
@@ -128,16 +128,15 @@ def count_movs(func: Function) -> int:
 # ---------------------------------------------------------------------------
 # Copy placement
 
-def _insert_copy(cache: Analyses, block, at: int, dest: str, src: str,
+def _insert_copy(cache: Analyses, point: Point, dest: str, src: str,
                  pred: Pred | None = None) -> Instr:
-    """Insert `pred? dest = mov src`, the two of one kind, at block.body[at]
-    and record it in the cache's definitions and positions; returns it."""
+    """Insert `pred? dest = mov src`, the two of one kind, at program point
+    `point` and record it in the cache; returns it."""
     if src in cache.func.guards or dest in cache.func.guards:
         cache.func.guards |= {src, dest}
     guard = None if pred is None or pred.is_true() else pred
     mov = Instr("mov", dest, [src], guard)
-    block.body.insert(at, mov)
-    cache.inserted(block, mov)
+    cache.insert(point, mov)
     return mov
 
 
@@ -145,21 +144,22 @@ def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
                     pred: Pred, alloc: NameAllocator, start=None) -> str:
     """Insert `pred? new = mov src` to stand in for psi argument idx.
 
-    The copy goes to the program point `start`, a (block, body index)
-    pair, by default just below src's definition (the head of its block
-    for a phi, of the entry for a parameter), and below the definition of
-    the predicate register if that is in the same block.  When the
-    argument dies in a block that the start dominates, a copy there would
-    stay live across the intervening control flow (around a back edge, for
-    a loop), defeating the repair, so the copy moves just above the death
-    point.  If the predicate register is not defined at the chosen point,
-    the copy falls back to just above the psi, where psi operands are
-    always defined.
+    The copy goes to the program point `start`, by default just below
+    src's definition (the head of its block for a phi, of the entry for a
+    parameter), and below the definition of the predicate register if that
+    is in the same block.
+    When the argument dies in a block that the start dominates, a copy
+    there would stay live across the intervening control flow (around a
+    back edge, for a loop), defeating the repair, so the copy moves just
+    above the death point.  If the predicate register is not defined at the
+    chosen point, the copy falls back to just above the psi, where psi
+    operands are always defined.
     """
     defs = cache.defs
     if start is None:
         ins = defs.get(src)
-        start = (cache.func.blocks[0], 0) if ins is None else cache.locate(ins)
+        start = ((cache.func.blocks[0], PHI_KEY) if ins is None
+                 else cache.locate(ins))
     block, at = start
     reg = pred.reg
     if reg in defs:
@@ -179,24 +179,24 @@ def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
         if isinstance(death, PhiInstr):
             # No copy goes above a phi; the end of the start block still
             # precedes every path from it into the phi's block.
-            at = len(block.body)
+            at = cache.locate(block.term)[1] - 1
         else:
             block, at = death_block, death_at - 1
-    if reg is not None and not cache.defined_at(reg, (block.label, at)):
+    if reg is not None and not cache.defined_at(reg, (block, at)):
         block, at = cache.locate(psi)
         at -= 1
     new = alloc.fresh(src)
-    _insert_copy(cache, block, at, new, src, pred)
+    _insert_copy(cache, (block, at), new, src, pred)
     return new
 
 
-def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, block,
-                   at: int, alloc: NameAllocator) -> Instr:
-    """Rename `ins`'s result; returns `old = mov new`, put at body[at]."""
+def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, point: Point,
+                   alloc: NameAllocator) -> Instr:
+    """Rename `ins`'s result; returns `old = mov new`, put at `point`."""
     old = ins.dest
     ins.dest = new = alloc.fresh(old)
     cache.defs[new] = ins
-    return _insert_copy(cache, block, at, old, new)
+    return _insert_copy(cache, point, old, new)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +346,7 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
             copies.append(cache.defs[made[q, v]])
         psi.args[i] = (q, made[q, v])
     if mark_result:
-        block, slot = cache.locate(psi)
-        copies.append(_rename_result(cache, psi, block, slot, alloc))
+        copies.append(_rename_result(cache, psi, cache.locate(psi), alloc))
 
     for _, v in psi.args:
         classes.union(psi.args[0][1], v)
@@ -379,19 +378,20 @@ def phi_congruence(cache: Analyses, classes: CongruenceClasses,
     return len(copies)
 
 
-def _result_copy_slot(block, var: str, own: list[Instruction]) -> int:
-    """Body index for the copy that redefines phi result `var`: below the
-    copies that earlier phases placed at the block head, but above the
+def _result_copy_point(cache: Analyses, block, var: str,
+                       own: list[Instruction]) -> Point:
+    """Program point for the copy that redefines phi result `var`: below
+    the copies that earlier phases placed at the block head, but above the
     first one that reads `var` and above this phase's own copies (`own`).
     A psi argument copied at the head may have its synthetic use on the
     new copy, which must not precede the argument copy's definition."""
-    at = 0
+    point = (block, PHI_KEY)
     for ins in block.body:
         if (ins.opcode != "mov" or any(ins is c for c in own)
                 or var in ins.uses()):
             break
-        at += 1
-    return at
+        point = cache.locate(ins)
+    return point
 
 
 def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
@@ -441,17 +441,15 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
     for r in sorted(marked):
         var = names[r]
         if r == 0:
-            block = cache.blocks[label]
-            at = _result_copy_slot(block, var, copies)
-            copies.append(_rename_result(cache, phi, block, at, alloc))
+            at = _result_copy_point(cache, cache.blocks[label], var, copies)
+            copies.append(_rename_result(cache, phi, at, alloc))
             names[0] = phi.dest
             _add_edges(added, phi.dest, zones[0] | {var})
         else:
             plbl = phi.args[r - 1][0]
             names[r] = new = alloc.fresh(var)
-            pred_block = cache.blocks[plbl]
-            copies.append(_insert_copy(cache, pred_block,
-                                       len(pred_block.body), new, var))
+            block, key = cache.locate(cache.blocks[plbl].term)
+            copies.append(_insert_copy(cache, (block, key - 1), new, var))
             phi.args[r - 1] = (plbl, new)
             _add_edges(added, new, zones[r] | {var})
             _add_edges(added, var, zones[r])

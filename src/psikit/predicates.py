@@ -25,16 +25,10 @@ QUERY_SYMBOL_CAP = 20
 class PredExpr:
     """Base class for predicate formulas."""
 
-    def eval(self, assignment: int) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Const(PredExpr):
     value: bool
-
-    def eval(self, assignment: int) -> bool:
-        return self.value
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -44,9 +38,6 @@ class Const(PredExpr):
 class Sym(PredExpr):
     index: int
 
-    def eval(self, assignment: int) -> bool:
-        return bool(assignment >> self.index & 1)
-
     def __str__(self) -> str:
         return f"s{self.index}"
 
@@ -54,9 +45,6 @@ class Sym(PredExpr):
 @dataclass(frozen=True)
 class Not(PredExpr):
     arg: PredExpr
-
-    def eval(self, assignment: int) -> bool:
-        return not self.arg.eval(assignment)
 
     def __str__(self) -> str:
         return f"!{self.arg}"
@@ -67,9 +55,6 @@ class And(PredExpr):
     left: PredExpr
     right: PredExpr
 
-    def eval(self, assignment: int) -> bool:
-        return self.left.eval(assignment) and self.right.eval(assignment)
-
     def __str__(self) -> str:
         return f"({self.left} & {self.right})"
 
@@ -78,9 +63,6 @@ class And(PredExpr):
 class Or(PredExpr):
     left: PredExpr
     right: PredExpr
-
-    def eval(self, assignment: int) -> bool:
-        return self.left.eval(assignment) or self.right.eval(assignment)
 
     def __str__(self) -> str:
         return f"({self.left} | {self.right})"

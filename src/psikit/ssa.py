@@ -304,13 +304,8 @@ def copy_fold(func: Function, env: GuardEnv) -> int:
 def dedupe_psi_args(psi: PsiInstr) -> None:
     """Collapse consecutive identical (pred, value) pairs; the left one is
     always overridden by its twin."""
-    out = [psi.args[0]]
-    for arg in psi.args[1:]:
-        if arg != out[-1]:
-            out.append(arg)
-        else:
-            out[-1] = arg
-    psi.args = out
+    psi.args = psi.args[:1] + [arg for prev, arg in zip(psi.args, psi.args[1:])
+                               if arg != prev]
 
 
 def psi_inline(func: Function, psi: PsiInstr, arg_index: int) -> None:

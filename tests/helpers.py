@@ -43,6 +43,24 @@ def assert_no_errors(mod: ir.Module, mode: str = "non_ssa"):
     assert not errors, [str(e) for e in errors]
 
 
+def assert_same_order(positions: dict, func: ir.Function) -> None:
+    """`positions`, an `Analyses.positions` carried through edits, puts
+    every instruction of `func` in its block and in the order a fresh
+    `instr_positions` does, with equal keys exactly where the fresh ones
+    are equal (a block's phis); the keys themselves may differ."""
+    fresh = analysis.instr_positions(func)
+    assert positions.keys() == fresh.keys()
+
+    def steps(keys):
+        return [(a > b) - (a < b) for a, b in zip(keys, keys[1:])]
+
+    for block in func.blocks:
+        carried = [positions[id(ins)] for ins in block.instructions()]
+        assert all(where is block for where, _ in carried)
+        assert (steps([k for _, k in carried])
+                == steps([fresh[id(ins)][1] for ins in block.instructions()]))
+
+
 def count_calls(monkeypatch, owner, name: str, counts: dict):
     """Count the calls of `owner.name` in `counts[name]`."""
     original = getattr(owner, name)

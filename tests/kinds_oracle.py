@@ -21,7 +21,7 @@ def _derives_guard(ins, guards: set[str]) -> bool:
     if isinstance(ins, PhiInstr):
         return all(is_guard(v) for _, v in ins.args)
     if not isinstance(ins, Instr):
-        return all(map(is_guard, ins.values()))
+        return all(is_guard(v) for _, v in ins.args)
     if ins.opcode in BOOL_OPS:
         vars_ = [o for o in ins.operands if isinstance(o, str)]
         return bool(vars_) and all(map(is_guard, vars_))

@@ -61,7 +61,7 @@ def oracle_dominators(func: ir.Function):
 def test_straight_line_dominance_is_in_block_order():
     func = build_cfg({"b0": []})
     tree = analysis.Analyses(func).dom
-    pos_a, pos_b = ("b0", 1), ("b0", 4)
+    pos_a, pos_b = (func.blocks[0], 1), (func.blocks[0], 4)
     assert tree.dominates_pos(pos_a, pos_b)
     assert not tree.dominates_pos(pos_b, pos_a, strict=True)
 

@@ -2,14 +2,14 @@ import pytest
 
 from psikit import interp, ir
 from psikit.analysis import Analyses
-from psikit.ifconvert import (Region, _follow_arm, _planned, if_convert,
-                              if_convert_pass)
+from psikit.ifconvert import (Region, _follow_arm, _planned, drop_folded,
+                              if_convert, if_convert_pass)
 from psikit.interp import gen_random_program
 from psikit.machine import FULL, PARTIAL, machine_from_flags
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import construct_ssa, psi_inline_all, psi_promote_pass
 
-from helpers import (DATA, assert_no_errors, count_calls,
+from helpers import (DATA, assert_no_errors, assert_same_order, count_calls,
                      diamond_chain_source, load, load_func, pipeline)
 
 
@@ -222,7 +222,8 @@ def test_convert_then_out_of_ssa_round_trips_semantics():
 
 
 def _assert_cache_is_fresh(cache):
-    """The carried analyses equal the ones a new cache computes."""
+    """The carried analyses equal the ones a new cache computes; carried
+    positions need only give each instruction the fresh block and order."""
     func = cache.func
     fresh = Analyses(func)
     assert cache.defs.keys() == fresh.defs.keys()
@@ -233,7 +234,7 @@ def _assert_cache_is_fresh(cache):
     assert ({l: sorted(ps) for l, ps in cache.preds.items()}
             == {l: sorted(ps) for l, ps in fresh.preds.items()})
     assert all(cache.blocks[l] is fresh.blocks[l] for l in fresh.blocks)
-    assert cache.positions == fresh.positions
+    assert_same_order(cache.positions, func)
     assert cache.dom.idom == fresh.dom.idom
     assert cache.dom.depth == fresh.dom.depth
     assert cache.dom.entry == fresh.dom.entry
@@ -262,6 +263,7 @@ def test_carried_analyses_match_fresh_ones_after_every_region(machine):
         alloc = ir.NameAllocator(func)
         for region in rescanning_loop(cache, machine):
             if_convert(cache, region, alloc)
+            drop_folded(cache)
             _assert_cache_is_fresh(cache)
             psi_inline_all(cache)
             _assert_cache_is_fresh(cache)
@@ -277,6 +279,7 @@ def _convert_inlining_after_every_region(func, machine) -> int:
     splices = 0
     for region in rescanning_loop(cache, machine):
         if_convert(cache, region, alloc)
+        drop_folded(cache)
         splices += psi_inline_all(cache)
     return splices
 
@@ -332,6 +335,7 @@ def test_worklist_converts_the_regions_a_rescan_finds(machine, monkeypatch):
         for region in rescanning_loop(cache, machine):
             expected.append(_shape(region))
             if_convert(cache, region, alloc)
+            drop_folded(cache)
         if expected:
             psi_inline_all(cache)
         converted.clear()
@@ -362,6 +366,34 @@ def test_if_convert_pass_builds_each_analysis_once(monkeypatch):
     assert counts["predecessors"] <= 1
     assert counts["_plan_arm"] == 2 * 100
     assert counts["psi_inline_all"] == 1
+
+
+def test_if_convert_pass_keys_each_instruction_a_bounded_number_of_times(
+        monkeypatch):
+    """Positions survive folds: on the 1000-diamond chain the pass keys
+    O(n) instructions in all, not the growing head once per region, and
+    rebuilds `func.blocks` once."""
+    from psikit import analysis
+    func = _diamond_chain(1000)
+    keyed = []
+    number_block = analysis.number_block
+
+    def counting(block, pos, prefix=None):
+        keyed.append(len(block.body) if prefix is None else prefix)
+        number_block(block, pos, prefix)
+    monkeypatch.setattr(analysis, "number_block", counting)
+    rebuilt = []
+
+    class Watched(ir.Function):
+        def __setattr__(self, name, value):
+            if name == "blocks":
+                rebuilt.append(value)
+            super().__setattr__(name, value)
+    func.__class__ = Watched
+    assert if_convert_pass(func, FULL) == 1000
+    [block] = func.blocks
+    assert sum(keyed) <= 4 * (len(block.body) + 1)
+    assert len(rebuilt) <= 1
 
 
 def test_construction_and_validation_compute_predecessors_once(monkeypatch):

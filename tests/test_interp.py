@@ -10,7 +10,7 @@ from psikit.interp import (DEFAULT_MEM_SIZE, OUT_OF_BOUNDS, PSI_NONE_TRUE,
                            eval_function, gen_random_program)
 from psikit.machine import FULL, PARTIAL
 
-from helpers import assert_no_errors, load_func, pipeline
+from helpers import assert_no_errors, count_calls, load_func, pipeline
 
 
 def test_guarded_instruction_keeps_previous_value():
@@ -213,18 +213,15 @@ def test_generated_corpus_is_valid_and_runs_clean():
     assert traps <= 10  # generator guarantees initialization and bounds
 
 
-def test_differential_check_infers_kinds_once_per_function(monkeypatch):
-    calls = []
-
-    def counting(func):
-        calls.append(func)
-        return ir.infer_kinds(func)
-
-    monkeypatch.setattr(interp, "infer_kinds", counting)
+def test_differential_check_infers_no_kinds(monkeypatch):
+    """A check reads the kinds `Function.guards` holds; it infers none."""
     func = gen_random_program(7, "small")
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, interp, "infer_kinds", counts)
+    count_calls(monkeypatch, ir, "infer_kinds", counts)
     report = differential_check(func, func.clone(), trials=32, seed=0)
     assert report.compared > 0
-    assert len(calls) <= 2
+    assert counts == {}
 
 
 def test_differential_check_decodes_each_function_once(monkeypatch):

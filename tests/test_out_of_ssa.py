@@ -6,7 +6,8 @@ from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import all_psis, is_normalized
 
 import liveness_oracle
-from helpers import ALL_OFF, assert_no_errors, load_func, pipeline, to_cssa
+from helpers import (ALL_OFF, assert_no_errors, assert_same_order, count_calls,
+                     load_func, pipeline, to_cssa)
 
 
 def normalize_only(func, reorder=True):
@@ -396,17 +397,26 @@ def assert_matches_fresh(live: analysis.LiveRanges, refine: bool):
 def stepped_to_cssa(monkeypatch, func: ir.Function, opts: OutOfSsaOptions):
     """to_cssa on `func`, comparing the carried live ranges with fresh ones
     after each update (the copies of each psi in psi-congruence, the end of
-    phi-congruence) and at the end; returns the cache and the number of
-    comparisons."""
+    phi-congruence) and at the end, and the carried positions with a fresh
+    numbering after psi-normalize and after each update; returns the cache
+    and the number of comparisons."""
     steps = []
     update = analysis.LiveRanges.update
+    normalize = out_of_ssa.psi_normalize
 
     def checked(self, *args, **kwargs):
         update(self, *args, **kwargs)
+        assert_same_order(self.positions, self.func)
         assert_matches_fresh(self, opts.disjoint_interference)
         steps.append(1)
 
+    def normalized(cache, *args, **kwargs):
+        copies = normalize(cache, *args, **kwargs)
+        assert_same_order(cache.positions, cache.func)
+        return copies
+
     monkeypatch.setattr(analysis.LiveRanges, "update", checked)
+    monkeypatch.setattr(out_of_ssa, "psi_normalize", normalized)
     cache = analysis.Analyses(func)
     out_of_ssa.to_cssa(func, opts, cache)
     assert_matches_fresh(cache.live, opts.disjoint_interference)
@@ -495,6 +505,29 @@ def test_argument_dying_at_a_phi_is_copied_at_the_end_of_its_start_block():
     report = interp.differential_check(func, final, trials=32, seed=9,
                                        budget=5000)
     assert report.ok and report.compared > 0
+
+
+def test_copies_at_one_point_renumber_their_block_rarely(monkeypatch):
+    """k copies inserted just above one instruction, as `_place_arg_copy`
+    puts a copy above an argument's death point, each below the ones before
+    (the case that closes a gap fastest), renumber their block once per
+    run of halvings of a gap, not once per copy, and keep a fresh
+    numbering's order."""
+    k = 200
+    body = "".join(f"  %v{i} = add %a, {i}\n" for i in range(50))
+    func = ir.parse_module(
+        f"func @f(%a) {{\nb0:\n{body}  ret %v0\n}}").functions[0]
+    cache = analysis.Analyses(func)
+    cache.positions  # the initial numbering, before the count
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, analysis, "number_block", counts)
+    for i in range(k):
+        block, key = cache.locate(cache.defs["v11"])
+        out_of_ssa._insert_copy(cache, (block, key - 1), f"c{i}", "a")
+    assert counts["number_block"] <= k // 8
+    assert [ins.dest for ins in func.blocks[0].body[10:12 + k]] == (
+        ["v10"] + [f"c{i}" for i in range(k)] + ["v11"])
+    assert_same_order(cache.positions, func)
 
 
 def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):
