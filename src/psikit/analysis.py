@@ -22,13 +22,15 @@ output of out-of-SSA included) and `LiveRanges` per variable on SSA, over
 every block, reachable or not.
 
 `Analyses` computes the definitions, the block map, the predecessors, the
-dominator tree, the instruction positions, the guard env and the live
-ranges of one function on first use and keeps them while the function
-changes.  SSA construction, SSA validation, if-conversion, psi inlining,
-out-of-SSA and `ssa.is_normalized` read their analyses from one
-`Analyses`; SSA construction hands it the predecessors and the reachable
-order that its own sweep of the input found.  A pass that mutates the
-function keeps them correct by one rule, so none is computed twice:
+dominator tree, the instruction positions, the guard env, the live ranges
+and the name allocator (`names`, the source of every fresh name in
+if-conversion and out-of-SSA) of one function on first use and keeps them
+while the function changes.  SSA construction, SSA validation,
+if-conversion, psi inlining, out-of-SSA with its class check
+(`out_of_ssa.class_interference`) and `ssa.is_normalized` read them from
+one `Analyses`; SSA construction hands it the predecessors and reachable
+order its own sweep found.  A pass that mutates the function keeps them
+correct by one rule, so none is computed twice:
 
 - if-converting a region records the folding of its arms and merge into
   the head: call `linearized()`.  The new `not`/`and` temporaries and the
@@ -69,7 +71,8 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ir import Block, Function, Instr, Instruction, PhiInstr, Pred, PsiInstr
+from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
+                 Pred, PsiInstr)
 from .predicates import GuardEnv, guard_env_or_conservative
 
 
@@ -283,6 +286,10 @@ class Analyses:
     @cached_property
     def live(self) -> "LiveRanges":
         return LiveRanges(self)
+
+    @cached_property
+    def names(self) -> NameAllocator:
+        return NameAllocator(self.func)
 
     def locate(self, ins: Instruction) -> Point:
         """The position of `ins`; as a point, just below it."""

@@ -35,8 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .analysis import Analyses, def_point
-from .ir import (Block, Function, Instr, Instruction, NameAllocator, Pred,
-                 PsiInstr, TRUE)
+from .ir import Block, Function, Instr, Instruction, Pred, PsiInstr, TRUE
 from .machine import MachineModel
 # If-conversion builds its guard envs through the analysis cache; the name
 # stays bound here because perfbench's tests look for it in this module.
@@ -196,14 +195,15 @@ def _planned(cache: Analyses, region: Region,
     return True
 
 
-def if_convert(cache: Analyses, region: Region,
-               alloc: NameAllocator) -> Function:
+def if_convert(cache: Analyses, region: Region) -> Function:
     """Linearize one region in place, as its plan says, and record the
     change in `cache`; returns the function.  The region must be planned
     (`_planned`) on the function as it stands.  Fresh names come from
-    `alloc`.  `func.blocks` is stale, holding the folded blocks, until
+    `cache.names`, built at the latest by the first call, before its fold.
+    `func.blocks` is stale, holding the folded blocks, until
     `drop_folded`, which a caller runs before it reads the list again."""
     func, blocks, defs = cache.func, cache.blocks, cache.defs
+    names = cache.names
     head, merge = blocks[region.head], blocks[region.merge]
     pos, dom = cache.positions, cache.dom
 
@@ -217,7 +217,7 @@ def if_convert(cache: Analyses, region: Region,
             return p.reg
         key = (p.reg, False)
         if key not in neg_cache:
-            t = alloc.fresh(p.reg)
+            t = names.fresh(p.reg)
             temps.append(Instr("not", t, [p.reg]))
             new_body.append(temps[-1])
             neg_cache[key] = t
@@ -226,7 +226,7 @@ def if_convert(cache: Analyses, region: Region,
     def conjoin(path: Pred, g: Pred) -> Pred:
         key = (path.reg, path.positive, g.reg, g.positive)
         if key not in conj_cache:
-            t = alloc.fresh("g")
+            t = names.fresh("g")
             args = [as_reg(path), as_reg(g)]
             temps.append(Instr("and", t, args))
             new_body.append(temps[-1])
@@ -321,7 +321,6 @@ def if_convert_pass(func: Function, machine: MachineModel) -> int:
     psis if any region was converted.  Returns the number of regions
     converted."""
     cache = Analyses(func)
-    alloc = NameAllocator(func)
     depth = cache.dom.depth
     index = {b.label: i for i, b in enumerate(func.blocks)}
     # The regions still to try, innermost first.  Every key stays exact: a
@@ -341,7 +340,7 @@ def if_convert_pass(func: Function, machine: MachineModel) -> int:
         region = heapq.heappop(queue)[2]
         if not _planned(cache, region, machine):
             continue
-        if_convert(cache, region, alloc)
+        if_convert(cache, region)
         converted += 1
         above = _branch_above(cache, region.head)
         if above is not None:

@@ -25,15 +25,17 @@ Textual form (one instruction per line, `#` starts a comment):
 Kinds are held by `Function.guards`, the set of the function's guard-kind
 variables, which the printer, `validate`, the guard env and the
 interpreter read.  `infer_kinds` fills it once, where a function enters
-psikit (the parser, the program generator), and each pass records the
-kind of every name it creates.  The inference is a greatest fixpoint:
-guard parameters, `:guard` markers and compare results are guards; a name
-defined only by mov, and/or/not, select, phi and psi is a guard unless one
-of its definitions does not derive one, so a guard that a loop carries
-through a phi stays a guard.  The printer writes `:guard` on parameters
-and on `const`/`load` results only, where the opcode cannot tell.  A
-marker or a guard parameter must agree with what each definition of the
-name yields, or the printed text would lose the kind.
+psikit (the parser, the program generator).  A name a pass creates takes
+the kind of the name it is made from (`NameAllocator.fresh`); the one
+made from nothing, if-conversion's conjunction temporary, is a guard.
+The inference is a greatest fixpoint: guard parameters, `:guard` markers
+and compare results are guards; a name defined only by mov, and/or/not,
+select, phi and psi is a guard unless one of its definitions does not
+derive one, so a guard that a loop carries through a phi stays a guard.
+The printer writes `:guard` on parameters and on `const`/`load` results
+only, where the opcode cannot tell.  A marker or a guard parameter must
+agree with what each definition of the name yields, or the printed text
+would lose the kind.
 """
 
 from __future__ import annotations
@@ -294,12 +296,12 @@ class NameAllocator:
     that i never decreases; the search for a root resumes where its last
     one stopped.  `names`, when given, are the function's names
     (`Function.var_names()`), already collected; the allocator owns them.
-    A fresh name starts as a value: it leaves `func.guards`, which may
-    still hold it from a definition a pass removed."""
+    A fresh name takes the kind of `base`: it is in `func.guards` exactly
+    when `base` is, whatever a definition that a pass removed left there."""
 
     def __init__(self, func: Function, names: set[str] | None = None):
         self.used = func.var_names() if names is None else names
-        self.guards = func.guards
+        self.func = func
         self._next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
@@ -311,7 +313,10 @@ class NameAllocator:
             self._next[root] = i + 1
             name = f"{root}.{i}"
         self.used.add(name)
-        self.guards.discard(name)
+        if base in self.func.guards:
+            self.func.guards.add(name)
+        else:
+            self.func.guards.discard(name)
         return name
 
 

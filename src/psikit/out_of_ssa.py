@@ -27,8 +27,8 @@ edges it adds itself for its copies, and records its copies when it
 ends; that keeps its decisions those of a graph built once per phase
 (exact queries after each of its copies would change 6 of 400 generated
 outputs per machine, not all for the better: one gains 2 copies with
-every refinement off).  `rename_and_strip` checks the pairs inside each
-class on the same live ranges.
+every refinement off).  `class_interference`, which `rename_and_strip`
+asks first, checks the pairs inside each class on the same live ranges.
 
 All four copy-reducing refinements are flag-gated: reordering disjoint
 arguments instead of copying, dropping interference edges between defs on
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 from . import analysis
 from .analysis import PHI_KEY, Analyses, Point
-from .ir import (Function, Instr, Instruction, NameAllocator, PhiInstr, Pred,
-                 PsiInstr, rename_uses)
+from .ir import (Function, Instr, Instruction, PhiInstr, Pred, PsiInstr,
+                 rename_uses)
 from .predicates import guard_env_or_conservative  # noqa: F401
 from .ssa import definition_formula
 
@@ -130,10 +130,8 @@ def count_movs(func: Function) -> int:
 
 def _insert_copy(cache: Analyses, point: Point, dest: str, src: str,
                  pred: Pred | None = None) -> Instr:
-    """Insert `pred? dest = mov src`, the two of one kind, at program point
-    `point` and record it in the cache; returns it."""
-    if src in cache.func.guards or dest in cache.func.guards:
-        cache.func.guards |= {src, dest}
+    """Insert `pred? dest = mov src` at program point `point` and record it
+    in the cache; returns it."""
     guard = None if pred is None or pred.is_true() else pred
     mov = Instr("mov", dest, [src], guard)
     cache.insert(point, mov)
@@ -141,7 +139,7 @@ def _insert_copy(cache: Analyses, point: Point, dest: str, src: str,
 
 
 def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
-                    pred: Pred, alloc: NameAllocator, start=None) -> str:
+                    pred: Pred, start=None) -> str:
     """Insert `pred? new = mov src` to stand in for psi argument idx.
 
     The copy goes to the program point `start`, by default just below
@@ -185,16 +183,16 @@ def _place_arg_copy(cache: Analyses, psi: PsiInstr, idx: int, src: str,
     if reg is not None and not cache.defined_at(reg, (block, at)):
         block, at = cache.locate(psi)
         at -= 1
-    new = alloc.fresh(src)
+    new = cache.names.fresh(src)
     _insert_copy(cache, (block, at), new, src, pred)
     return new
 
 
-def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, point: Point,
-                   alloc: NameAllocator) -> Instr:
+def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr,
+                   point: Point) -> Instr:
     """Rename `ins`'s result; returns `old = mov new`, put at `point`."""
     old = ins.dest
-    ins.dest = new = alloc.fresh(old)
+    ins.dest = new = cache.names.fresh(old)
     cache.defs[new] = ins
     return _insert_copy(cache, point, old, new)
 
@@ -202,24 +200,22 @@ def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr, point: Point,
 # ---------------------------------------------------------------------------
 # Phase 1: psi-normalize
 
-def psi_normalize(cache: Analyses, reorder_disjoint: bool = True,
-                  alloc: NameAllocator | None = None) -> int:
+def psi_normalize(cache: Analyses, reorder_disjoint: bool = True) -> int:
     """Restore the normalized form of every psi; returns copies inserted.
 
     Psis are visited top-down over the dominator tree so that psi-defined
     arguments are already normalized when their chains are resolved.
     """
     copies = 0
-    alloc = alloc or NameAllocator(cache.func)
     for label in cache.dom.preorder():
         for ins in list(cache.blocks[label].body):
             if isinstance(ins, PsiInstr):
-                copies += _normalize_one(cache, ins, reorder_disjoint, alloc)
+                copies += _normalize_one(cache, ins, reorder_disjoint)
     return copies
 
 
-def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
-                   alloc: NameAllocator) -> int:
+def _normalize_one(cache: Analyses, psi: PsiInstr,
+                   reorder_disjoint: bool) -> int:
     env, defs, pos = cache.env, cache.defs, cache.positions
     copies = 0
     swaps_left = 4 * len(psi.args) * len(psi.args) + 8
@@ -228,7 +224,7 @@ def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
         q, v = psi.args[i]
         if not env.equal(env.pred_formula(q),
                          definition_formula(v, defs, env)):
-            new = _place_arg_copy(cache, psi, i, v, q, alloc)
+            new = _place_arg_copy(cache, psi, i, v, q)
             psi.args[i] = (q, new)
             copies += 1
             v = new
@@ -243,7 +239,7 @@ def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
                     swaps_left -= 1
                     i = max(i - 1, 0)
                     continue
-                new = _copy_for_order(cache, psi, i + 1, v, v2, q2, alloc)
+                new = _copy_for_order(cache, psi, i + 1, v, v2, q2)
                 psi.args[i + 1] = (q2, new)
                 copies += 1
         i += 1
@@ -251,14 +247,14 @@ def _normalize_one(cache: Analyses, psi: PsiInstr, reorder_disjoint: bool,
 
 
 def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
-                    nxt: str, pred: Pred, alloc: NameAllocator) -> str:
+                    nxt: str, pred: Pred) -> str:
     """Copy `nxt` from just below the lower of the two definitions, so the
     copy follows `cur`'s.  Both dominate the psi, so one dominates the
     other, and `cur` is no parameter (`analysis.order_inverted`)."""
     defs = cache.defs
     lower = (cur if cache.defined_at(nxt, cache.positions[id(defs[cur])])
              else nxt)
-    return _place_arg_copy(cache, psi, arg_index, nxt, pred, alloc,
+    return _place_arg_copy(cache, psi, arg_index, nxt, pred,
                            cache.locate(defs[lower]))
 
 
@@ -266,7 +262,7 @@ def _copy_for_order(cache: Analyses, psi: PsiInstr, arg_index: int, cur: str,
 # Phase 2: psi-congruence
 
 def psi_congruence(cache: Analyses, classes: CongruenceClasses,
-                   opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
+                   opts: OutOfSsaOptions) -> int:
     """Merge psi-referenced variables into congruence classes, repairing
     interferences with predicated copies; returns copies inserted.  Each
     psi's copies are recorded in `cache.live` before the next psi is
@@ -276,7 +272,7 @@ def psi_congruence(cache: Analyses, classes: CongruenceClasses,
         for ins in list(cache.blocks[label].body):
             if not isinstance(ins, PsiInstr):
                 continue
-            made = _psi_congruence_one(cache, ins, classes, opts, alloc)
+            made = _psi_congruence_one(cache, ins, classes, opts)
             if made:
                 cache.live.update(made, [ins])
                 copies += len(made)
@@ -294,8 +290,8 @@ def _conflicts(classes: CongruenceClasses, a: str, b: str, interferes):
                     yield x, y
 
 
-def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
-                        alloc) -> list[Instr]:
+def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes,
+                        opts) -> list[Instr]:
     """Decide which arguments of `psi` (and whether its result) need a
     copy, insert the copies and merge the classes; returns the copies."""
     live, refine = cache.live, opts.disjoint_interference
@@ -342,11 +338,11 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
     for i in sorted(marked_args):
         q, v = psi.args[i]
         if (q, v) not in made:
-            made[q, v] = _place_arg_copy(cache, psi, i, v, q, alloc)
+            made[q, v] = _place_arg_copy(cache, psi, i, v, q)
             copies.append(cache.defs[made[q, v]])
         psi.args[i] = (q, made[q, v])
     if mark_result:
-        copies.append(_rename_result(cache, psi, cache.locate(psi), alloc))
+        copies.append(_rename_result(cache, psi, cache.locate(psi)))
 
     for _, v in psi.args:
         classes.union(psi.args[0][1], v)
@@ -358,7 +354,7 @@ def _psi_congruence_one(cache: Analyses, psi: PsiInstr, classes, opts,
 # Phase 3: phi-congruence
 
 def phi_congruence(cache: Analyses, classes: CongruenceClasses,
-                   opts: OutOfSsaOptions, alloc: NameAllocator) -> int:
+                   opts: OutOfSsaOptions) -> int:
     """Extend congruence classes over phis, Sreedhar-style; classes are the
     ones grown by psi-congruence, not a fresh partition.
 
@@ -372,7 +368,7 @@ def phi_congruence(cache: Analyses, classes: CongruenceClasses,
     for label in cache.dom.preorder():
         for phi in list(cache.blocks[label].phis):
             if _phi_congruence_one(cache, phi, label, added, copies,
-                                   classes, opts, alloc):
+                                   classes, opts):
                 changed.append(phi)
     cache.live.update(copies, changed)
     return len(copies)
@@ -403,7 +399,7 @@ def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
 
 def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
                         added: dict[str, set[str]], copies: list[Instr],
-                        classes, opts, alloc) -> bool:
+                        classes, opts) -> bool:
     """Decide and insert `phi`'s copies, appending them to the phase's
     `copies`, and merge the classes; returns whether `phi` changed."""
     live = cache.live
@@ -442,12 +438,12 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
         var = names[r]
         if r == 0:
             at = _result_copy_point(cache, cache.blocks[label], var, copies)
-            copies.append(_rename_result(cache, phi, at, alloc))
+            copies.append(_rename_result(cache, phi, at))
             names[0] = phi.dest
             _add_edges(added, phi.dest, zones[0] | {var})
         else:
             plbl = phi.args[r - 1][0]
-            names[r] = new = alloc.fresh(var)
+            names[r] = new = cache.names.fresh(var)
             block, key = cache.locate(cache.blocks[plbl].term)
             copies.append(_insert_copy(cache, (block, key - 1), new, var))
             phi.args[r - 1] = (plbl, new)
@@ -462,17 +458,12 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
 # ---------------------------------------------------------------------------
 # Renaming out of SSA
 
-def rename_and_strip(func: Function, classes: CongruenceClasses,
-                     refine_disjoint: bool = True,
-                     cache: Analyses | None = None) -> None:
-    """Rename every congruence class to its representative and delete all
-    phi and psi instructions.  Verifies first that no two distinct class
-    members interfere (under the psi liveness rule); overlapping members
-    that are copies of one common source carry the same value and are
-    exempt, their renamed copies degenerate to no-ops.  `cache` is the
-    conversion's analyses, its live ranges current; without one, they are
-    built here."""
-    cache = cache or Analyses(func)
+def class_interference(cache: Analyses, classes: CongruenceClasses,
+                       refine_disjoint: bool) -> tuple[str, str] | None:
+    """The first two distinct members of one class that interfere under the
+    psi liveness rule (`cache.live`), or None.  Overlapping members that
+    are copies of one common source carry the same value and are exempt:
+    renamed, their copies degenerate to no-ops."""
     live, defs = cache.live, cache.defs
 
     def mov_root(v: str, cls: str | None = None) -> str:
@@ -495,24 +486,33 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
     # between a result and its own arguments is not a conflict.  Nor is it
     # through movs inside the class: renamed, they are no-ops, so a copy
     # made in the class writes nothing its source did not.
-    exempt: set[frozenset[str]] = set()
-    for _, ins in func.instructions():
-        if isinstance(ins, PsiInstr):
-            for _, v in ins.args:
-                exempt.add(frozenset((ins.dest, v)))
-
+    exempt = {frozenset((ins.dest, v)) for _, ins in cache.func.instructions()
+              if isinstance(ins, PsiInstr) for _, v in ins.args}
     for group in classes.classes():
         cls = classes.find(group[0])
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if not live.interferes(a, b, refine_disjoint):
                     continue
-                if (mov_root(a) == mov_root(b) or frozenset(
-                        (mov_root(a, cls), mov_root(b, cls))) in exempt):
-                    continue
-                raise ClassInterferenceDetected(
-                    f"@{func.name}: %{a} and %{b} share a class but "
-                    "interfere")
+                if (mov_root(a) != mov_root(b) and frozenset(
+                        (mov_root(a, cls), mov_root(b, cls))) not in exempt):
+                    return a, b
+    return None
+
+
+def rename_and_strip(func: Function, classes: CongruenceClasses,
+                     refine_disjoint: bool = True,
+                     cache: Analyses | None = None) -> None:
+    """Rename every congruence class to its representative and delete all
+    phi and psi instructions, once `class_interference` finds no two
+    members of one class that interfere.  `cache` is the conversion's
+    analyses, its live ranges current; without one, they are built here."""
+    cache = cache or Analyses(func)
+    pair = class_interference(cache, classes, refine_disjoint)
+    if pair is not None:
+        raise ClassInterferenceDetected(
+            f"@{func.name}: %{pair[0]} and %{pair[1]} share a class but "
+            "interfere")
 
     rep = classes.representative
     func.params = [rep(n) for n in func.params]
@@ -543,15 +543,14 @@ def to_cssa(func: Function, opts: OutOfSsaOptions | None = None,
     if given, must not have computed anything yet."""
     opts = opts or OutOfSsaOptions()
     analysis.remove_unreachable(func)
-    # The phases only insert copies, so one cache and one name allocator
+    # The phases only insert copies, so one cache, and its name allocator,
     # serve all three.  Its live ranges are built after psi-normalize, on
     # first use, and record every later copy.
     cache = cache or Analyses(func)
-    alloc = NameAllocator(func)
-    n_normalize = psi_normalize(cache, opts.reorder_disjoint, alloc)
+    n_normalize = psi_normalize(cache, opts.reorder_disjoint)
     classes = CongruenceClasses()
-    n_psi = psi_congruence(cache, classes, opts, alloc)
-    n_phi = phi_congruence(cache, classes, opts, alloc)
+    n_psi = psi_congruence(cache, classes, opts)
+    n_phi = phi_congruence(cache, classes, opts)
     return classes, (n_normalize, n_psi, n_phi)
 
 

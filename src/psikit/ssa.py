@@ -101,13 +101,8 @@ def construct_ssa(func: Function) -> Function:
     named_once = set(param_names)
 
     def push(root: str) -> str:
-        if root in named_once:
-            new = alloc.fresh(root)
-            if root in func.guards:
-                func.guards.add(new)
-        else:
-            new = root
-            named_once.add(root)
+        new = alloc.fresh(root) if root in named_once else root
+        named_once.add(root)
         stacks.setdefault(root, []).append(new)
         return new
 
@@ -385,10 +380,7 @@ def psi_project(func: Function, psi: PsiInstr, onto, env: GuardEnv) -> str:
             if not env.disjoint(env.pred_formula(p), onto)]
     if not kept:
         raise EmptyProjection("projection removes every argument")
-    alloc = NameAllocator(func)
-    new = alloc.fresh(psi.dest)
-    if psi.dest in func.guards:
-        func.guards.add(new)
+    new = NameAllocator(func).fresh(psi.dest)
     block, idx = _find_psi(func, psi)
     block.body.insert(idx + 1, PsiInstr(new, list(kept)))
     return new
@@ -477,12 +469,12 @@ def rewrite_psis_to_selects(func: Function) -> Function:
     """
     func = func.clone()
     defs = func.defs()
+    alloc = NameAllocator(func)
     for psi in all_psis(func):
         prev = psi.args[0][1]
         first_def = defs.get(prev)
         if isinstance(first_def, Instr) and first_def.guard is not None:
             raise ValueError("first psi argument must be unguarded")
-        alloc = NameAllocator(func)
         for p, v in psi.args[1:]:
             ins = defs.get(v)
             if not (isinstance(ins, Instr) and ins.guard is not None
@@ -490,8 +482,6 @@ def rewrite_psis_to_selects(func: Function) -> Function:
                     and p.positive == ins.guard.positive):
                 raise ValueError("psi argument shape unsupported for rewrite")
             tmp = alloc.fresh(v)
-            if v in func.guards:
-                func.guards.add(tmp)
             block = next(b for b in func.blocks if ins in b.body)
             idx = block.body.index(ins)
             cond = ins.guard

@@ -3,8 +3,10 @@
 import random
 from pathlib import Path
 
-from psikit import analysis, ir, out_of_ssa
-from psikit.machine import FULL, MachineModel
+import pytest
+
+from psikit import analysis, interp, ir, out_of_ssa
+from psikit.machine import FULL, PARTIAL, MachineModel
 from psikit.out_of_ssa import OutOfSsaOptions
 from psikit.pipeline import run as run_passes
 
@@ -12,6 +14,21 @@ DATA = Path(__file__).parent / "data"
 
 ALL_OFF = OutOfSsaOptions(reorder_disjoint=False, disjoint_interference=False,
                           left_only=False, ignore_result=False)
+
+MID = interp.SizeProfile("mid", 40, 4, 3, True)
+# The mid-profile programs whose standard compile refuses with
+# ClassInterferenceDetected (a psi in a loop, ROADMAP item 1), each with
+# the psi after whose copies psi-congruence first leaves a class with
+# interfering members (`class_checked_to_cssa`, default options).
+LATCH_REFUSALS = [
+    (2621, FULL, "v2.7"), (2635, FULL, "v0.10"), (2635, PARTIAL, "v0.10"),
+    (3006, FULL, "v2.47"), (3524, FULL, "v0.51"), (3524, PARTIAL, "v0.51"),
+    (3689, FULL, "v2.7"), (3689, PARTIAL, "v2.7"), (3691, FULL, "v3.5"),
+    (4096, FULL, "v2.5"), (4096, PARTIAL, "v2.5"), (4411, FULL, "v1.22"),
+    (4593, FULL, "v3.11"), (4593, PARTIAL, "v3.11"),
+]
+# The standard pipeline up to out of psi-SSA.
+BEFORE_OUT_OF_SSA = ["ssa", "fold", "ifconvert", "psi-promote"]
 
 
 def load(name: str) -> ir.Module:
@@ -36,6 +53,58 @@ def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):
     work = func.clone()
     classes, copies = out_of_ssa.to_cssa(work, opts)
     return work, classes, copies
+
+
+def latch_refusal_params(reason: str):
+    """`LATCH_REFUSALS` as pytest params (seed, machine), each a strict
+    xfail that expects ClassInterferenceDetected and names its psi."""
+    return [pytest.param(seed, machine, id=f"{seed}-{machine.name}",
+                         marks=pytest.mark.xfail(
+                             strict=True, reason=f"{reason} (%{psi})",
+                             raises=out_of_ssa.ClassInterferenceDetected))
+            for seed, machine, psi in LATCH_REFUSALS]
+
+
+def class_checked_to_cssa(monkeypatch, func: ir.Function,
+                          opts: OutOfSsaOptions):
+    """`out_of_ssa.to_cssa` on `func`, asking `class_interference` after
+    every `LiveRanges.update`: after each psi's copies in psi-congruence,
+    and once phi-congruence ends.  Raises ClassInterferenceDetected, naming
+    the psi, when psi-congruence leaves a class with interfering members;
+    fails when phi-congruence does.  Returns the number of checks."""
+    state = {}
+    checks = []
+    update = analysis.LiveRanges.update
+
+    def phase(name):
+        original = getattr(out_of_ssa, name)
+
+        def entered(cache, classes, opts):
+            state.update(phase=name, cache=cache, classes=classes)
+            return original(cache, classes, opts)
+        monkeypatch.setattr(out_of_ssa, name, entered)
+
+    def checked(self, inserted=(), changed=()):
+        update(self, inserted, changed)
+        checks.append(1)
+        pair = out_of_ssa.class_interference(
+            state["cache"], state["classes"], opts.disjoint_interference)
+        if pair is None:
+            return
+        where = f"%{pair[0]} and %{pair[1]} interfere"
+        assert state["phase"] == "psi_congruence", f"phi-congruence: {where}"
+        raise out_of_ssa.ClassInterferenceDetected(
+            f"@{func.name}: psi-congruence at the psi defining "
+            f"%{changed[0].dest}: {where}")
+
+    phase("psi_congruence")
+    phase("phi_congruence")
+    monkeypatch.setattr(analysis.LiveRanges, "update", checked)
+    try:
+        out_of_ssa.to_cssa(func, opts)
+    finally:
+        monkeypatch.undo()
+    return len(checks)
 
 
 def assert_no_errors(mod: ir.Module, mode: str = "non_ssa"):

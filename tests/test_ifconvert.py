@@ -260,9 +260,8 @@ def test_carried_analyses_match_fresh_ones_after_every_region(machine):
         program = gen_random_program(seed, ("tiny", "small")[seed % 2])
         func, _ = pipeline(program, ["ssa", "fold"])
         cache = Analyses(func)
-        alloc = ir.NameAllocator(func)
         for region in rescanning_loop(cache, machine):
-            if_convert(cache, region, alloc)
+            if_convert(cache, region)
             drop_folded(cache)
             _assert_cache_is_fresh(cache)
             psi_inline_all(cache)
@@ -275,10 +274,9 @@ def _convert_inlining_after_every_region(func, machine) -> int:
     """The reference: if_convert_pass's loop with the chained psis inlined
     after each region instead of once at the end; returns the splices."""
     cache = Analyses(func)
-    alloc = ir.NameAllocator(func)
     splices = 0
     for region in rescanning_loop(cache, machine):
-        if_convert(cache, region, alloc)
+        if_convert(cache, region)
         drop_folded(cache)
         splices += psi_inline_all(cache)
     return splices
@@ -322,19 +320,18 @@ def test_worklist_converts_the_regions_a_rescan_finds(machine, monkeypatch):
     from psikit import ifconvert
     converted = []
 
-    def recording(cache, region, alloc):
+    def recording(cache, region):
         converted.append(_shape(region))
-        return if_convert(cache, region, alloc)
+        return if_convert(cache, region)
     monkeypatch.setattr(ifconvert, "if_convert", recording)
     regions = 0
     for func in _ifconvert_inputs(400):
         reference = func.clone()
         cache = Analyses(reference)
-        alloc = ir.NameAllocator(reference)
         expected = []
         for region in rescanning_loop(cache, machine):
             expected.append(_shape(region))
-            if_convert(cache, region, alloc)
+            if_convert(cache, region)
             drop_folded(cache)
         if expected:
             psi_inline_all(cache)

@@ -702,19 +702,23 @@ def test_name_allocator_resumes_where_probing_would_stop():
     assert got == ["x.2", "x.4", "y", "x.5", "y.1", "x.6", "t", "t.1", "x.7"]
 
 
-def test_a_fresh_name_starts_as_a_value():
-    """A name whose guard definition a pass removed stays in
-    `Function.guards`; when the allocator hands it out again, it leaves."""
+def test_a_fresh_name_takes_the_kind_of_its_base():
+    """A fresh name is a guard exactly when the name it is made from is.
+    A name whose guard definition a pass removed stays in
+    `Function.guards`; handed out again for a value, it leaves."""
     func = parse_one("""
         func @f(%a) {
         b0:
           %x = cmp_lt %a, 1
-          %x.1 = mov %x
+          %a.1 = cmp_eq %a, 2
           ret %a
         }
         """)
     del func.blocks[0].body[1]
-    assert "x.1" in func.guards
-    assert ir.NameAllocator(func).fresh("x") == "x.1"
-    assert "x.1" not in func.guards
-    assert "x" in func.guards
+    assert "a.1" in func.guards
+    alloc = ir.NameAllocator(func)
+    assert alloc.fresh("a") == "a.1"
+    assert alloc.fresh("x") == "x.1"
+    assert alloc.fresh("x.1") == "x.2"
+    assert alloc.fresh("a.1") == "a.2"
+    assert func.guards == {"x", "x.1", "x.2"}

@@ -1,13 +1,19 @@
+import pytest
+
 from psikit import analysis, interp, ir, out_of_ssa
 from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import (CongruenceClasses, OutOfSsaOptions, count_movs,
                                psi_normalize, rename_and_strip, run_out_of_ssa)
+from psikit.pipeline import FAILURES, STANDARD
+from psikit.pipeline import run as run_passes
 from psikit.predicates import guard_env_or_conservative
 from psikit.ssa import all_psis, is_normalized
 
 import liveness_oracle
-from helpers import (ALL_OFF, assert_no_errors, assert_same_order, count_calls,
-                     load_func, pipeline, to_cssa)
+from helpers import (ALL_OFF, BEFORE_OUT_OF_SSA, DATA, LATCH_REFUSALS, MID,
+                     assert_no_errors, assert_same_order,
+                     class_checked_to_cssa, count_calls, latch_refusal_params,
+                     load, load_func, pipeline, to_cssa)
 
 
 def normalize_only(func, reorder=True):
@@ -492,10 +498,8 @@ def test_argument_dying_at_a_phi_is_copied_at_the_end_of_its_start_block():
     func = load_func("arg_dies_at_phi.pir")
     work = func.clone()
     cache = analysis.Analyses(work)
-    alloc = ir.NameAllocator(work)
-    psi_normalize(cache, alloc=alloc)
-    out_of_ssa.psi_congruence(cache, CongruenceClasses(), OutOfSsaOptions(),
-                              alloc)
+    psi_normalize(cache)
+    out_of_ssa.psi_congruence(cache, CongruenceClasses(), OutOfSsaOptions())
     [psi] = all_psis(work)
     copy = cache.blocks["b0"].body[-1]
     assert (copy.dest, copy.opcode, copy.operands) == (psi.args[0][1], "mov",
@@ -578,3 +582,87 @@ def test_each_psi_records_its_copies_in_one_update(monkeypatch):
     psi, = all_psis(work)
     copied = sorted([v for _, v in psi.args[1:]] + ["x"])
     assert calls == [(copied, [psi]), ([], [])]
+
+
+# -- class invariant and dominance of interfering definitions ------------------
+
+def test_psi_congruence_leaves_no_class_with_interfering_members(monkeypatch):
+    """After each psi's copies, and after phi-congruence, no congruence
+    class holds two members that interfere (`class_checked_to_cssa`)."""
+    checks = 0
+    for seed in range(100):
+        func = interp.gen_random_program(seed, "tiny" if seed % 2 == 0
+                                         else "small")
+        for machine in (FULL, PARTIAL):
+            work, _ = pipeline(func, BEFORE_OUT_OF_SSA, machine)
+            for opts in (OutOfSsaOptions(), ALL_OFF):
+                checks += class_checked_to_cssa(monkeypatch, work.clone(),
+                                                opts)
+    assert checks > 1000
+
+
+@pytest.mark.parametrize("seed, machine", latch_refusal_params(
+    "psi-congruence leaves a class with interfering members at the psi"))
+def test_psi_congruence_keeps_classes_free_of_interference_in_loops(
+        seed, machine, monkeypatch):
+    work, _ = pipeline(interp.gen_random_program(seed, MID),
+                       BEFORE_OUT_OF_SSA, machine)
+    class_checked_to_cssa(monkeypatch, work, OutOfSsaOptions())
+
+
+def interfering_definitions_nest(cache: analysis.Analyses) -> int:
+    """Assert that of every two variables `cache.live` reports interfering,
+    with refinement off, one definition dominates the other (a parameter's
+    dominates all); returns the number of interfering pairs."""
+    live, defs = cache.live, cache.defs
+    names = sorted(cache.func.var_names())
+    pairs = 0
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if not live.interferes(a, b):
+                continue
+            pairs += 1
+            assert (a not in defs or b not in defs
+                    or cache.defined_at(a, cache.locate(defs[b]))
+                    or cache.defined_at(b, cache.locate(defs[a]))), (a, b)
+    return pairs
+
+
+def _inputs_to_out_of_ssa():
+    """States before out of psi-SSA: generator seeds 0-39 and the
+    `tests/data` functions that the standard pipeline accepts, on both
+    machines, and the loop-latch refusals."""
+    programs = [interp.gen_random_program(seed, ("tiny", "small")[seed % 2])
+                for seed in range(40)]
+    for path in sorted(DATA.glob("*.pir")):
+        programs += load(path.name).functions
+    for func in programs:
+        for machine in (FULL, PARTIAL):
+            try:
+                run_passes(func.clone(), STANDARD, machine)
+            except FAILURES:
+                continue
+            yield pipeline(func, BEFORE_OUT_OF_SSA, machine)[0]
+    for seed, machine, _ in LATCH_REFUSALS:
+        yield pipeline(interp.gen_random_program(seed, MID),
+                       BEFORE_OUT_OF_SSA, machine)[0]
+
+
+def test_one_of_two_interfering_definitions_dominates_the_other(
+        monkeypatch):
+    """The precondition of merging classes in dominance order (ROADMAP
+    item 2), after psi-normalize and after all three phases."""
+    normalize = out_of_ssa.psi_normalize
+    counts = []
+
+    def normalized(cache, *args):
+        copies = normalize(cache, *args)
+        counts.append(interfering_definitions_nest(cache))
+        return copies
+
+    monkeypatch.setattr(out_of_ssa, "psi_normalize", normalized)
+    for func in _inputs_to_out_of_ssa():
+        cache = analysis.Analyses(func)
+        out_of_ssa.to_cssa(func, OutOfSsaOptions(), cache)
+        counts.append(interfering_definitions_nest(cache))
+    assert len(counts) > 150 and sum(counts) > 50000
