@@ -48,18 +48,19 @@ correct by one rule, so none is computed twice:
   Queries are exact truth tables, so the numbering of symbols cannot
   change an answer;
 - a copy goes in by `insert()`, which records its definition and gives it
-  a key between its neighbours'.  The dominator tree stays
-  valid, and so does the guard env: a copy defines a fresh name and
-  changes the formula of no existing guard register, and no copy is used
-  as a guard before the final renaming.  The live ranges are updated by
-  `live.update()`, which takes the new copies and the phis and psis whose
-  arguments or results they replaced; a changed one that it does not yet
-  know as its result's definition had its result renamed.  It
-  re-explores only the variables whose uses or definition changed: the
-  copied sources and the new names, a renamed result, and each earlier psi
-  argument whose synthetic use point moved, in the changed psis and in
-  every psi whose argument chain runs through a variable defined anew
-  (an index maps each variable to the psis that use it);
+  a key between its neighbours'.  The dominator tree stays valid, and so
+  does the guard env: a copy defines a fresh name and changes the formula
+  of no existing guard register, and no copy is used as a guard before
+  the final renaming.  The live ranges are updated by `live.update()`,
+  which takes the new copies and the phis and psis whose arguments or
+  results they replaced; a changed one that it does not yet know as its
+  result's definition had its result renamed.  It re-explores only the
+  variables whose uses or definition changed: the copied sources and the
+  new names, a renamed result, and each earlier psi argument whose
+  synthetic use point moved, in the changed psis and in every psi whose
+  argument chain runs through a variable defined anew (an index maps each
+  variable to the psis that use it).  An interference answer lives until
+  `update` re-explores either of its variables;
 - splicing psi arguments changes nothing computed: no definition, no
   guard formula and no CFG.
 """
@@ -67,6 +68,7 @@ correct by one rule, so none is computed twice:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -607,13 +609,17 @@ class LiveRanges:
     as an edge of `interference_graph(..., env if refine_disjoint else
     None)` would: b is live just after a's definition or a just after b's
     (Boissinot et al., CGO 2009).  Uses are indexed per variable and
-    block, so a query reads only the uses of one variable in one block.
+    block, in one sweep by `update`'s own routine, so a query reads only
+    the uses of one variable in one block.
 
     The sets cover every block, unreachable ones too (`to_cssa` removes
     them first).  The function may change only by the copies that
     `update` records; definitions and positions are the cache's, which
     `Analyses.insert` keeps current.  No key is stored here: positions
     are read at query time, so renumbering a block makes nothing stale.
+    A pair's answer is kept until `update` re-explores either variable:
+    it reads only the order of instructions, which `insert` keeps, and
+    their definitions, uses and live-out blocks, which only that changes.
     """
 
     def __init__(self, cache: Analyses):
@@ -639,14 +645,17 @@ class LiveRanges:
         self._psi_users: dict[str, dict[int, PsiInstr]] = {}
         self._in_of: dict[str, set[str]] = {}
         self._out_of: dict[str, set[str]] = {}
-        psis = [ins for _, ins in func.instructions()
-                if isinstance(ins, PsiInstr)]
-        for psi in psis:
-            self._index_psi(psi)
-            self._attach(psi, {})
+        # Each pair's overlap, under both names (class docstring).
+        self._kept: defaultdict[str, dict[str, bool]] = defaultdict(dict)
         for _, ins in func.instructions():
-            self._reindex(ins, set())
-        for var in set(self._def) | set(self._uses) | set(self._phi_uses):
+            if isinstance(ins, PsiInstr):
+                self._index_psi(ins)
+                self._attach(ins, {})
+        dirty = set(self._def)
+        for block in func.blocks:
+            for ins in block.instructions():
+                self._reindex(ins, block.label, dirty)
+        for var in dirty:
             self._explore(var)
 
     # -- queries ------------------------------------------------------------
@@ -654,19 +663,21 @@ class LiveRanges:
     def interferes(self, a: str, b: str, refine_disjoint: bool = False) -> bool:
         if a == b:
             return False
-        if not (self._live_after_def(a, b) or self._live_after_def(b, a)
-                or (a in self.params and b in self.params
-                    and self._live_after(a, self.entry, PHI_KEY)
-                    and self._live_after(b, self.entry, PHI_KEY))):
-            return False
-        return not (refine_disjoint and self.env.preds_disjoint(
+        overlap = self._kept[a].get(b)
+        if overlap is None:
+            overlap = self._kept[a][b] = self._kept[b][a] = self._overlap(a, b)
+        return overlap and not (refine_disjoint and self.env.preds_disjoint(
             _guard(self._def.get(a)), _guard(self._def.get(b))))
 
-    def _live_after_def(self, a: str, b: str) -> bool:
-        """Is b live just after a's definition?"""
-        ins = self._def.get(a)
-        return (ins is not None
-                and self._live_after(b, *self.positions[id(ins)]))
+    def _overlap(self, a: str, b: str) -> bool:
+        """Is b live just after a's definition or a just after b's, or are
+        both parameters live into the entry?  Guards aside."""
+        pos, da, db = self.positions, self._def.get(a), self._def.get(b)
+        return ((da is not None and self._live_after(b, *pos[id(da)]))
+                or (db is not None and self._live_after(a, *pos[id(db)]))
+                or (a in self.params and b in self.params
+                    and self._live_after(a, self.entry, PHI_KEY)
+                    and self._live_after(b, self.entry, PHI_KEY)))
 
     def _live_after(self, var: str, block: Block, at: float) -> bool:
         """Is var live just after key `at` of `block`?  Its next event
@@ -723,8 +734,10 @@ class LiveRanges:
         for psi in psis.values():
             self._attach(psi, touched)
         for ins in touched.values():
-            self._reindex(ins, dirty)
+            self._reindex(ins, self.positions[id(ins)][0].label, dirty)
         for var in dirty:
+            for other in self._kept.pop(var, ()):
+                del self._kept[other][var]
             self._explore(var)
 
     def _index_psi(self, psi: PsiInstr) -> None:
@@ -754,9 +767,9 @@ class LiveRanges:
             touched[id(target)] = target
         self._synth[id(psi)] = new
 
-    def _reindex(self, ins: Instruction, dirty: set[str]) -> None:
-        """Re-derive the uses `ins` contributes; the variables that gained
-        or lost one go into `dirty`."""
+    def _reindex(self, ins: Instruction, label: str, dirty: set[str]) -> None:
+        """Re-derive the uses `ins`, in block `label`, contributes; the
+        variables that gained or lost one go into `dirty`."""
         key = id(ins)
         old = self._ins_uses.get(key, frozenset())
         if isinstance(ins, PhiInstr):
@@ -773,8 +786,7 @@ class LiveRanges:
                     pred, set()).add(key)
             dirty.update(var for _, var in old ^ new)
         else:
-            new = frozenset(_instr_uses(ins, {}) + self._synth_at.get(key, []))
-            label = self.positions[key][0].label
+            new = frozenset(_instr_uses(ins, self._synth_at))
             for var in old - new:
                 by_block = self._uses[var]
                 del by_block[label][key]

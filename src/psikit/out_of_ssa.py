@@ -28,7 +28,7 @@ ends; that keeps its decisions those of a graph built once per phase
 (exact queries after each of its copies would change 6 of 400 generated
 outputs per machine, not all for the better: one gains 2 copies with
 every refinement off).  `class_interference`, which `rename_and_strip`
-asks first, checks the pairs inside each class on the same live ranges.
+asks first, reuses the phases' answers for the pairs of each class.
 
 All four copy-reducing refinements are flag-gated: reordering disjoint
 arguments instead of copying, dropping interference edges between defs on
@@ -45,7 +45,7 @@ from .analysis import PHI_KEY, Analyses, Point
 from .ir import (Function, Instr, Instruction, PhiInstr, Pred, PsiInstr,
                  rename_uses)
 from .predicates import guard_env_or_conservative  # noqa: F401
-from .ssa import definition_formula
+from .ssa import all_psis, definition_formula
 
 
 class ClassInterferenceDetected(Exception):
@@ -104,7 +104,8 @@ class CongruenceClasses:
         if ra != rb:
             low, high = min(ra, rb), max(ra, rb)
             self.parent[high] = low
-            self._members[low].extend(self._members.pop(high))
+            self._members[low] = sorted(self._members[low]
+                                        + self._members.pop(high))
 
     def representative(self, name: str) -> str:
         """`find` for a name that may never have joined: such a name is its
@@ -112,11 +113,12 @@ class CongruenceClasses:
         return self.find(name) if name in self.parent else name
 
     def members(self, name: str) -> list[str]:
-        return sorted(self._members[self.find(name)])
+        """The members of `name`'s class, sorted; not to be changed."""
+        return self._members[self.find(name)]
 
     def classes(self) -> list[list[str]]:
         """The classes of two or more members, by representative."""
-        return [sorted(v) for _, v in sorted(self._members.items())
+        return [list(v) for _, v in sorted(self._members.items())
                 if len(v) > 1]
 
 
@@ -421,10 +423,8 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
                 if not any(_conflicts(classes, names[a], names[b],
                                       interferes)):
                     continue
-                members_a = classes.members(names[a])
-                members_b = classes.members(names[b])
-                in_b = any(m in zones[b] for m in members_a)
-                in_a = any(m in zones[a] for m in members_b)
+                in_b = any(m in zones[b] for m in classes.members(names[a]))
+                in_a = any(m in zones[a] for m in classes.members(names[b]))
                 if in_b:
                     marked.add(a)
                 if in_a:
@@ -486,14 +486,17 @@ def class_interference(cache: Analyses, classes: CongruenceClasses,
     # between a result and its own arguments is not a conflict.  Nor is it
     # through movs inside the class: renamed, they are no-ops, so a copy
     # made in the class writes nothing its source did not.
-    exempt = {frozenset((ins.dest, v)) for _, ins in cache.func.instructions()
-              if isinstance(ins, PsiInstr) for _, v in ins.args}
+    # Built at the first pair that interferes; most checks find none.
+    exempt = None
     for group in classes.classes():
         cls = classes.find(group[0])
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if not live.interferes(a, b, refine_disjoint):
                     continue
+                if exempt is None:
+                    exempt = {frozenset((psi.dest, v)) for psi in
+                              all_psis(cache.func) for _, v in psi.args}
                 if (mov_root(a) != mov_root(b) and frozenset(
                         (mov_root(a, cls), mov_root(b, cls))) not in exempt):
                     return a, b

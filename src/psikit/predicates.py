@@ -155,7 +155,9 @@ class GuardEnv:
         return ta & tb == 0
 
     def equal(self, a: PredExpr, b: PredExpr) -> bool:
-        return self.subset(a, b) and self.subset(b, a)
+        """True iff a and b agree under every symbol assignment."""
+        tables = None if a is b else self._tables(a, b)
+        return a == b if tables is None else tables[0] == tables[1]
 
     def preds_disjoint(self, p: Pred | None, q: Pred | None) -> bool:
         """`disjoint` over two simple predicates, decided once per pair: a

@@ -12,6 +12,10 @@ counts or refusal message.  Two checkouts whose digests are equal produce
 byte-identical outputs on the corpus, so a change meant to keep outputs
 prints the same digest as its parent; copy this file into the parent's
 checkout to get the parent's.  Pytest does not collect this file.
+
+`tests/parity_digest.expected` holds the output for the current tree, and
+CI fails when the printed output differs from it.  A change meant to
+alter outputs updates that file with the new digest and says why.
 """
 
 import hashlib

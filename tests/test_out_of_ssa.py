@@ -474,6 +474,31 @@ def test_psi_argument_copy_moves_a_synthetic_use_in_a_later_psi(monkeypatch):
     assert cache.live.interferes("u", "a", True)
 
 
+@pytest.mark.parametrize("name, opts, pair", [
+    ("psi_chain_copy.pir", OutOfSsaOptions(), ("u", "a")),
+    ("phi_result_heads_chain.pir", OutOfSsaOptions(phi_naive=True),
+     ("w", "y1")),
+])
+def test_an_answer_kept_before_a_copy_of_its_variables_is_asked_anew(
+        name, opts, pair):
+    """The pair does not interfere after psi-normalize.  A copy then moves
+    the first variable's synthetic use (onto `%a.1 = mov %a` in
+    psi-congruence; onto the renamed phi result's copy in naive
+    phi-congruence, which also copies `%y1`), and from then on the pair
+    interferes: the update that records the copy drops the kept answer."""
+    a, b = pair
+    cache = analysis.Analyses(load_func(name))
+    psi_normalize(cache)
+    assert not cache.live.interferes(a, b, True)
+    classes = CongruenceClasses()
+    out_of_ssa.psi_congruence(cache, classes, opts)
+    out_of_ssa.phi_congruence(cache, classes, opts)
+    assert any(ins.opcode == "mov" and ins.operands[0] in pair
+               for _, ins in cache.func.instructions())
+    assert cache.live.interferes(b, a, True)
+    assert analysis.LiveRanges(cache).interferes(a, b, True)
+
+
 def test_phi_result_copy_goes_below_a_psi_argument_copy_at_the_head():
     """Psi-congruence copies %w at the head of the loop; phi-congruence then
     renames %x's phi.  %w.1's synthetic use moves onto the result copy
@@ -562,6 +587,46 @@ def test_run_out_of_ssa_builds_each_analysis_once(monkeypatch):
         assert counts.get("interference_graph", 0) == 0
         assert counts.get("__init__", 0) == 1
     monkeypatch.undo()
+
+
+def test_live_ranges_index_once_and_the_class_check_reuses_answers(
+        monkeypatch):
+    """Building `LiveRanges` indexes the uses of each instruction exactly
+    once, and after both congruence phases `class_interference` derives at
+    most half of the pairs it checks: the phases asked the rest, and no
+    update has re-explored either variable since."""
+    checked = derived = 0
+    reindex = analysis.LiveRanges._reindex
+    for seed in range(40):
+        func = interp.gen_random_program(seed, "tiny" if seed % 2 == 0
+                                         else "small")
+        for machine in (FULL, PARTIAL):
+            work, _ = pipeline(func, BEFORE_OUT_OF_SSA, machine)
+            analysis.remove_unreachable(work)
+            cache = analysis.Analyses(work)
+            psi_normalize(cache)
+            indexed = []
+
+            def recording(self, ins, label, dirty):
+                indexed.append(id(ins))
+                reindex(self, ins, label, dirty)
+            monkeypatch.setattr(analysis.LiveRanges, "_reindex", recording)
+            cache.live
+            monkeypatch.undo()
+            assert sorted(indexed) == sorted(id(ins) for _, ins
+                                             in work.instructions())
+            classes = CongruenceClasses()
+            out_of_ssa.psi_congruence(cache, classes, OutOfSsaOptions())
+            out_of_ssa.phi_congruence(cache, classes, OutOfSsaOptions())
+            counts: dict[str, int] = {}
+            count_calls(monkeypatch, analysis.LiveRanges, "interferes", counts)
+            count_calls(monkeypatch, analysis.LiveRanges, "_overlap", counts)
+            assert out_of_ssa.class_interference(cache, classes, True) is None
+            monkeypatch.undo()
+            checked += counts.get("interferes", 0)
+            derived += counts.get("_overlap", 0)
+    assert checked > 1000
+    assert 2 * derived <= checked
 
 
 def test_each_psi_records_its_copies_in_one_update(monkeypatch):
