@@ -27,6 +27,16 @@ takes more than `budget` steps traps.  A block whose steps all fit in the
 remaining budget is charged at once; the block in which the budget runs out
 is run step by step up to the budget, then traps, so results (trap kind,
 value and the memory image at a trap) are those of a step-by-step count.
+
+A run returns the plain tuple (trap, value, memory); `run` and
+`eval_function` wrap it in an `ExecResult`, and `differential_check`
+compares the tuples and builds `ExecResult`s only for a `Mismatch`.  The
+check draws each input vector (`draw_vector`) straight from
+`rng.getrandbits` by the rule of `random.Random.randint` and `choice`: a
+draw from n values takes n.bit_length() bits, is redrawn while it is n or
+more, and is then offset by the low end.  That is what `randint` and
+`choice` do through `_randbelow` on Python 3.10-3.13, so the vectors are
+theirs, value for value, without their chain of calls.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .ir import BOOL_OPS, Block, Function, Instr, PsiInstr, infer_kinds
 
@@ -72,7 +82,7 @@ class ExecResult:
 
 
 # A decoded instruction: runs on (env, memory).  An undefined read surfaces
-# as the KeyError of its dictionary read, which `run` turns into a trap.
+# as the KeyError of its dictionary read, which `_run` turns into a trap.
 Step = Callable[[dict, list], None]
 
 # Terminator kinds of a decoded block.
@@ -81,16 +91,6 @@ _RET, _GOTO, _BR = "ret", "goto", "br"
 # The key an operand read as a register decodes to when it is an immediate:
 # never bound, so reading it traps like an undefined variable.
 _UNBOUND = object()
-
-
-class _Block(NamedTuple):
-    phis: tuple          # (dest, {predecessor label: source}) per phi
-    body: tuple[Step, ...]
-    size: int            # steps: phis, body instructions and terminator
-    term: str            # _RET, _GOTO or _BR
-    arg: object          # ret value or br condition key (None: ret void)
-    then: str | None     # goto target, br target when the condition holds
-    other: str | None    # br target otherwise
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class _Blocks(dict):
         self.source = func.block_map()
         self.guards = func.guards
 
-    def __missing__(self, label: str) -> _Block:
+    def __missing__(self, label: str) -> tuple:
         block = self[label] = _decode_block(self.source[label], self.guards)
         return block
 
@@ -136,7 +136,15 @@ def _reg(operand):
     return operand if isinstance(operand, str) else _UNBOUND
 
 
-def _decode_block(block: Block, guards) -> _Block:
+def _decode_block(block: Block, guards) -> tuple:
+    """A plain tuple, which unpacks faster than a named one:
+      phis   (dest, {predecessor label: source}) per phi
+      body   the body's Steps
+      size   steps: phis, body instructions and terminator
+      term   _RET, _GOTO or _BR
+      arg    ret value or br condition key (None: ret void)
+      then   goto target, br target when the condition holds
+      other  br target otherwise"""
     # reversed: the first argument for a label wins, as in PhiInstr.arg_for.
     phis = tuple((phi.dest, dict(reversed(phi.args))) for phi in block.phis)
     body = tuple([_decode_psi(ins) if isinstance(ins, PsiInstr)
@@ -148,7 +156,7 @@ def _decode_block(block: Block, guards) -> _Block:
         term = (_GOTO, None, ops[0], None)
     else:
         term = (_BR, _reg(ops[0]), ops[1], ops[2])
-    return _Block(phis, body, len(phis) + len(body) + 1, *term)
+    return (phis, body, len(phis) + len(body) + 1, *term)
 
 
 def _decode_psi(ins: PsiInstr) -> Step:
@@ -266,6 +274,17 @@ def run(code: DecodedFunction, args: list[int], mem: list[int] | None,
     if len(args) != len(code.params):
         raise ValueError(f"@{code.name} expects {len(code.params)} args, "
                          f"got {len(args)}")
+    return _result(_run(code, args, mem, budget))
+
+
+def _result(outcome: tuple) -> ExecResult:
+    trap, value, memory = outcome
+    return ExecResult(value, trap, memory)
+
+
+def _run(code: DecodedFunction, args: list[int], mem: list[int] | None,
+         budget: int) -> tuple:
+    """`run` on arguments of the right count: (trap, value, memory)."""
     memory = list(mem) if mem is not None else [0] * DEFAULT_MEM_SIZE
     env = dict(code.constants)
     for (name, guard), value in zip(code.params, args):
@@ -275,26 +294,24 @@ def run(code: DecodedFunction, args: list[int], mem: list[int] | None,
     label, prev = code.entry, None
     try:
         while True:
-            block = blocks[label]
-            phis, body, size, term, arg, then, other = block
+            phis, body, size, term, arg, then, other = blocks[label]
             steps += size
             if steps > budget:
-                _run_out(block, env, memory, prev, size - steps + budget)
+                _run_out(phis, body, env, memory, prev,
+                         size - steps + budget)
             if phis:
                 env.update(_read_phis(phis, env, prev, len(phis)))
             try:
                 for step in body:
                     step(env, memory)
                 if term is _RET:
-                    return ExecResult(
-                        value=None if arg is None else +env[arg],
-                        memory=memory)
+                    return None, None if arg is None else +env[arg], memory
                 taken = term is _GOTO or env[arg]
             except KeyError:
-                raise _Trap(UNDEFINED_READ) from None
+                return UNDEFINED_READ, None, memory
             prev, label = label, then if taken else other
     except _Trap as trap:
-        return ExecResult(trap=trap.kind, memory=memory)
+        return trap.kind, None, memory
 
 
 def _read_phis(phis, env, prev, count) -> list:
@@ -309,16 +326,16 @@ def _read_phis(phis, env, prev, count) -> list:
     return values
 
 
-def _run_out(block: _Block, env, memory, prev, allowed: int):
-    """Run the `allowed` steps of `block` that fit in the budget, which is
+def _run_out(phis, body, env, memory, prev, allowed: int):
+    """Run the `allowed` steps of a block that fit in the budget, which is
     fewer than its size, then trap."""
-    nphis = len(block.phis)
+    nphis = len(phis)
     if allowed <= nphis:
-        _read_phis(block.phis, env, prev, allowed)
+        _read_phis(phis, env, prev, allowed)
     else:
-        env.update(_read_phis(block.phis, env, prev, nphis))
+        env.update(_read_phis(phis, env, prev, nphis))
         try:
-            for step in block.body[:allowed - nphis]:
+            for step in body[:allowed - nphis]:
                 step(env, memory)
         except KeyError:
             raise _Trap(UNDEFINED_READ) from None
@@ -354,6 +371,35 @@ class DiffReport:
         return not self.mismatches
 
 
+def draw_vector(rng: random.Random, guards: list[bool],
+                mem_size: int) -> tuple[list[int], list[int]]:
+    """One input vector: `rng.choice([0, 1])` for each guard parameter and
+    `rng.randint(-4, 12)` for each other one, in order, then
+    `rng.randint(-8, 8)` for each memory cell.  Each draw is that of
+    `random.Random`: a draw from n values takes n.bit_length() bits and is
+    redrawn while it is n or more."""
+    bits = rng.getrandbits
+    args = []
+    for guard in guards:
+        if guard:   # 2 values, 2 bits
+            r = bits(2)
+            while r >= 2:
+                r = bits(2)
+            args.append(r)
+        else:       # 17 values, 5 bits
+            r = bits(5)
+            while r >= 17:
+                r = bits(5)
+            args.append(r - 4)
+    mem = []
+    for _ in range(mem_size):
+        r = bits(5)
+        while r >= 17:
+            r = bits(5)
+        mem.append(r - 8)
+    return args, mem
+
+
 def differential_check(f1: Function, f2: Function, trials: int = 32,
                        seed: int = 0, mem_size: int = DEFAULT_MEM_SIZE,
                        budget: int = DEFAULT_BUDGET) -> DiffReport:
@@ -369,20 +415,19 @@ def differential_check(f1: Function, f2: Function, trials: int = 32,
         raise ValueError("functions have different signatures")
     rng = random.Random(seed)
     code1, code2 = decode(f1), decode(f2)
+    guards = [guard for _, guard in code1.params]
     mismatches: list[Mismatch] = []
     compared = skipped = 0
     for _ in range(trials):
-        args = [rng.choice([0, 1]) if name in f1.guards
-                else rng.randint(-4, 12) for name in f1.params]
-        mem = [rng.randint(-8, 8) for _ in range(mem_size)]
-        r1 = run(code1, args, mem, budget)
-        if r1.trap in (UNDEFINED_READ, PSI_NONE_TRUE):
+        args, mem = draw_vector(rng, guards, mem_size)
+        r1 = _run(code1, args, mem, budget)
+        if r1[0] in (UNDEFINED_READ, PSI_NONE_TRUE):
             skipped += 1
             continue
-        r2 = run(code2, args, mem, budget)
+        r2 = _run(code2, args, mem, budget)
         compared += 1
-        if r1.trap != r2.trap or r1.value != r2.value or r1.memory != r2.memory:
-            mismatches.append(Mismatch(args, mem, r1, r2))
+        if r1 != r2:
+            mismatches.append(Mismatch(args, mem, _result(r1), _result(r2)))
     return DiffReport(trials, compared, skipped, mismatches)
 
 

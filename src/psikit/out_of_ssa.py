@@ -508,7 +508,9 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
                      cache: Analyses | None = None) -> None:
     """Rename every congruence class to its representative and delete all
     phi and psi instructions, once `class_interference` finds no two
-    members of one class that interfere.  `cache` is the conversion's
+    members of one class that interfere.  Only the members that are not
+    their class's representative get a new name, and an instruction that
+    names none of them stays as it is.  `cache` is the conversion's
     analyses, its live ranges current; without one, they are built here."""
     cache = cache or Analyses(func)
     pair = class_interference(cache, classes, refine_disjoint)
@@ -517,22 +519,29 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
             f"@{func.name}: %{pair[0]} and %{pair[1]} share a class but "
             "interfere")
 
-    rep = classes.representative
-    func.params = [rep(n) for n in func.params]
-    func.guards = {rep(n) for n in func.guards}
+    renamed = {member: names[0] for names in classes.classes()
+               for member in names[1:]}
+    func.params = [renamed.get(n, n) for n in func.params]
+    func.guards = {renamed.get(n, n) for n in func.guards}
     for block in func.blocks:
         block.phis = []
-        new_body = []
+        block.body = [ins for ins in block.body
+                      if not isinstance(ins, PsiInstr)]
         for ins in block.body:
-            if isinstance(ins, PsiInstr):
-                continue
-            rename_uses(ins, rep)
-            if ins.dest is not None:
-                ins.dest = rep(ins.dest)
-            new_body.append(ins)
-        block.body = new_body
+            _rename(ins, renamed)
         if block.term is not None:
-            rename_uses(block.term, rep)
+            _rename(block.term, renamed)
+
+
+def _rename(ins: Instr, renamed: dict[str, str]) -> None:
+    """Rename what `ins` reads and defines; an instruction that names no
+    renamed variable keeps its operand list and its guard."""
+    guard = ins.guard
+    if not (renamed.keys().isdisjoint(ins.operands)
+            and (guard is None or guard.reg not in renamed)):
+        rename_uses(ins, lambda name: renamed.get(name, name))
+    if ins.dest in renamed:
+        ins.dest = renamed[ins.dest]
 
 
 # ---------------------------------------------------------------------------

@@ -248,26 +248,86 @@ PINNED_RESULTS = ("d12feeb544dfdd9798b828851fc0d531"
                   "81d3e4585e52fba106b80d55ebbbf850")
 
 
-def test_interpreter_results_are_pinned():
+@pytest.fixture(scope="module")
+def pinned_variants() -> list[tuple]:
+    """Per generator seed 0-99: the program, then its FULL and PARTIAL
+    pipeline outputs.  The pinned tests share them and change none."""
+    out = []
+    for seed in range(100):
+        func = gen_random_program(seed, "tiny" if seed % 2 == 0 else "small")
+        out.append((func, *(pipeline(func, PINNED_PASSES, machine)[0]
+                            for machine in (FULL, PARTIAL))))
+    return out
+
+
+def test_interpreter_results_are_pinned(pinned_variants):
     # (trap, value, memory) of generated programs, as generated and after
     # the FULL and PARTIAL pipelines, on 8 vectors at the default budget and
     # at budgets 1-40.  The digest is fixed: if it changes, the
-    # interpreter's semantics changed.
+    # interpreter's semantics changed.  Each variant is decoded once and
+    # run on every vector and budget, so a decoded function must carry
+    # nothing from one run to the next.
     digest = hashlib.sha256()
-    for seed in range(100):
-        func = gen_random_program(seed, "tiny" if seed % 2 == 0 else "small")
-        variants = [func] + [pipeline(func, PINNED_PASSES, machine)[0]
-                             for machine in (FULL, PARTIAL)]
+    for seed, variants in enumerate(pinned_variants):
+        func = variants[0]
         rng = random.Random(seed)
         vectors = [([rng.randint(-4, 12) for _ in func.params],
                     [rng.randint(-8, 8) for _ in range(DEFAULT_MEM_SIZE)])
                    for _ in range(8)]
         for variant in variants:
+            code = decode(variant)
             for args, mem in vectors:
                 for budget in PINNED_BUDGETS:
-                    r = eval_function(variant, args, mem, budget)
+                    r = interp.run(code, args, mem, budget)
                     digest.update(repr((r.trap, r.value, r.memory)).encode())
     assert digest.hexdigest() == PINNED_RESULTS
+    # The public wrapper decodes and runs in one call.
+    args, mem = vectors[-1]
+    assert eval_function(variants[-1], args, mem, PINNED_BUDGETS[-1]) == r
+
+
+PINNED_REPORTS = ("f2c7fa695b06efa0330c2dfdf44acd88"
+                  "c603d675f87b7b0c22facae48b35af51")
+
+
+def test_differential_reports_are_pinned(pinned_variants):
+    # Trials, compared, skipped and each mismatch's text of the checks of
+    # generator seeds 0-99 against their FULL and PARTIAL pipeline outputs
+    # and against a copy of each output whose first add is a sub, so that
+    # mismatches show their drawn arguments and memory.  A sub can turn a
+    # loop's counter away from its bound, so the checks run at a budget of
+    # 2000 steps.  The digest is fixed: if it changes, the checker draws
+    # other vectors or reports them otherwise.
+    digest = hashlib.sha256()
+    mismatches = 0
+    for seed, (func, *outputs) in enumerate(pinned_variants):
+        for out in outputs:
+            broken = out.clone()
+            adds = [ins for _, ins in broken.instructions()
+                    if ins.opcode == "add"]
+            if adds:
+                adds[0].opcode = "sub"
+            for other in (out, broken):
+                r = differential_check(func, other, trials=32, seed=seed,
+                                       budget=2000)
+                mismatches += len(r.mismatches)
+                digest.update(repr((r.trials, r.compared, r.skipped,
+                                    [str(m) for m in r.mismatches])).encode())
+    assert mismatches > 1000
+    assert digest.hexdigest() == PINNED_REPORTS
+
+
+def test_vector_draws_are_those_of_randint_and_choice():
+    for seed in range(1000):
+        guards = [bool(seed >> i & 1) for i in range(seed % 5)]
+        rng, reference = random.Random(seed), random.Random(seed)
+        for mem_size in (DEFAULT_MEM_SIZE, 0, 3):
+            expected = (
+                [reference.choice([0, 1]) if guard
+                 else reference.randint(-4, 12) for guard in guards],
+                [reference.randint(-8, 8) for _ in range(mem_size)])
+            assert interp.draw_vector(rng, guards, mem_size) == expected
+        assert rng.getstate() == reference.getstate()
 
 
 def test_guard_is_read_before_the_operands():

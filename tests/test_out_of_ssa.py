@@ -143,6 +143,24 @@ b0:
     assert ir.alpha_equivalent(work, func)
 
 
+def test_rename_and_strip_keeps_what_names_no_renamed_variable():
+    # shared_arg's classes are {a, c, y} and {a.1, b, x}, a.1 being the
+    # copy psi-congruence inserts.  Only %s = add %x, %y reads a renamed
+    # variable; the others keep their operand list and guard, whether or
+    # not their destination is renamed.
+    work, classes, _ = to_cssa(load_func("shared_arg.pir"))
+    assert classes.classes() == [["a", "c", "y"], ["a.1", "b", "x"]]
+    before = [(ins, ins.operands, ins.guard) for _, ins in work.instructions()
+              if isinstance(ins, ir.Instr)]
+    rename_and_strip(work, classes)
+    changed = [ins for ins, operands, guard in before
+               if ins.operands is not operands or ins.guard is not guard]
+    assert len(before) == 6
+    assert [(ins.dest, ins.operands) for ins in changed] == [
+        ("s", ["a.1", "a"])]
+    assert ir.alpha_equivalent(work, load_func("shared_arg_nonssa.pir"))
+
+
 def test_rename_and_strip_runs_on_a_function_with_dead_blocks():
     """Without `to_cssa`, nothing removes the unreachable b1; its live
     ranges are built over every block, and renaming keeps it."""
