@@ -19,7 +19,7 @@ stopped by the blocks that define it (path exploration).  SSA
 construction asks it on its phi-free input, `liveness` on any function
 (the CLI's `--dump-liveness` and `--dump-interference`, multiply-defined
 output of out-of-SSA included) and `LiveRanges` per variable on SSA, over
-every block, reachable or not.
+every block, reachable or not, when a query first asks about it.
 
 `Analyses` computes the definitions, the block map, the predecessors, the
 dominator tree, the instruction positions, the guard env, the live ranges
@@ -54,13 +54,14 @@ correct by one rule, so none is computed twice:
   the final renaming.  The live ranges are updated by `live.update()`,
   which takes the new copies and the phis and psis whose arguments or
   results they replaced; a changed one that it does not yet know as its
-  result's definition had its result renamed.  It re-explores only the
-  variables whose uses or definition changed: the copied sources and the
-  new names, a renamed result, and each earlier psi argument whose
-  synthetic use point moved, in the changed psis and in every psi whose
-  argument chain runs through a variable defined anew (an index maps each
-  variable to the psis that use it).  An interference answer lives until
-  `update` re-explores either of its variables;
+  result's definition had its result renamed.  It drops the live range
+  of each variable whose uses or definition changed: the copied sources
+  and the new names, a renamed result, and each earlier psi argument
+  whose synthetic use point moved, in the changed psis and in every psi
+  whose argument chain runs through a variable defined anew (an index
+  maps each variable to the psis that use it).  A query explores a
+  dropped range, or one never asked, when it first needs it; an
+  interference answer lives until `update` drops either range;
 - splicing psi arguments changes nothing computed: no definition, no
   guard formula and no CFG.
 """
@@ -600,26 +601,29 @@ class LiveRanges:
     """Liveness under the psi rule, kept per variable and exact while copies
     are inserted, with interference answered on demand.
 
-    A variable's live-in blocks come from the `live_in_blocks` walk that
-    `liveness` asks too, seeded with the blocks of its upward-exposed uses
-    (synthetic uses included) and the blocks that pass it to a phi, and
-    stopped by its definition block; it is live-out of their predecessors
-    and of those phi predecessors.  `live_in` and `live_out` hold the sets
-    of `liveness`, and `interferes(a, b, refine_disjoint)` answers exactly
-    as an edge of `interference_graph(..., env if refine_disjoint else
-    None)` would: b is live just after a's definition or a just after b's
+    A variable's range, its live-in and its live-out blocks, is explored
+    when a query first needs it: the `live_in_blocks` walk that `liveness`
+    asks too, seeded with the blocks of its upward-exposed uses (synthetic
+    uses included) and the blocks that pass it to a phi, and stopped by
+    its definition block; it is live-out of their predecessors and of
+    those phi predecessors.  `live_at` answers as membership in the sets
+    of `liveness`, and `interferes(a, b, refine_disjoint)` exactly as an
+    edge of `interference_graph(..., env if refine_disjoint else None)`
+    would: b is live just after a's definition or a just after b's
     (Boissinot et al., CGO 2009).  Uses are indexed per variable and
     block, in one sweep by `update`'s own routine, so a query reads only
     the uses of one variable in one block.
 
-    The sets cover every block, unreachable ones too (`to_cssa` removes
+    Ranges cover every block, unreachable ones too (`to_cssa` removes
     them first).  The function may change only by the copies that
     `update` records; definitions and positions are the cache's, which
-    `Analyses.insert` keeps current.  No key is stored here: positions
-    are read at query time, so renumbering a block makes nothing stale.
-    A pair's answer is kept until `update` re-explores either variable:
-    it reads only the order of instructions, which `insert` keeps, and
-    their definitions, uses and live-out blocks, which only that changes.
+    `Analyses.insert` keeps current, and positions are read at query time.
+    A range and a pair's answer read only this object's index (`_def`,
+    `_uses`, `_phi_uses`), the predecessors and the order of instructions
+    in a block, which `insert` keeps; only `update` changes the index, and
+    it drops the ranges and answers of the variables it changed.  So an
+    answer is the same whenever it is asked between two updates: copies
+    inserted but not yet recorded change none.
     """
 
     def __init__(self, cache: Analyses):
@@ -630,8 +634,6 @@ class LiveRanges:
         self.env = cache.env
         self.entry = func.blocks[0]
         self.params = set(func.params)
-        self.live_in: dict[str, set[str]] = {l: set() for l in cache.blocks}
-        self.live_out: dict[str, set[str]] = {l: set() for l in cache.blocks}
         self.preds = cache.preds
         self._def: dict[str, Instruction] = dict(self.defs)
         # var -> block -> id -> instruction using var there (synthetic
@@ -643,22 +645,24 @@ class LiveRanges:
         self._synth_at: dict[int, list[str]] = {}
         self._psi_args: dict[int, set[str]] = {}
         self._psi_users: dict[str, dict[int, PsiInstr]] = {}
-        self._in_of: dict[str, set[str]] = {}
-        self._out_of: dict[str, set[str]] = {}
+        # var -> (live-in blocks, live-out blocks), explored on first ask.
+        self._ranges: dict[str, tuple[set[str], set[str]]] = {}
         # Each pair's overlap, under both names (class docstring).
         self._kept: defaultdict[str, dict[str, bool]] = defaultdict(dict)
         for _, ins in func.instructions():
             if isinstance(ins, PsiInstr):
                 self._index_psi(ins)
                 self._attach(ins, {})
-        dirty = set(self._def)
+        touched: set[str] = set()  # nothing has a range to drop yet
         for block in func.blocks:
             for ins in block.instructions():
-                self._reindex(ins, block.label, dirty)
-        for var in dirty:
-            self._explore(var)
+                self._reindex(ins, block.label, touched)
 
     # -- queries ------------------------------------------------------------
+
+    def live_at(self, var: str, label: str, out: bool = False) -> bool:
+        """Is `var` live into block `label`, or with `out` live out of it?"""
+        return label in (self._ranges.get(var) or self._explore(var))[out]
 
     def interferes(self, a: str, b: str, refine_disjoint: bool = False) -> bool:
         if a == b:
@@ -696,14 +700,15 @@ class LiveRanges:
                 ukey = pos[key][1]
                 if ukey > at and (end is None or ukey <= end):
                     return True
-        return end is None and var in self.live_out[label]
+        return end is None and self.live_at(var, label, True)
 
     # -- updates ------------------------------------------------------------
 
     def update(self, inserted=(), changed=()) -> None:
         """Record copies: `inserted` instructions are new, already in the
         cache; `changed` phis and psis have new arguments or a new result.
-        Re-explores only the variables whose uses or definition changed."""
+        Drops the ranges of the variables whose uses or definition changed,
+        and the answers kept for them."""
         dirty: set[str] = set()
         for ins in inserted:
             self._def[ins.dest] = ins
@@ -736,9 +741,9 @@ class LiveRanges:
         for ins in touched.values():
             self._reindex(ins, self.positions[id(ins)][0].label, dirty)
         for var in dirty:
+            self._ranges.pop(var, None)
             for other in self._kept.pop(var, ()):
                 del self._kept[other][var]
-            self._explore(var)
 
     def _index_psi(self, psi: PsiInstr) -> None:
         key = id(psi)
@@ -799,11 +804,8 @@ class LiveRanges:
             dirty.update(old ^ new)
         self._ins_uses[key] = new
 
-    def _explore(self, var: str) -> None:
-        for label in self._in_of.pop(var, ()):
-            self.live_in[label].discard(var)
-        for label in self._out_of.pop(var, ()):
-            self.live_out[label].discard(var)
+    def _explore(self, var: str) -> tuple[set[str], set[str]]:
+        """Explore and keep `var`'s range: its live-in and live-out blocks."""
         pos, preds = self.positions, self.preds
         ins = self._def.get(var)
         home, at = (None, PHI_KEY) if ins is None else pos[id(ins)]
@@ -827,11 +829,4 @@ class LiveRanges:
         if isinstance(ins, PhiInstr) and (var in self._uses
                                           or var in self._phi_uses):
             live_in.add(home)
-        for label in live_in:
-            self.live_in[label].add(var)
-        for label in live_out:
-            self.live_out[label].add(var)
-        if live_in:
-            self._in_of[var] = live_in
-        if live_out:
-            self._out_of[var] = live_out
+        return self._ranges.setdefault(var, (live_in, live_out))

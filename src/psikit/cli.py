@@ -6,12 +6,15 @@
     psikit fuzz --trials 1000 --seed 0 --passes=ssa,fold,ifconvert,psi-promote,out-of-ssa
 
 Exit codes: 0 success, 1 diagnostics or bad flags, 2 verification mismatch
-(for fuzz: a mismatch or a program the pipeline refused).
+(for fuzz: a mismatch or a program the pipeline refused), 141 standard
+output closed by its reader before everything was written (as for a
+process that SIGPIPE ends, as in `psikit run f.pir --stats | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, interp, ir, pipeline
@@ -24,6 +27,7 @@ class CliError(Exception):
 
 
 VERIFY_TRIALS = 32  # input vectors per function under `run --verify`
+OUTPUT_CLOSED = 141  # exit code when the reader closes standard output
 
 
 def _load(path: str, mode: str) -> ir.Module:
@@ -312,7 +316,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point standard output at os.devnull, so that the interpreter's
+        # own flush at exit writes nothing and reports no second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OUTPUT_CLOSED
     except (CliError, pipeline.PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,13 +30,15 @@ value and the memory image at a trap) are those of a step-by-step count.
 
 A run returns the plain tuple (trap, value, memory); `run` and
 `eval_function` wrap it in an `ExecResult`, and `differential_check`
-compares the tuples and builds `ExecResult`s only for a `Mismatch`.  The
-check draws each input vector (`draw_vector`) straight from
-`rng.getrandbits` by the rule of `random.Random.randint` and `choice`: a
-draw from n values takes n.bit_length() bits, is redrawn while it is n or
-more, and is then offset by the low end.  That is what `randint` and
-`choice` do through `_randbelow` on Python 3.10-3.13, so the vectors are
-theirs, value for value, without their chain of calls.
+compares the tuples and builds `ExecResult`s only for a `Mismatch`.
+`run` also wraps value arguments, which come from outside, to 64 bits;
+the check's own vectors are in range already.  The check draws each
+input vector (`draw_vector`) straight from `rng.getrandbits` by the rule
+of `random.Random.randint` and `choice`: a draw from n values takes
+n.bit_length() bits, is redrawn while it is n or more, and is then
+offset by the low end.  That is what `randint` and `choice` do through
+`_randbelow` on Python 3.10-3.13, so the vectors are theirs, value for
+value, without their chain of calls.
 """
 
 from __future__ import annotations
@@ -270,10 +272,13 @@ def eval_function(func: Function, args: list[int],
 
 def run(code: DecodedFunction, args: list[int], mem: list[int] | None,
         budget: int) -> ExecResult:
-    """Run a decoded function on one input vector."""
+    """Run a decoded function on one input vector; each value argument is
+    wrapped to 64 bits here, where arguments come from outside."""
     if len(args) != len(code.params):
         raise ValueError(f"@{code.name} expects {len(code.params)} args, "
                          f"got {len(args)}")
+    args = [value if guard else wrap64(value)
+            for (_, guard), value in zip(code.params, args)]
     return _result(_run(code, args, mem, budget))
 
 
@@ -284,11 +289,12 @@ def _result(outcome: tuple) -> ExecResult:
 
 def _run(code: DecodedFunction, args: list[int], mem: list[int] | None,
          budget: int) -> tuple:
-    """`run` on arguments of the right count: (trap, value, memory)."""
+    """`run` on arguments of the right count, its value arguments already
+    in the 64-bit range: (trap, value, memory)."""
     memory = list(mem) if mem is not None else [0] * DEFAULT_MEM_SIZE
     env = dict(code.constants)
     for (name, guard), value in zip(code.params, args):
-        env[name] = bool(value) if guard else wrap64(value)
+        env[name] = bool(value) if guard else value
     blocks = code.blocks
     steps = 0
     label, prev = code.entry, None

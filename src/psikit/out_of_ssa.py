@@ -22,13 +22,13 @@ phi need a copy (`_conflicts` lists the interfering pairs of two
 classes), insert the copies, then record them in one `live.update()`.
 Psi-congruence records each psi's copies before it decides the next psi,
 so its interference queries are exact.  Phi-congruence decides on the
-liveness and interference of the function as the phase starts, plus the
-edges it adds itself for its copies, and records its copies when it
-ends; that keeps its decisions those of a graph built once per phase
-(exact queries after each of its copies would change 6 of 400 generated
-outputs per machine, not all for the better: one gains 2 copies with
-every refinement off).  `class_interference`, which `rename_and_strip`
-asks first, reuses the phases' answers for the pairs of each class.
+liveness and interference of the function as the phase starts, plus its
+own copies, each recorded with its source and its zone, and records them
+in `live` when it ends; that keeps its decisions those of a graph built
+once per phase (exact queries after each of its copies would change 6 of
+400 generated outputs per machine, not all for the better: one gains 2
+copies with every refinement off).  `class_interference`, which
+`rename_and_strip` asks first, reuses the phases' answers for class pairs.
 
 All four copy-reducing refinements are flag-gated: reordering disjoint
 arguments instead of copying, dropping interference edges between defs on
@@ -361,15 +361,15 @@ def phi_congruence(cache: Analyses, classes: CongruenceClasses,
     ones grown by psi-congruence, not a fresh partition.
 
     Every decision of the phase reads the liveness and interference of the
-    function as the phase starts (psi rule still in force), plus the edges
-    the phase adds itself for its copies; `cache.live` records the copies
-    when the phase ends."""
-    added: dict[str, set[str]] = {}
+    function as the phase starts (psi rule still in force), plus the copies
+    the phase has made, each recorded with its source and its zone;
+    `cache.live` records the copies when the phase ends."""
+    recorded: dict[str, list[tuple[str | None, tuple[str, bool]]]] = {}
     copies: list[Instr] = []
     changed: list[PhiInstr] = []
     for label in cache.dom.preorder():
         for phi in list(cache.blocks[label].phis):
-            if _phi_congruence_one(cache, phi, label, added, copies,
+            if _phi_congruence_one(cache, phi, label, recorded, copies,
                                    classes, opts):
                 changed.append(phi)
     cache.live.update(copies, changed)
@@ -392,28 +392,27 @@ def _result_copy_point(cache: Analyses, block, var: str,
     return point
 
 
-def _add_edges(added: dict[str, set[str]], var: str, others) -> None:
-    for other in others:
-        if other != var:
-            added.setdefault(var, set()).add(other)
-            added.setdefault(other, set()).add(var)
-
-
 def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
-                        added: dict[str, set[str]], copies: list[Instr],
+                        recorded: dict, copies: list[Instr],
                         classes, opts) -> bool:
     """Decide and insert `phi`'s copies, appending them to the phase's
-    `copies`, and merge the classes; returns whether `phi` changed."""
+    `copies` and recording each under its name with its source and its
+    zone, and merge the classes; returns whether `phi` changed."""
     live = cache.live
     refine = opts.disjoint_interference
 
+    def copied_over(x: str, y: str) -> bool:
+        return any(y == source or live.live_at(y, *zone)
+                   for source, zone in recorded.get(x, ()))
+
     def interferes(x: str, y: str) -> bool:
-        return (y in added.get(x, ()) or live.interferes(x, y, refine))
+        return (copied_over(x, y) or copied_over(y, x)
+                or live.interferes(x, y, refine))
 
     # The phi's resources: index 0 is the result, index i argument i - 1,
-    # each with the set it merges at (its zone).
+    # each with its zone: live-in at the phi's block or live-out at a pred.
     names = [phi.dest] + [v for _, v in phi.args]
-    zones = [live.live_in[label]] + [live.live_out[p] for p, _ in phi.args]
+    zones = [(label, False)] + [(p, True) for p, _ in phi.args]
     marked: set[int] = set()
     if opts.phi_naive:
         marked = set(range(len(names)))
@@ -423,8 +422,10 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
                 if not any(_conflicts(classes, names[a], names[b],
                                       interferes)):
                     continue
-                in_b = any(m in zones[b] for m in classes.members(names[a]))
-                in_a = any(m in zones[a] for m in classes.members(names[b]))
+                in_b = any(live.live_at(m, *zones[b])
+                           for m in classes.members(names[a]))
+                in_a = any(live.live_at(m, *zones[a])
+                           for m in classes.members(names[b]))
                 if in_b:
                     marked.add(a)
                 if in_a:
@@ -440,15 +441,14 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
             at = _result_copy_point(cache, cache.blocks[label], var, copies)
             copies.append(_rename_result(cache, phi, at))
             names[0] = phi.dest
-            _add_edges(added, phi.dest, zones[0] | {var})
         else:
             plbl = phi.args[r - 1][0]
-            names[r] = new = cache.names.fresh(var)
+            names[r] = cache.names.fresh(var)
             block, key = cache.locate(cache.blocks[plbl].term)
-            copies.append(_insert_copy(cache, (block, key - 1), new, var))
-            phi.args[r - 1] = (plbl, new)
-            _add_edges(added, new, zones[r] | {var})
-            _add_edges(added, var, zones[r])
+            copies.append(_insert_copy(cache, (block, key - 1), names[r], var))
+            phi.args[r - 1] = (plbl, names[r])
+            recorded.setdefault(var, []).append((None, zones[r]))
+        recorded.setdefault(names[r], []).append((var, zones[r]))
 
     for var in names[1:]:
         classes.union(names[0], var)

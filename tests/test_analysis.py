@@ -268,7 +268,7 @@ def test_liveness_equals_the_oracle():
             == liveness_oracle.liveness(func).dump(), func.name
         count += 1
     # Two data functions are neither SSA nor accepted by construction.
-    assert count == 30 + 28 * 2 * 2 + 100 * 2
+    assert count == 32 + 30 * 2 * 2 + 100 * 2
 
 
 def test_a_phi_result_read_only_by_dead_code_is_not_live():

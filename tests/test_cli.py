@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from psikit import cli, interp, ir, pipeline
 from psikit.out_of_ssa import ClassInterferenceDetected
 
-from helpers import DATA
+from helpers import DATA, diamond_chain_source
 
 
 def run_cli(*args):
@@ -82,6 +83,26 @@ def test_identical_invocations_are_byte_identical():
     first, second = run_cli(*args), run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(tmp_path):
+    """As in `psikit run f.pir | head -1`: the reader takes one line and
+    closes its end while psikit still writes, since the printed chain is
+    far longer than a pipe holds.  psikit writes nothing to standard error
+    and exits with `cli.OUTPUT_CLOSED`.  Standard output is buffered, as
+    by default: unbuffered, a write that the pipe cuts short is dropped
+    without an error."""
+    path = tmp_path / "chain.pir"
+    path.write_text(ir.print_function(diamond_chain_source(2000)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "psikit.cli", "run",
+                             str(path)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"func @f(%x) {\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == cli.OUTPUT_CLOSED
+    assert stderr == b""
 
 
 def test_fuzz_subcommand_reports_zero_mismatches():

@@ -130,6 +130,18 @@ b0:
 """).functions[0]
     big = 1 << 40
     assert eval_function(func, [big]).value == interp.wrap64(big * big)
+    # An argument from outside is wrapped on the way in; a guard argument
+    # is read for its truth, unwrapped.
+    assert eval_function(func, [(1 << 64) + 3]).value == 9
+    guarded = ir.parse_module("""
+func @g(%p:guard) {
+b0:
+  %x = const 0
+  %p? %x = const 1
+  ret %x
+}
+""").functions[0]
+    assert eval_function(guarded, [1 << 64]).value == 1
 
 
 def test_eval_is_deterministic():

@@ -215,7 +215,7 @@ def test_sparse_live_in_equals_liveness():
     predecessors and names are those of the reachable blocks."""
     data = [func for path in sorted(DATA.glob("*.pir"))
             for func in load(path.name).functions if _accepted(func)]
-    assert len(data) == 7
+    assert len(data) == 9
     for func in [*data, *_generated_inputs()]:
         sweep = ssa._sweep(func)
         reachable = ir.Function(func.name, func.params, sweep.blocks)
