@@ -23,10 +23,11 @@ operand is a dictionary read.  Nothing is cached across checks: passes
 mutate functions in place.
 
 Each phi, body instruction and terminator is one step, and a run that
-takes more than `budget` steps traps.  A block whose steps all fit in the
-remaining budget is charged at once; the block in which the budget runs out
-is run step by step up to the budget, then traps, so results (trap kind,
-value and the memory image at a trap) are those of a step-by-step count.
+takes more than `budget` steps traps.  A block is charged all its steps
+when a run enters it.  If they do not fit in the remaining budget, the
+block runs as usual, but only its phis and body steps that fit, followed
+by a step that traps, so results (trap kind, value and the memory image at
+a trap) are those of a step-by-step count.
 
 A run returns the plain tuple (trap, value, memory); `run` and
 `eval_function` wrap it in an `ExecResult`, and `differential_check`
@@ -303,10 +304,11 @@ def _run(code: DecodedFunction, args: list[int], mem: list[int] | None,
             phis, body, size, term, arg, then, other = blocks[label]
             steps += size
             if steps > budget:
-                _run_out(phis, body, env, memory, prev,
-                         size - steps + budget)
+                fit = size - steps + budget
+                phis = phis[:fit]
+                body = body[:fit - len(phis)] + (_exhausted,)
             if phis:
-                env.update(_read_phis(phis, env, prev, len(phis)))
+                env.update(_read_phis(phis, env, prev))
             try:
                 for step in body:
                     step(env, memory)
@@ -320,11 +322,11 @@ def _run(code: DecodedFunction, args: list[int], mem: list[int] | None,
         return trap.kind, None, memory
 
 
-def _read_phis(phis, env, prev, count) -> list:
-    """(dest, value) of the first `count` phis on the edge from `prev`; the
-    phis read all their inputs before any of them is written."""
+def _read_phis(phis, env, prev) -> list:
+    """(dest, value) of each phi on the edge from `prev`; the phis read all
+    their inputs before any of them is written."""
     values = []
-    for dest, sources in phis[:count]:
+    for dest, sources in phis:
         var = sources[prev]   # KeyError, as PhiInstr.arg_for, on a bad edge
         if var not in env:
             raise _Trap(UNDEFINED_READ)
@@ -332,19 +334,8 @@ def _read_phis(phis, env, prev, count) -> list:
     return values
 
 
-def _run_out(phis, body, env, memory, prev, allowed: int):
-    """Run the `allowed` steps of a block that fit in the budget, which is
-    fewer than its size, then trap."""
-    nphis = len(phis)
-    if allowed <= nphis:
-        _read_phis(phis, env, prev, allowed)
-    else:
-        env.update(_read_phis(phis, env, prev, nphis))
-        try:
-            for step in body[:allowed - nphis]:
-                step(env, memory)
-        except KeyError:
-            raise _Trap(UNDEFINED_READ) from None
+def _exhausted(env, memory):
+    """The step after the last one that fits in the budget."""
     raise _Trap(BUDGET_EXHAUSTED)
 
 

@@ -80,46 +80,36 @@ class OutOfSsaOptions:
 
 
 class CongruenceClasses:
-    """Union-find over variable names, representative = smallest name.
-    Each representative keeps the list of its class's members.  A name
-    joins, as its own class, when first asked about."""
+    """A partition of variable names into congruence classes.  `rep` maps
+    each name that a union touched to its class's representative, the
+    smallest member; `_members` maps a representative to the sorted
+    members of its class.  A name no union touched is its own class.  A
+    union re-points each member of the merged class in `rep`, which costs
+    no more than merging their sorted lists."""
 
     def __init__(self):
-        self.parent: dict[str, str] = {}
+        self.rep: dict[str, str] = {}
         self._members: dict[str, list[str]] = {}
 
     def find(self, name: str) -> str:
-        if name not in self.parent:
-            self.parent[name] = name
-            self._members[name] = [name]
-        root = name
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[name] != root:
-            self.parent[name], name = root, self.parent[name]
-        return root
+        return self.rep.get(name, name)
 
     def union(self, a: str, b: str):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            low, high = min(ra, rb), max(ra, rb)
-            self.parent[high] = low
-            self._members[low] = sorted(self._members[low]
-                                        + self._members.pop(high))
-
-    def representative(self, name: str) -> str:
-        """`find` for a name that may never have joined: such a name is its
-        own representative, and stays out of the structure."""
-        return self.find(name) if name in self.parent else name
+            merged = sorted(self._members.pop(ra, [ra])
+                            + self._members.pop(rb, [rb]))
+            self._members[merged[0]] = merged
+            for member in merged:
+                self.rep[member] = merged[0]
 
     def members(self, name: str) -> list[str]:
         """The members of `name`'s class, sorted; not to be changed."""
-        return self._members[self.find(name)]
+        return self._members.get(self.find(name)) or [name]
 
     def classes(self) -> list[list[str]]:
         """The classes of two or more members, by representative."""
-        return [list(v) for _, v in sorted(self._members.items())
-                if len(v) > 1]
+        return [list(v) for _, v in sorted(self._members.items())]
 
 
 def count_movs(func: Function) -> int:
@@ -475,7 +465,7 @@ def class_interference(cache: Analyses, classes: CongruenceClasses,
             if (isinstance(ins, Instr) and ins.opcode == "mov"
                     and isinstance(ins.operands[0], str)
                     and (cls is None
-                         or classes.representative(ins.operands[0]) == cls)):
+                         or classes.find(ins.operands[0]) == cls)):
                 v = ins.operands[0]
             else:
                 break
@@ -519,8 +509,8 @@ def rename_and_strip(func: Function, classes: CongruenceClasses,
             f"@{func.name}: %{pair[0]} and %{pair[1]} share a class but "
             "interfere")
 
-    renamed = {member: names[0] for names in classes.classes()
-               for member in names[1:]}
+    renamed = {member: rep for member, rep in classes.rep.items()
+               if member != rep}
     func.params = [renamed.get(n, n) for n in func.params]
     func.guards = {renamed.get(n, n) for n in func.guards}
     for block in func.blocks:

@@ -182,6 +182,24 @@ b2:
     assert not report.mismatches
 
 
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+def test_an_outside_argument_keeps_the_guard_of_its_definition(machine):
+    """guarded_outside_arg.pir's merge phi reads %g, defined under %p above
+    the triangle, on the empty arm.  The merge psi's argument for %g
+    carries %p, not the path of the empty arm, and the output keeps the
+    input's semantics."""
+    func = load_func("guarded_outside_arg.pir")
+    work, _ = pipeline(func, ["ifconvert"], machine)
+    [psi] = [ins for _, ins in work.instructions()
+             if isinstance(ins, ir.PsiInstr)]
+    assert psi.args[0] == (ir.Pred("p", True), "g")
+    final, _ = pipeline(func, ["ifconvert", "psi-promote", "out-of-ssa"],
+                        machine)
+    assert len(final.blocks) == 1
+    report = interp.differential_check(func, final, trials=64, seed=5)
+    assert report.ok and report.compared > 0
+
+
 def test_nested_conversion_is_equivalent():
     func = ir.parse_module("""
 func @f(%i, %p:guard, %q:guard) {

@@ -213,9 +213,17 @@ def test_sparse_live_in_equals_liveness():
     construction accepts: the phi-free tests/data functions without psis
     or guarded definitions, and generated programs.  The sweep's
     predecessors and names are those of the reachable blocks."""
-    data = [func for path in sorted(DATA.glob("*.pir"))
-            for func in load(path.name).functions if _accepted(func)]
-    assert len(data) == 9
+    functions = [func for path in sorted(DATA.glob("*.pir"))
+                 for func in load(path.name).functions]
+    data = [func for func in functions if _accepted(func)]
+    # Construction accepts exactly the data functions without phis, psis
+    # or guarded definitions.
+    assert data and data == [
+        func for func in functions
+        if not any(block.phis for block in func.blocks)
+        and not any(isinstance(ins, ir.PsiInstr)
+                    or ins.dest is not None and ins.guard is not None
+                    for _, ins in func.instructions())]
     for func in [*data, *_generated_inputs()]:
         sweep = ssa._sweep(func)
         reachable = ir.Function(func.name, func.params, sweep.blocks)
