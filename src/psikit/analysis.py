@@ -64,6 +64,11 @@ correct by one rule, so none is computed twice:
   interference answer lives until `update` drops either range;
 - splicing psi arguments changes nothing computed: no definition, no
   guard formula and no CFG.
+
+`linearized()` and `insert()` update every analysis they touch, so their
+callers compute those first (one computed mid-fold would read the folded
+blocks still in `func.blocks`): if-conversion reads all six while it plans
+and folds a region, and copy placement out of psi-SSA reads definitions.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ from .predicates import GuardEnv, guard_env_or_conservative
 def reachable_blocks(func: Function) -> list[str]:
     """The blocks reachable from the entry, in reverse postorder of a
     depth-first walk that visits successors in order; iterative, so chains
-    of any depth are fine."""
+    of any depth are fine.  A branch target that names no block, which
+    `ir.validate` reports, leads nowhere."""
     blocks = func.block_map()
     seen = {func.entry}
     order: list[str] = []
@@ -90,7 +96,7 @@ def reachable_blocks(func: Function) -> list[str]:
     while stack:
         label, succs = stack[-1]
         for s in succs:
-            if s not in seen:
+            if s not in seen and s in blocks:
                 seen.add(s)
                 stack.append((s, iter(blocks[s].successors())))
                 break
@@ -172,7 +178,9 @@ class DomTree:
 
 def dominator_tree(order: list[str], preds: dict[str, list[str]]) -> DomTree:
     """Iterative RPO dataflow over a function's reachable blocks: `order`
-    is `reachable_blocks(func)` and `preds` is `func.predecessors()`."""
+    is `reachable_blocks(func)` and `preds` is `func.predecessors()`.  A
+    block's DFS parent precedes it in `order`, so some predecessor has an
+    idom when the block is visited (Cooper, Harvey and Kennedy, 2001)."""
     index = {l: i for i, l in enumerate(order)}
     idom: dict[str, str | None] = {order[0]: None}
 
@@ -189,8 +197,6 @@ def dominator_tree(order: list[str], preds: dict[str, list[str]]) -> DomTree:
         changed = False
         for label in order[1:]:
             candidates = [p for p in preds[label] if p in idom]
-            if not candidates:
-                continue
             new = candidates[0]
             for p in candidates[1:]:
                 new = intersect(new, p)
@@ -316,7 +322,7 @@ class Analyses:
         body = block.body
         at = bisect_right(body, bound, key=lambda i: pos[id(i)][1])
         body.insert(at, ins)
-        if ins.dest is not None and "defs" in self.__dict__:
+        if ins.dest is not None:
             self.defs[ins.dest] = ins
         high = pos[id(body[at + 1] if at + 1 < len(body) else block.term)][1]
         low = pos[id(body[at - 1])][1] if at else high - 2 * GAP
@@ -333,36 +339,24 @@ class Analyses:
         gone, and `added` (in order) are new definitions.  `head`, the
         merge's block object, keeps its keys but for its phis and the
         first `prefix` instructions of its body."""
-        computed = self.__dict__
-        if "defs" in computed:
-            defs = computed["defs"]
-            for ins in added:
-                defs[ins.dest] = ins
-        if "blocks" in computed:
-            blocks = computed["blocks"]
-            for label in removed:
-                del blocks[label]
-            blocks[head.label] = head
-        if "positions" in computed:
-            pos = computed["positions"]
-            for ins in dropped:
-                del pos[id(ins)]
-            for phi in head.phis:
-                pos[id(phi)] = (head, PHI_KEY)
-            number_block(head, pos, prefix)
-        if "preds" in computed:
-            preds = computed["preds"]
-            for label in removed:
-                del preds[label]
-            for label in head.successors():
-                preds[label] = [head.label if p == merge else p
-                                for p in preds[label]]
-        if "dom" in computed:
-            computed["dom"].fold(head.label, merge, removed)
-        if "env" in computed:
-            for ins in added:
-                if ins.opcode in ("not", "and"):
-                    computed["env"].define(ins)
+        for ins in added:
+            self.defs[ins.dest] = ins
+        blocks, preds, pos = self.blocks, self.preds, self.positions
+        for label in removed:
+            del blocks[label], preds[label]
+        blocks[head.label] = head
+        for ins in dropped:
+            del pos[id(ins)]
+        for phi in head.phis:
+            pos[id(phi)] = (head, PHI_KEY)
+        number_block(head, pos, prefix)
+        for label in head.successors():
+            preds[label] = [head.label if p == merge else p
+                            for p in preds[label]]
+        self.dom.fold(head.label, merge, removed)
+        for ins in added:
+            if ins.opcode in ("not", "and"):
+                self.env.define(ins)
 
 
 def resolve_psi_chain(var: str, defs: dict[str, Instruction]) -> str:
@@ -529,8 +523,6 @@ class InterferenceGraph:
         self.adj: dict[str, set[str]] = {}
 
     def add_edge(self, a: str, b: str):
-        if a == b:
-            return
         self.adj.setdefault(a, set()).add(b)
         self.adj.setdefault(b, set()).add(a)
 
@@ -616,26 +608,29 @@ class LiveRanges:
 
     Ranges cover every block, unreachable ones too (`to_cssa` removes
     them first).  The function may change only by the copies that
-    `update` records; definitions and positions are the cache's, which
-    `Analyses.insert` keeps current, and positions are read at query time.
+    `update` records.  Positions are the cache's, which `Analyses.insert`
+    keeps current, read at query time; `_def` is a copy of the cache's
+    definitions, which `update` brings level with them.
     A range and a pair's answer read only this object's index (`_def`,
     `_uses`, `_phi_uses`), the predecessors and the order of instructions
     in a block, which `insert` keeps; only `update` changes the index, and
     it drops the ranges and answers of the variables it changed.  So an
     answer is the same whenever it is asked between two updates: copies
     inserted but not yet recorded change none.
+    `_psi_users` keeps a psi under an argument it has lost, harmlessly:
+    re-attaching the psi finds nothing moved, and the chain walk reads
+    each psi's first argument as it is now.
     """
 
     def __init__(self, cache: Analyses):
         # The cache's own dicts, which it keeps current; no reference to
         # the cache itself, which holds this object.
         self.func = func = cache.func
-        self.defs, self.positions = cache.defs, cache.positions
-        self.env = cache.env
+        self.positions, self.env = cache.positions, cache.env
         self.entry = func.blocks[0]
         self.params = set(func.params)
         self.preds = cache.preds
-        self._def: dict[str, Instruction] = dict(self.defs)
+        self._def: dict[str, Instruction] = dict(cache.defs)
         # var -> block -> id -> instruction using var there (synthetic
         # uses included); var -> predecessor -> ids of phis using var there.
         self._uses: dict[str, dict[str, dict[int, Instruction]]] = {}
@@ -643,7 +638,6 @@ class LiveRanges:
         self._ins_uses: dict[int, frozenset] = {}
         self._synth: dict[int, list[tuple[str, Instruction]]] = {}
         self._synth_at: dict[int, list[str]] = {}
-        self._psi_args: dict[int, set[str]] = {}
         self._psi_users: dict[str, dict[int, PsiInstr]] = {}
         # var -> (live-in blocks, live-out blocks), explored on first ask.
         self._ranges: dict[str, tuple[set[str], set[str]]] = {}
@@ -746,21 +740,13 @@ class LiveRanges:
                 del self._kept[other][var]
 
     def _index_psi(self, psi: PsiInstr) -> None:
-        key = id(psi)
-        for var in self._psi_args.pop(key, ()):
-            users = self._psi_users[var]
-            del users[key]
-            if not users:
-                del self._psi_users[var]
-        args = {v for _, v in psi.args}
-        self._psi_args[key] = args
-        for var in args:
-            self._psi_users.setdefault(var, {})[key] = psi
+        for _, var in psi.args:
+            self._psi_users.setdefault(var, {})[id(psi)] = psi
 
     def _attach(self, psi: PsiInstr, touched: dict[int, Instruction]) -> None:
         """(Re)attach psi's synthetic uses (`synthetic_uses_of`); the
         instructions whose uses changed go into `touched`."""
-        new = synthetic_uses_of(psi, self.defs)
+        new = synthetic_uses_of(psi, self._def)
         old = self._synth.get(id(psi), [])
         if [(a, id(t)) for a, t in old] == [(a, id(t)) for a, t in new]:
             return

@@ -79,10 +79,6 @@ class ExecResult:
     trap: str | None = None
     memory: list[int] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.trap is None
-
 
 # A decoded instruction: runs on (env, memory).  An undefined read surfaces
 # as the KeyError of its dictionary read, which `_run` turns into a trap.

@@ -913,15 +913,9 @@ def _check_ssa_dominance(cache) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Structural comparison up to renaming
 
-def alpha_equivalent(a: Module | Function, b: Module | Function) -> bool:
-    """True if the two programs are identical up to a bijective renaming of
-    variables and block labels: their canonical texts are equal."""
-    if isinstance(a, Module) and isinstance(b, Module):
-        if len(a.functions) != len(b.functions):
-            return False
-        return all(alpha_equivalent(x, y)
-                   for x, y in zip(a.functions, b.functions))
-    assert isinstance(a, Function) and isinstance(b, Function)
+def alpha_equivalent(a: Function, b: Function) -> bool:
+    """True if the two functions are identical up to a bijective renaming
+    of variables and block labels: their canonical texts are equal."""
     return _canonical_text(a) == _canonical_text(b)
 
 

@@ -30,24 +30,15 @@ class PredExpr:
 class Const(PredExpr):
     value: bool
 
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
-
 
 @dataclass(frozen=True)
 class Sym(PredExpr):
     index: int
 
-    def __str__(self) -> str:
-        return f"s{self.index}"
-
 
 @dataclass(frozen=True)
 class Not(PredExpr):
     arg: PredExpr
-
-    def __str__(self) -> str:
-        return f"!{self.arg}"
 
 
 @dataclass(frozen=True)
@@ -55,17 +46,11 @@ class And(PredExpr):
     left: PredExpr
     right: PredExpr
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class Or(PredExpr):
     left: PredExpr
     right: PredExpr
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
 
 
 TRUE_EXPR = Const(True)

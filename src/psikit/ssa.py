@@ -18,10 +18,6 @@ from .machine import MachineModel
 from .predicates import And, GuardEnv, TRUE_EXPR, domain_union
 
 
-class NotPsiDefined(Exception):
-    pass
-
-
 class EmptyProjection(Exception):
     pass
 
@@ -303,16 +299,8 @@ def dedupe_psi_args(psi: PsiInstr) -> None:
                                if arg != prev]
 
 
-def psi_inline(func: Function, psi: PsiInstr, arg_index: int) -> None:
-    """Replace a psi-defined argument by the arguments of its psi."""
-    value = psi.args[arg_index][1]
-    inner = func.defs().get(value)
-    if not isinstance(inner, PsiInstr):
-        raise NotPsiDefined(f"%{value} is not defined by a psi")
-    _splice(psi, arg_index, inner)
-
-
 def _splice(psi: PsiInstr, arg_index: int, inner: PsiInstr) -> None:
+    """Replace a psi-defined argument by the arguments of its psi."""
     psi.args[arg_index:arg_index + 1] = list(inner.args)
     dedupe_psi_args(psi)
 

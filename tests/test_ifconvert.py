@@ -200,6 +200,32 @@ def test_an_outside_argument_keeps_the_guard_of_its_definition(machine):
     assert report.ok and report.compared > 0
 
 
+# Regions that if-conversion leaves a branch, each on the machines named:
+# br_same_target.pir because both targets of its branch are one block,
+# guarded_read_in_arm.pir because a speculated arm instruction reads a
+# value defined only under a guard, and guarded_read_forced.pir because a
+# definition that a speculated instruction forces does.
+REFUSED_ON = {
+    "br_same_target.pir": (FULL, PARTIAL),
+    "guarded_read_in_arm.pir": (PARTIAL,),
+    "guarded_read_forced.pir": (PARTIAL,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_ON))
+@pytest.mark.parametrize("machine", [FULL, PARTIAL], ids=["full", "partial"])
+def test_a_refused_region_stays_a_branch(name, machine):
+    func = load_func(name)
+    work, _ = pipeline(func, ["ifconvert"], machine)
+    refused = machine in REFUSED_ON[name]
+    assert (work.blocks[0].term.opcode == "br") == refused
+    assert len(work.blocks) == (len(func.blocks) if refused else 1)
+    final, _ = pipeline(func, ["ifconvert", "psi-promote", "out-of-ssa"],
+                        machine)
+    report = interp.differential_check(func, final, trials=64, seed=5)
+    assert report.ok and report.compared > 0
+
+
 def test_nested_conversion_is_equivalent():
     func = ir.parse_module("""
 func @f(%i, %p:guard, %q:guard) {

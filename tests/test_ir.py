@@ -523,6 +523,54 @@ def test_validate_rejects_value_branch_condition():
     assert any("br condition" in d.message for d in diags)
 
 
+def _built(body=(), term=None) -> ir.Function:
+    """`@f(%a)` of one block b0, built without the parser, which refuses
+    every shape below."""
+    return ir.Function("f", ["a"], [ir.Block("b0", body=list(body),
+                                             term=term)])
+
+
+RET = ir.Instr("ret", None, ["a"])
+MALFORMED = [
+    ("psi_predicate", "func @f(%a, %b) {\nb0:\n  %x = psi(%a ? %b)\n"
+     "  ret %x\n}", ["psi predicate %a is not guard-kind"]),
+    ("psi_mixed", "func @f(%a, %p:guard) {\nb0:\n"
+     "  %x = psi(%p ? %a, %p ? %p)\n  ret %a\n}",
+     ["psi %x mixes value and guard args"]),
+    ("select", "func @f(%a, %b) {\nb0:\n  %x = select %a, %b, %b\n"
+     "  ret %x\n}", ["select condition must be a guard register"]),
+    ("compare", "func @f(%a, %p:guard) {\nb0:\n  %x = cmp_lt %p, %a\n"
+     "  br %x, b1, b1\nb1:\n  ret %a\n}",
+     ["cmp_lt operand %p must be value-kind"]),
+    ("and", "func @f(%a, %p:guard) {\nb0:\n  %x = and %p, %a\n"
+     "  ret %x\n}", ["and mixes guard and value operands"]),
+    ("add", "func @f(%a, %p:guard) {\nb0:\n  %x = add %p, %a\n"
+     "  ret %x\n}", ["guard %p used as a value in add"]),
+    ("missing_terminator", _built([ir.Instr("add", "x", ["a", 1])]),
+     ["missing terminator"]),
+    ("terminator_is", _built(term=ir.Instr("add", "x", ["a", 1])),
+     ["terminator is add"]),
+    ("mid_block", _built([RET], RET), ["terminator in mid-block"]),
+    ("branch_target", _built(term=ir.Instr("goto", None, ["b9"])),
+     ["undefined branch target b9"]),
+    # A psi of no arguments yields a guard as vacuously as a value.
+    ("empty_psi", _built([PsiInstr("x", [])], RET),
+     ["psi %x has no arguments",
+      "value-kind %x is defined by psi, which yields a guard"]),
+]
+
+
+@pytest.mark.parametrize("mode", ["non_ssa", "ssa"])
+@pytest.mark.parametrize("source, messages",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_validate_reports_each_malformed_shape(source, messages, mode):
+    func = parse_one(source) if isinstance(source, str) else source
+    diags = ir.validate(ir.Module([func]), mode)
+    assert [d.message for d in diags] == messages
+    assert all(d.severity == "error" for d in diags)
+
+
 # Guard kinds that only a declaration gives and that the printed text
 # would drop: the printer writes `:guard` on const and load only.
 LOST_GUARD_KINDS = [

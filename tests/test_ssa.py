@@ -3,10 +3,10 @@ import pytest
 from psikit import analysis, interp, ir, ssa
 from psikit.machine import FULL, PARTIAL
 from psikit.predicates import And, guard_env_or_conservative
-from psikit.ssa import (ConditionViolated, EmptyProjection, NotPsiDefined,
+from psikit.ssa import (ConditionViolated, EmptyProjection,
                         all_psis, construct_ssa, copy_fold,
                         definition_formula, is_normalized,
-                        psi_inline, psi_inline_all, psi_project, psi_promote,
+                        psi_inline_all, psi_project, psi_promote,
                         psi_promote_pass, psi_reduce, rewrite_psis_to_selects)
 
 import liveness_oracle
@@ -407,7 +407,7 @@ def test_inline_splices_inner_arguments():
     # Rebuild the pre-inline shape: y = psi(1 ? x, q ? c).
     y = all_psis(func)[1]
     y.args = [(ir.TRUE, "x"), (ir.Pred("q"), "c")]
-    psi_inline(func, y, 0)
+    assert psi_inline_all(analysis.Analyses(func)) == 1
     assert psi_text(func, "y") == [("%p", "a"), ("!%p", "b"), ("%q", "c")]
 
 
@@ -421,14 +421,8 @@ b0:
   ret %y
 }
 """).functions[0]
-    psi_inline(func, all_psis(func)[1], 0)
+    assert psi_inline_all(analysis.Analyses(func)) == 1
     assert psi_text(func, "y") == [("%p", "a")]
-
-
-def test_inline_requires_psi_defined_argument():
-    func = load_func("diamond_predicated.pir")
-    with pytest.raises(NotPsiDefined):
-        psi_inline(func, all_psis(func)[0], 0)
 
 
 def test_inline_pass_preserves_semantics_on_chains():
