@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
-                 Pred, PsiInstr)
+                 Pred, PsiInstr, predecessors)
 from .predicates import GuardEnv, guard_env_or_conservative
 
 
@@ -476,7 +476,7 @@ def liveness(func: Function) -> LivenessInfo:
     synthetic = psi_synthetic_uses(func)
     labels = reachable_blocks(func)
     blocks = func.block_map()
-    preds: dict[str, list[str]] = {l: [] for l in labels}
+    preds = predecessors([blocks[l] for l in labels])
     kills: dict[str, set[str]] = {}
     exposed: dict[str, set[str]] = {}
     phi_uses: dict[str, set[str]] = {}
@@ -484,7 +484,6 @@ def liveness(func: Function) -> LivenessInfo:
     for label in labels:
         block = blocks[label]
         for succ in block.successors():
-            preds[succ].append(label)
             for phi in blocks[succ].phis:
                 phi_uses.setdefault(phi.arg_for(label), set()).add(label)
         defined = {phi.dest for phi in block.phis}

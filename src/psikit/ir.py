@@ -202,12 +202,27 @@ class Block:
             yield self.term
 
     def successors(self) -> list[str]:
-        return self.term.labels() if self.term is not None else []
+        """The terminator's targets, each once: `br %c, b, b` is one edge."""
+        labels = self.term.labels() if self.term is not None else []
+        if len(labels) == 2 and labels[0] == labels[1]:
+            del labels[1]
+        return labels
 
     def clone(self) -> "Block":
         return Block(self.label, [phi.clone() for phi in self.phis],
                      [ins.clone() for ins in self.body],
                      None if self.term is None else self.term.clone())
+
+
+def predecessors(blocks: list[Block]) -> dict[str, list[str]]:
+    """Each block's predecessors among `blocks`, in their order, one per
+    edge; a branch out of `blocks`, or to no block, adds nothing."""
+    preds: dict[str, list[str]] = {b.label: [] for b in blocks}
+    for b in blocks:
+        for t in b.successors():
+            if t in preds:
+                preds[t].append(b.label)
+    return preds
 
 
 @dataclass
@@ -230,14 +245,7 @@ class Function:
         return {b.label: b for b in self.blocks}
 
     def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {b.label: [] for b in self.blocks}
-        for b in self.blocks:
-            if b.term is None:
-                continue
-            for t in b.term.labels():
-                if t in preds and b.label not in preds[t]:
-                    preds[t].append(b.label)
-        return preds
+        return predecessors(self.blocks)
 
     def instructions(self):
         for b in self.blocks:
@@ -792,7 +800,7 @@ def _yields_guard(ins: Instruction, guards: set[str]) -> bool:
     printed text keeps every variable's kind."""
     op = ins.opcode
     if op in ("phi", "psi"):
-        return all(v in guards for _, v in ins.args)
+        return bool(ins.args) and all(v in guards for _, v in ins.args)
     if op in BOOL_OPS:
         regs = [o for o in ins.operands if isinstance(o, str)]
         return bool(regs) and all(o in guards for o in regs)
@@ -882,6 +890,7 @@ def _validate_function(func: Function, mode: str) -> list[Diagnostic]:
                                     f"multiple definitions of %{v}"))
         if not multi:
             diags.extend(_check_ssa_dominance(cache))
+            diags.extend(_check_psi_domains(cache))
     return diags
 
 
@@ -907,6 +916,31 @@ def _check_ssa_dominance(cache) -> list[Diagnostic]:
                        for v in ins.uses() if not defined_at(v, at, True)]
             diags.extend(Diagnostic("error", f"@{func.name}/{block.label}", m)
                          for m in bad)
+    return diags
+
+
+def _check_psi_domains(cache) -> list[Diagnostic]:
+    """Each psi argument is read only where it is defined: its predicate
+    implies its definition's domain (`ssa.definition_formula`).  A query
+    the guard env answers syntactically (`GuardEnv.capped_queries`) is not
+    reported."""
+    from .ssa import definition_formula  # ssa imports ir
+    diags: list[Diagnostic] = []
+    func, defs = cache.func, cache.defs
+    for block in func.blocks:
+        for psi in block.body:
+            if not isinstance(psi, PsiInstr):
+                continue
+            env = cache.env  # built at the first psi
+            for p, v in psi.args:
+                capped = env.capped_queries
+                if (not env.subset(env.pred_formula(p),
+                                   definition_formula(v, defs, env))
+                        and env.capped_queries == capped):
+                    diags.append(Diagnostic(
+                        "error", f"@{func.name}/{block.label}",
+                        f"psi %{psi.dest} arg %{v} is read under {p}, "
+                        "outside its definition's domain"))
     return diags
 
 

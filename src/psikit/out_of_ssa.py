@@ -15,7 +15,8 @@ Renaming every congruence class to one representative and deleting the
 phi/psi instructions then preserves the program's semantics; that property
 is what the repairs establish and what the differential tests check.
 
-The phases share one `analysis.Analyses`, so a run builds one guard env,
+`to_cssa` drops the unreachable blocks and builds the one `Analyses` the
+phases share, and `rename_and_strip` asks it: a run builds one guard env
 and one set of live ranges (`Analyses.live`), built after psi-normalize.
 Both congruence phases work one way: decide which resources of a psi or
 phi need a copy (`_conflicts` lists the interfering pairs of two
@@ -30,10 +31,10 @@ once per phase (exact queries after each of its copies would change 6 of
 copies with every refinement off).  `class_interference`, which
 `rename_and_strip` asks first, reuses the phases' answers for class pairs.
 
-All four copy-reducing refinements are flag-gated: reordering disjoint
-arguments instead of copying, dropping interference edges between defs on
-disjoint guards, repairing only the left argument of an interfering pair,
-and ignoring interference with the psi result.
+Every phase takes one `OutOfSsaOptions`, whose flags gate four refinements
+that save copies: reorder disjoint arguments instead of copying; drop
+interference edges between defs on disjoint guards; repair only the left
+argument of an interfering pair; ignore interference with the psi result.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _rename_result(cache: Analyses, ins: PhiInstr | PsiInstr,
 # ---------------------------------------------------------------------------
 # Phase 1: psi-normalize
 
-def psi_normalize(cache: Analyses, reorder_disjoint: bool = True) -> int:
+def psi_normalize(cache: Analyses, opts: OutOfSsaOptions) -> int:
     """Restore the normalized form of every psi; returns copies inserted.
 
     Psis are visited top-down over the dominator tree so that psi-defined
@@ -202,12 +203,12 @@ def psi_normalize(cache: Analyses, reorder_disjoint: bool = True) -> int:
     for label in cache.dom.preorder():
         for ins in list(cache.blocks[label].body):
             if isinstance(ins, PsiInstr):
-                copies += _normalize_one(cache, ins, reorder_disjoint)
+                copies += _normalize_one(cache, ins, opts)
     return copies
 
 
 def _normalize_one(cache: Analyses, psi: PsiInstr,
-                   reorder_disjoint: bool) -> int:
+                   opts: OutOfSsaOptions) -> int:
     env, defs, pos = cache.env, cache.defs, cache.positions
     copies = 0
     swaps_left = 4 * len(psi.args) * len(psi.args) + 8
@@ -225,7 +226,7 @@ def _normalize_one(cache: Analyses, psi: PsiInstr,
             if analysis.order_inverted(
                     cache.dom, analysis.def_point(v, defs, pos),
                     analysis.def_point(v2, defs, pos, resolved=True)):
-                if (reorder_disjoint and swaps_left > 0
+                if (opts.reorder_disjoint and swaps_left > 0
                         and env.preds_disjoint(q, q2)):
                     psi.args[i], psi.args[i + 1] = psi.args[i + 1], psi.args[i]
                     swaps_left -= 1
@@ -449,12 +450,12 @@ def _phi_congruence_one(cache: Analyses, phi: PhiInstr, label: str,
 # Renaming out of SSA
 
 def class_interference(cache: Analyses, classes: CongruenceClasses,
-                       refine_disjoint: bool) -> tuple[str, str] | None:
+                       opts: OutOfSsaOptions) -> tuple[str, str] | None:
     """The first two distinct members of one class that interfere under the
     psi liveness rule (`cache.live`), or None.  Overlapping members that
     are copies of one common source carry the same value and are exempt:
     renamed, their copies degenerate to no-ops."""
-    live, defs = cache.live, cache.defs
+    live, defs, refine = cache.live, cache.defs, opts.disjoint_interference
 
     def mov_root(v: str, cls: str | None = None) -> str:
         """Where `v`'s chain of movs starts, inside class `cls` if given."""
@@ -482,7 +483,7 @@ def class_interference(cache: Analyses, classes: CongruenceClasses,
         cls = classes.find(group[0])
         for i, a in enumerate(group):
             for b in group[i + 1:]:
-                if not live.interferes(a, b, refine_disjoint):
+                if not live.interferes(a, b, refine):
                     continue
                 if exempt is None:
                     exempt = {frozenset((psi.dest, v)) for psi in
@@ -493,17 +494,15 @@ def class_interference(cache: Analyses, classes: CongruenceClasses,
     return None
 
 
-def rename_and_strip(func: Function, classes: CongruenceClasses,
-                     refine_disjoint: bool = True,
-                     cache: Analyses | None = None) -> None:
-    """Rename every congruence class to its representative and delete all
-    phi and psi instructions, once `class_interference` finds no two
-    members of one class that interfere.  Only the members that are not
-    their class's representative get a new name, and an instruction that
-    names none of them stays as it is.  `cache` is the conversion's
-    analyses, its live ranges current; without one, they are built here."""
-    cache = cache or Analyses(func)
-    pair = class_interference(cache, classes, refine_disjoint)
+def rename_and_strip(cache: Analyses, classes: CongruenceClasses,
+                     opts: OutOfSsaOptions) -> None:
+    """Rename every congruence class of `cache.func` to its representative
+    and delete all phi and psi instructions, once `class_interference`
+    finds no two members of one class that interfere.  Only the members
+    that are not their class's representative get a new name, and an
+    instruction that names none of them stays as it is."""
+    func = cache.func
+    pair = class_interference(cache, classes, opts)
     if pair is not None:
         raise ClassInterferenceDetected(
             f"@{func.name}: %{pair[0]} and %{pair[1]} share a class but "
@@ -537,30 +536,27 @@ def _rename(ins: Instr, renamed: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 # Driver
 
-def to_cssa(func: Function, opts: OutOfSsaOptions | None = None,
-            cache: Analyses | None = None
-            ) -> tuple[CongruenceClasses, tuple[int, int, int]]:
-    """Run the three phases in place, without the final renaming; returns
-    the congruence classes and the copies each phase inserted.  `cache`,
-    if given, must not have computed anything yet."""
-    opts = opts or OutOfSsaOptions()
+def to_cssa(func: Function, opts: OutOfSsaOptions
+            ) -> tuple[Analyses, CongruenceClasses, tuple[int, int, int]]:
+    """Drop the unreachable blocks of `func` and run the three phases on
+    it in place, without the final renaming; returns the phases' cache,
+    the congruence classes and the copies each phase inserted."""
     analysis.remove_unreachable(func)
     # The phases only insert copies, so one cache, and its name allocator,
     # serve all three.  Its live ranges are built after psi-normalize, on
     # first use, and record every later copy.
-    cache = cache or Analyses(func)
-    n_normalize = psi_normalize(cache, opts.reorder_disjoint)
+    cache = Analyses(func)
+    n_normalize = psi_normalize(cache, opts)
     classes = CongruenceClasses()
     n_psi = psi_congruence(cache, classes, opts)
     n_phi = phi_congruence(cache, classes, opts)
-    return classes, (n_normalize, n_psi, n_phi)
+    return cache, classes, (n_normalize, n_psi, n_phi)
 
 
 def run_out_of_ssa(func: Function,
                    opts: OutOfSsaOptions | None = None) -> PassStats:
     """Run the three phases plus renaming, in place; returns the stats."""
     opts = opts or OutOfSsaOptions()
-    cache = Analyses(func)
-    classes, copies = to_cssa(func, opts, cache)
-    rename_and_strip(func, classes, opts.disjoint_interference, cache)
+    cache, classes, copies = to_cssa(func, opts)
+    rename_and_strip(cache, classes, opts)
     return PassStats(*copies, total_copies=count_movs(func))

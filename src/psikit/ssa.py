@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import analysis
 from .ir import (Block, Function, Instr, Instruction, NameAllocator, PhiInstr,
-                 Pred, PsiInstr, TRUE, rename_uses)
+                 Pred, PsiInstr, TRUE, predecessors, rename_uses)
 from .machine import MachineModel
 from .predicates import And, GuardEnv, TRUE_EXPR, domain_union
 
@@ -157,11 +157,7 @@ def _sweep(func: Function) -> _Sweep:
     order = analysis.reachable_blocks(func)
     reachable = set(order)
     kept = [b for b in func.blocks if b.label in reachable]
-    preds: dict[str, list[str]] = {b.label: [] for b in kept}
-    for block in kept:
-        for succ in block.successors():
-            if block.label not in preds[succ]:
-                preds[succ].append(block.label)
+    preds = predecessors(kept)
     if preds[func.entry]:
         raise ValueError(f"@{func.name}: entry block {func.entry} has "
                          "predecessors")

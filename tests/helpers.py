@@ -49,10 +49,9 @@ def pipeline(func: ir.Function, passes, machine: MachineModel = FULL,
 
 def to_cssa(func: ir.Function, opts: OutOfSsaOptions | None = None):
     """Run the three conversion phases on a clone of `func`, without the
-    final renaming; returns (function, classes, per-phase copy counts)."""
-    work = func.clone()
-    classes, copies = out_of_ssa.to_cssa(work, opts)
-    return work, classes, copies
+    final renaming; returns (cache, classes, per-phase copy counts), the
+    clone being `cache.func`."""
+    return out_of_ssa.to_cssa(func.clone(), opts or OutOfSsaOptions())
 
 
 def latch_refusal_params(reason: str):
@@ -88,7 +87,7 @@ def class_checked_to_cssa(monkeypatch, func: ir.Function,
         update(self, inserted, changed)
         checks.append(1)
         pair = out_of_ssa.class_interference(
-            state["cache"], state["classes"], opts.disjoint_interference)
+            state["cache"], state["classes"], opts)
         if pair is None:
             return
         where = f"%{pair[0]} and %{pair[1]} interfere"

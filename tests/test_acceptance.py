@@ -61,16 +61,16 @@ def test_criterion_1_figure_goldens():
     golden(work, "speculate_add_predicated.pir", "speculation")
 
     # Conventional-form examples, both stages each.
-    work, classes, _ = to_cssa(load_func("order_swap.pir"))
-    golden(work, "order_swap_cssa.pir", "order swap cssa")
+    cache, classes, _ = to_cssa(load_func("order_swap.pir"))
+    golden(cache.func, "order_swap_cssa.pir", "order swap cssa")
     from psikit.out_of_ssa import rename_and_strip
-    rename_and_strip(work, classes)
-    golden(work, "order_swap_nonssa.pir", "order swap non-ssa")
+    rename_and_strip(cache, classes, OutOfSsaOptions())
+    golden(cache.func, "order_swap_nonssa.pir", "order swap non-ssa")
 
-    work, classes, _ = to_cssa(load_func("shared_arg.pir"))
-    golden(work, "shared_arg_cssa.pir", "shared arg cssa")
-    rename_and_strip(work, classes)
-    golden(work, "shared_arg_nonssa.pir", "shared arg non-ssa")
+    cache, classes, _ = to_cssa(load_func("shared_arg.pir"))
+    golden(cache.func, "shared_arg_cssa.pir", "shared arg cssa")
+    rename_and_strip(cache, classes, OutOfSsaOptions())
+    golden(cache.func, "shared_arg_nonssa.pir", "shared arg non-ssa")
 
     # Predicated copy folding.
     work = load_func("fold_pred_copy.pir")
@@ -79,7 +79,7 @@ def test_criterion_1_figure_goldens():
 
     # Normalized-form conversion with three repairs.
     work = load_func("normalize_three.pir")
-    psi_normalize(analysis.Analyses(work), True)
+    psi_normalize(analysis.Analyses(work), OutOfSsaOptions())
     golden(work, "normalize_three_normalized.pir", "normalize")
 
     # Psi/select equivalence, structurally and on every assignment.
@@ -94,12 +94,12 @@ def test_criterion_1_figure_goldens():
     checks.append(("select agreement", agree))
 
     # Interference repair with no refinements enabled.
-    work, _, _ = to_cssa(load_func("live_overlap.pir"), ALL_OFF)
-    golden(work, "live_overlap_repaired.pir", "live overlap")
+    cache, _, _ = to_cssa(load_func("live_overlap.pir"), ALL_OFF)
+    golden(cache.func, "live_overlap_repaired.pir", "live overlap")
 
     # Loop whose normalize copy appears right below the phi.
     work = load_func("loop_carried.pir")
-    psi_normalize(analysis.Analyses(work), True)
+    psi_normalize(analysis.Analyses(work), OutOfSsaOptions())
     golden(work, "loop_carried_normalized.pir", "loop normalize")
 
     elapsed = time.monotonic() - start
@@ -256,8 +256,8 @@ def test_criterion_6_idempotence_and_cssa_property():
     cssa_ok = True
     for func in corpus:
         staged = func.clone()
-        psi_normalize(analysis.Analyses(staged), True)
-        second = psi_normalize(analysis.Analyses(staged), True)
+        psi_normalize(analysis.Analyses(staged), OutOfSsaOptions())
+        second = psi_normalize(analysis.Analyses(staged), OutOfSsaOptions())
         if second != 0:
             idempotent = False
 

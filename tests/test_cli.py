@@ -374,6 +374,20 @@ def test_class_interference_is_a_diagnostic(monkeypatch, capsys):
     assert captured.err == "error: @f: %a and %b interfere\n"
 
 
+def test_a_psi_argument_read_outside_its_domain_is_refused(tmp_path, capsys):
+    """select_chain with %b defined under !%p but read under %p: out of
+    psi-SSA would copy %b under %p, where it has no value."""
+    text = (DATA / "select_chain.pir").read_text()
+    path = tmp_path / "psi_domain.pir"
+    path.write_text(text.replace("%p? %b", "!%p? %b"))
+    code = cli.main(["run", str(path), "--in-ssa", "--passes=out-of-ssa"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: @f/b0: psi %x arg %b is read under %p, outside its "
+        f"definition's domain\nerror: {path}: 1 validation error(s)\n")
+
+
 def test_copy_of_a_psi_result_beside_its_own_argument_compiles(tmp_path):
     # Phi-congruence copies a psi result where one of that psi's arguments
     # is still live, read by a later psi.  Both copy and source are in the

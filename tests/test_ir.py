@@ -553,10 +553,15 @@ MALFORMED = [
     ("mid_block", _built([RET], RET), ["terminator in mid-block"]),
     ("branch_target", _built(term=ir.Instr("goto", None, ["b9"])),
      ["undefined branch target b9"]),
-    # A psi of no arguments yields a guard as vacuously as a value.
+    # A psi of no arguments yields no guard.
     ("empty_psi", _built([PsiInstr("x", [])], RET),
-     ["psi %x has no arguments",
-      "value-kind %x is defined by psi, which yields a guard"]),
+     ["psi %x has no arguments"]),
+    # %b is read under %p but defined under !%p: legal non-SSA text, as
+    # SSA a read where %b has no value.
+    ("psi_domain", "func @f(%i, %p:guard) {\nb0:\n  %a = add %i, 1\n"
+     "  !%p? %b = add %i, 2\n  %x = psi(1 ? %a, %p ? %b)\n  ret %x\n}",
+     {"non_ssa": [], "ssa": ["psi %x arg %b is read under %p, outside its "
+                             "definition's domain"]}),
 ]
 
 
@@ -567,6 +572,8 @@ MALFORMED = [
 def test_validate_reports_each_malformed_shape(source, messages, mode):
     func = parse_one(source) if isinstance(source, str) else source
     diags = ir.validate(ir.Module([func]), mode)
+    if isinstance(messages, dict):
+        messages = messages[mode]
     assert [d.message for d in diags] == messages
     assert all(d.severity == "error" for d in diags)
 

@@ -18,7 +18,8 @@ from helpers import (ALL_OFF, BEFORE_OUT_OF_SSA, DATA, LATCH_REFUSALS, MID,
 
 def normalize_only(func, reorder=True):
     work = func.clone()
-    copies = psi_normalize(analysis.Analyses(work), reorder)
+    copies = psi_normalize(analysis.Analyses(work),
+                           OutOfSsaOptions(reorder_disjoint=reorder))
     return work, copies
 
 
@@ -76,21 +77,21 @@ def test_oracle_and_normalizer_share_the_order_rule():
 def test_congruence_repairs_live_overlap():
     func = load_func("live_overlap.pir")
     expected = load_func("live_overlap_repaired.pir")
-    work, classes, counts = to_cssa(func, ALL_OFF)
+    cache, classes, counts = to_cssa(func, ALL_OFF)
     assert counts == (0, 3, 0)
-    assert ir.alpha_equivalent(work, expected)
+    assert ir.alpha_equivalent(cache.func, expected)
     # a joins the three repair variables in one class.
     group = classes.members("a")
     assert len(group) == 4 and "a" in group
     for name in ("b", "c", "x"):
         assert name not in group
-    report = interp.differential_check(func, work, trials=32, seed=0)
+    report = interp.differential_check(func, cache.func, trials=32, seed=0)
     assert not report.mismatches
 
 
 def test_congruence_clean_psi_needs_no_copies():
     func = load_func("diamond_predicated.pir")
-    work, classes, counts = to_cssa(func, ALL_OFF)
+    _, classes, counts = to_cssa(func, ALL_OFF)
     assert counts == (0, 0, 0)
     assert sorted(classes.members("x")) == ["a", "b", "x"]
 
@@ -98,9 +99,9 @@ def test_congruence_clean_psi_needs_no_copies():
 def test_congruence_shared_argument_is_detached():
     func = load_func("shared_arg.pir")
     expected = load_func("shared_arg_cssa.pir")
-    work, classes, counts = to_cssa(func)
+    cache, classes, counts = to_cssa(func)
     assert counts == (0, 1, 0)
-    assert ir.alpha_equivalent(work, expected)
+    assert ir.alpha_equivalent(cache.func, expected)
     assert len(classes.members("x")) == 3
     assert len(classes.members("y")) == 3
     assert classes.find("x") != classes.find("y")
@@ -110,8 +111,9 @@ def test_rename_and_strip_matches_reference_outputs():
     for src, want in [("order_swap.pir", "order_swap_nonssa.pir"),
                       ("shared_arg.pir", "shared_arg_nonssa.pir")]:
         func = load_func(src)
-        work, classes, _ = to_cssa(func)
-        rename_and_strip(work, classes)
+        cache, classes, _ = to_cssa(func)
+        rename_and_strip(cache, classes, OutOfSsaOptions())
+        work = cache.func
         assert ir.alpha_equivalent(work, load_func(want)), src
         assert_no_errors(ir.Module([work]), "non_ssa")
         report = interp.differential_check(func, work, trials=32, seed=1)
@@ -122,9 +124,10 @@ def test_rename_and_strip_adds_no_names_to_the_classes():
     for seed in range(20):
         func = interp.gen_random_program(seed, "small")
         work, _ = pipeline(func, ["ssa", "fold", "ifconvert"])
-        work, classes, _ = to_cssa(work)
+        cache, classes, _ = to_cssa(work)
         names, groups = set(classes.rep), classes.classes()
-        rename_and_strip(work, classes)
+        rename_and_strip(cache, classes, OutOfSsaOptions())
+        work = cache.func
         assert set(classes.rep) == names, seed
         assert classes.classes() == groups, seed
         assert not interp.differential_check(func, work, 8, seed).mismatches
@@ -139,7 +142,8 @@ b0:
 }
 """).functions[0]
     work = func.clone()
-    rename_and_strip(work, CongruenceClasses())
+    rename_and_strip(analysis.Analyses(work), CongruenceClasses(),
+                     OutOfSsaOptions())
     assert ir.alpha_equivalent(work, func)
 
 
@@ -148,11 +152,12 @@ def test_rename_and_strip_keeps_what_names_no_renamed_variable():
     # copy psi-congruence inserts.  Only %s = add %x, %y reads a renamed
     # variable; the others keep their operand list and guard, whether or
     # not their destination is renamed.
-    work, classes, _ = to_cssa(load_func("shared_arg.pir"))
+    cache, classes, _ = to_cssa(load_func("shared_arg.pir"))
+    work = cache.func
     assert classes.classes() == [["a", "c", "y"], ["a.1", "b", "x"]]
     before = [(ins, ins.operands, ins.guard) for _, ins in work.instructions()
               if isinstance(ins, ir.Instr)]
-    rename_and_strip(work, classes)
+    rename_and_strip(cache, classes, OutOfSsaOptions())
     changed = [ins for ins, operands, guard in before
                if ins.operands is not operands or ins.guard is not guard]
     assert len(before) == 6
@@ -180,7 +185,7 @@ b2:
     classes = CongruenceClasses()
     classes.union("x", "z")
     classes.union("y", "z")
-    rename_and_strip(func, classes)
+    rename_and_strip(analysis.Analyses(func), classes, OutOfSsaOptions())
     assert ir.print_function(func) == """func @f(%a) {
 b0:
   %x = add %a, 1
@@ -443,8 +448,7 @@ def stepped_to_cssa(monkeypatch, func: ir.Function, opts: OutOfSsaOptions):
 
     monkeypatch.setattr(analysis.LiveRanges, "update", checked)
     monkeypatch.setattr(out_of_ssa, "psi_normalize", normalized)
-    cache = analysis.Analyses(func)
-    out_of_ssa.to_cssa(func, opts, cache)
+    cache, _, _ = out_of_ssa.to_cssa(func, opts)
     assert_matches_fresh(cache.live, opts.disjoint_interference)
     monkeypatch.undo()
     return cache, len(steps)
@@ -568,7 +572,7 @@ def test_an_answer_kept_before_a_copy_of_its_variables_is_asked_anew(
     interferes: the update that records the copy drops the kept answer."""
     a, b = pair
     cache = analysis.Analyses(load_func(name))
-    psi_normalize(cache)
+    psi_normalize(cache, opts)
     assert not cache.live.interferes(a, b, True)
     classes = CongruenceClasses()
     out_of_ssa.psi_congruence(cache, classes, opts)
@@ -586,8 +590,8 @@ def test_phi_result_copy_goes_below_a_psi_argument_copy_at_the_head():
     used before its definition and live around the loop."""
     func = load_func("loop_exit_psi_over_phis.pir")
     for opts in (OutOfSsaOptions(), OutOfSsaOptions(phi_naive=True)):
-        work, _, _ = to_cssa(func, opts)
-        head = [ins.dest for ins in work.block_map()["b1"].body
+        cache, _, _ = to_cssa(func, opts)
+        head = [ins.dest for ins in cache.blocks["b1"].body
                 if ins.opcode == "mov"]
         assert head.index("w.1") < head.index("x"), opts
         final, _ = pipeline(func, ["out-of-ssa"], opts=opts)
@@ -603,7 +607,7 @@ def test_argument_dying_at_a_phi_is_copied_at_the_end_of_its_start_block():
     func = load_func("arg_dies_at_phi.pir")
     work = func.clone()
     cache = analysis.Analyses(work)
-    psi_normalize(cache)
+    psi_normalize(cache, OutOfSsaOptions())
     out_of_ssa.psi_congruence(cache, CongruenceClasses(), OutOfSsaOptions())
     [psi] = all_psis(work)
     copy = cache.blocks["b0"].body[-1]
@@ -739,7 +743,7 @@ def test_live_ranges_index_once_and_the_class_check_reuses_answers(
             work, _ = pipeline(func, BEFORE_OUT_OF_SSA, machine)
             analysis.remove_unreachable(work)
             cache = analysis.Analyses(work)
-            psi_normalize(cache)
+            psi_normalize(cache, OutOfSsaOptions())
             indexed = []
 
             def recording(self, ins, label, dirty):
@@ -756,7 +760,8 @@ def test_live_ranges_index_once_and_the_class_check_reuses_answers(
             counts: dict[str, int] = {}
             count_calls(monkeypatch, analysis.LiveRanges, "interferes", counts)
             count_calls(monkeypatch, analysis.LiveRanges, "_overlap", counts)
-            assert out_of_ssa.class_interference(cache, classes, True) is None
+            assert out_of_ssa.class_interference(
+                cache, classes, OutOfSsaOptions()) is None
             monkeypatch.undo()
             checked += counts.get("interferes", 0)
             derived += counts.get("_overlap", 0)
@@ -777,9 +782,9 @@ def test_each_psi_records_its_copies_in_one_update(monkeypatch):
         update(self, inserted, changed)
 
     monkeypatch.setattr(analysis.LiveRanges, "update", recording)
-    work, _, counts = to_cssa(load_func("live_overlap.pir"), ALL_OFF)
+    cache, _, counts = to_cssa(load_func("live_overlap.pir"), ALL_OFF)
     assert counts == (0, 3, 0)
-    psi, = all_psis(work)
+    psi, = all_psis(cache.func)
     copied = sorted([v for _, v in psi.args[1:]] + ["x"])
     assert calls == [(copied, [psi]), ([], [])]
 
@@ -862,7 +867,6 @@ def test_one_of_two_interfering_definitions_dominates_the_other(
 
     monkeypatch.setattr(out_of_ssa, "psi_normalize", normalized)
     for func in _inputs_to_out_of_ssa():
-        cache = analysis.Analyses(func)
-        out_of_ssa.to_cssa(func, OutOfSsaOptions(), cache)
+        cache, _, _ = out_of_ssa.to_cssa(func, OutOfSsaOptions())
         counts.append(interfering_definitions_nest(cache))
     assert len(counts) > 150 and sum(counts) > 50000

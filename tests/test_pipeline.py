@@ -6,10 +6,11 @@ import pytest
 from psikit import interp, ir
 from psikit.machine import FULL, PARTIAL
 from psikit.out_of_ssa import PassStats, run_out_of_ssa
-from psikit.pipeline import PASSES, STANDARD, PipelineError, check, run
+from psikit.pipeline import (FAILURES, PASSES, STANDARD, PipelineError, check,
+                             run)
 
-from helpers import (MID, assert_no_errors, count_calls, latch_refusal_params,
-                     load_func)
+from helpers import (DATA, MID, assert_no_errors, count_calls,
+                     latch_refusal_params, load, load_func)
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -80,6 +81,46 @@ def test_large_and_deep_programs_compile_and_keep_their_semantics(
         run(work, STANDARD, machine)
         report = interp.differential_check(func, work, trials=8, seed=seed)
         assert report.ok, (seed, report.mismatches[:1])
+
+
+def retargeted(func: ir.Function):
+    """`func` once for each target of each `br` with two distinct targets,
+    that `br` sent to that target alone."""
+    for i, block in enumerate(func.blocks):
+        term = block.term
+        if term.opcode == "br" and term.operands[1] != term.operands[2]:
+            for target in term.operands[1:]:
+                variant = func.clone()
+                variant.blocks[i].term.operands[1:] = [target, target]
+                yield variant
+
+
+def is_valid(func: ir.Function, mode: str) -> bool:
+    return not any(d.severity == "error"
+                   for d in ir.validate(ir.Module([func]), mode))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.pir")))
+def test_a_branch_to_one_block_twice_compiles_or_is_refused(name):
+    """Each variant of a `tests/data` function with one `br` retargeted to
+    one of its targets (`retargeted`) that validates goes through the
+    standard passes, or those after `ssa` when it is valid SSA, on both
+    machines; a pass may refuse it, but with one of FAILURES only.  The
+    outputs are not run: `arg_dies_at_phi` with `br %c, b2, b2` never
+    leaves its loop, so both sides trap on the step budget."""
+    for func in load(name).functions:
+        for variant in retargeted(func):
+            if is_valid(variant, "ssa"):
+                passes = STANDARD[1:]
+            elif is_valid(variant, "non_ssa"):
+                passes = STANDARD
+            else:
+                continue
+            for machine in (FULL, PARTIAL):
+                try:
+                    run(variant.clone(), passes, machine)
+                except FAILURES:
+                    pass
 
 
 # Guards that a loop carries through a phi: a declared guard parameter

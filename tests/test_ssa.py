@@ -2,6 +2,7 @@ import pytest
 
 from psikit import analysis, interp, ir, ssa
 from psikit.machine import FULL, PARTIAL
+from psikit.pipeline import STANDARD
 from psikit.predicates import And, guard_env_or_conservative
 from psikit.ssa import (ConditionViolated, EmptyProjection,
                         all_psis, construct_ssa, copy_fold,
@@ -160,6 +161,21 @@ b2:
     assert_no_errors(ir.Module([func]), "ssa")
     (phi,) = func.block_map()["b1"].phis
     assert [label for label, _ in phi.args] == ["b0", "b1"]
+
+
+def test_a_latch_that_names_its_header_twice_passes_one_renamed_argument():
+    """b2 ends in `br %e, b1, b1`, one edge: the header's phi for %n takes
+    one argument from b2, renamed once to the name b1 defines."""
+    func = load_func("latch_same_target.pir")
+    work = construct_ssa(func.clone())
+    assert_no_errors(ir.Module([work]), "ssa")
+    header = work.block_map()["b1"]
+    (phi,) = header.phis
+    assert phi.args == [("b0", "n"), ("b2", header.body[0].dest)]
+    for machine in (FULL, PARTIAL):
+        final, _ = pipeline(func, STANDARD, machine)
+        report = interp.differential_check(func, final, trials=64, seed=0)
+        assert report.ok and report.compared > 0, machine.name
 
 
 def test_construct_is_interpreter_equivalent():
